@@ -106,7 +106,6 @@ class MoeModelConfig:
     vocab: int
     context: int
     layers: tuple[LayerSpec, ...]
-    moe_loss_coeff: float = 0.01
 
     def __post_init__(self) -> None:
         if len(self.layers) != self.num_layers:

@@ -17,6 +17,11 @@ modeled:
     shrinks to p/L rounds at full payload volume, plus L cheap allgather
     rounds.
 
+The schedules differ only in which rank each message goes to and in which
+round, so every exchange phase runs through one helper, ``_exchange``: it
+buckets each rank's items by destination, maps each bucket to its receiving
+rank and round, and emits the phase's events in (round, source) order.
+
 All schedules deliver bit-identical receive lists (sorted by source rank and
 token id), which the tests rely on. Self-deliveries inside an exchange phase
 count toward volume, so the hierarchical schedule's volume is exactly twice
@@ -25,14 +30,16 @@ the flat one's.
 The normalized cost model scores a trace as rounds * c1 + c2 * (exchange
 volume / payload volume): c1 is the fixed price of a round, c2 the price of
 pushing the whole payload through the wire once. ``estimate_latency`` gives
-an alternative physical estimate from link constants instead.
+an alternative physical estimate from the topology's link constants instead,
+pricing each message by the intra- or inter-node link between its endpoints.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Literal
 
 import numpy as np
@@ -41,7 +48,6 @@ from .planner import ClusterTopology
 
 __all__ = [
     "Item",
-    "RankState",
     "CommEvent",
     "CommTrace",
     "CostModel",
@@ -51,7 +57,6 @@ __all__ = [
     "hierarchical_all_to_all",
     "coordinated_all_to_all",
     "estimate_latency",
-    "initial_states",
     "synthetic_sends",
     "payload_multiset",
 ]
@@ -73,16 +78,6 @@ class Item:
     dst: int
     token: int
     nbytes: int
-
-
-@dataclass
-class RankState:
-    """Working state of one rank while a schedule executes."""
-
-    rank: int
-    node: int
-    send: dict[int, list[Item]] = field(default_factory=dict)
-    recv: list[Item] = field(default_factory=list)
 
 
 EventKind = Literal["p2p", "layout-transform", "a2a-phase", "allgather"]
@@ -155,42 +150,30 @@ class CommTrace:
 # ---------------------------------------------------------------------------
 
 
-def _check_sends(sends: list[list[Item]], world: int, src_of_rank) -> None:
-    if len(sends) != world:
-        raise ScheduleError(f"need {world} send lists, got {len(sends)}")
+def _validate(sends: list[list[Item]], src_of_rank, dst_limit: int) -> int:
+    """Check every item's src, dst and size; return the payload's total bytes."""
+    if not sends:
+        raise ScheduleError("world must have at least one rank")
+    total = 0
     for rank, items in enumerate(sends):
         want_src = src_of_rank(rank)
         for it in items:
             if it.src != want_src:
-                raise ScheduleError(
-                    f"rank {rank}: item src {it.src} should be {want_src}"
-                )
+                raise ScheduleError(f"rank {rank}: item src {it.src} should be {want_src}")
+            if not (0 <= it.dst < dst_limit):
+                raise ScheduleError(f"rank {rank}: dst {it.dst} outside [0, {dst_limit})")
             if it.nbytes < 0:
                 raise ScheduleError(f"rank {rank}: negative nbytes on {it}")
+            total += it.nbytes
+    return total
 
 
-def _check_dst_range(sends: list[list[Item]], limit: int) -> None:
-    for rank, items in enumerate(sends):
-        for it in items:
-            if not (0 <= it.dst < limit):
-                raise ScheduleError(
-                    f"rank {rank}: dst {it.dst} outside [0, {limit})"
-                )
-
-
-def _bucket_by(items: list[Item], key) -> dict[int, list[Item]]:
-    out: dict[int, list[Item]] = {}
-    for it in items:
-        out.setdefault(key(it), []).append(it)
-    return out
+_nbytes = attrgetter("nbytes")
+_recv_order = attrgetter("src", "token")
 
 
 def _sorted_recv(items: list[Item]) -> tuple[Item, ...]:
-    return tuple(sorted(items, key=lambda it: (it.src, it.token)))
-
-
-def _payload_bytes(sends: list[list[Item]]) -> int:
-    return sum(it.nbytes for items in sends for it in items)
+    return tuple(sorted(items, key=_recv_order))
 
 
 def _msg_latency(nbytes: int, src: int, dst: int, cost: CostModel, reference: int) -> float:
@@ -201,34 +184,60 @@ def _msg_latency(nbytes: int, src: int, dst: int, cost: CostModel, reference: in
     return cost.c2 * nbytes / reference
 
 
-def initial_states(sends: list[list[Item]], gpus_per_node: int = 1) -> list[RankState]:
-    """Per-rank view of a payload before any schedule runs."""
-    states = []
-    for rank, items in enumerate(sends):
-        states.append(
-            RankState(
-                rank=rank,
-                node=rank // gpus_per_node,
-                send=_bucket_by(items, lambda it: it.dst),
-            )
+def _exchange(
+    held: list[list[Item]], dest, round_of, step: int, cost: CostModel, reference: int, events: list
+) -> tuple[list[list[Item]], int]:
+    """One all-to-all phase; returns each rank's received items and bytes moved.
+
+    Rank s sends its items addressed to ``dst`` to rank ``dest(s, dst)``;
+    all items from s to d form one message, sent in round ``round_of(s, d)``.
+    Events are appended in (round, source) order at ``step + round``.
+    """
+    messages: dict[tuple[int, int, int], list[Item]] = {}
+    for s, items in enumerate(held):
+        buckets: defaultdict[int, list[Item]] = defaultdict(list)
+        for it in items:
+            buckets[it.dst].append(it)
+        for dst, bucket in buckets.items():
+            d = dest(s, dst)
+            message = messages.setdefault((round_of(s, d), s, d), bucket)
+            if message is not bucket:
+                message.extend(bucket)
+
+    recv: list[list[Item]] = [[] for _ in held]
+    moved = 0
+    for key in sorted(messages):
+        r, s, d = key
+        payload = messages.pop(key)
+        nbytes = sum(map(_nbytes, payload))
+        moved += nbytes
+        events.append(
+            CommEvent(step + r, "a2a-phase", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
         )
-    return states
+        recv[d].extend(payload)
+    return recv, moved
+
+
+def _layout_transform(held: list[list[Item]], step: int, events: list[CommEvent]) -> None:
+    """Record each rank's local regrouping of everything it holds."""
+    for s, items in enumerate(held):
+        total = sum(map(_nbytes, items))
+        if total:
+            events.append(CommEvent(step, "layout-transform", s, s, total, 0.0))
 
 
 def synthetic_sends(
     world: int, per_rank: int, nbytes: int = 1024, seed: int = 0
 ) -> list[list[Item]]:
     """Random but seeded payload: per_rank items per rank, uniform dst."""
+    for name, value, low in (("world", world, 1), ("per_rank", per_rank, 0), ("nbytes", nbytes, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ScheduleError(f"{name} must be an integer >= {low}, got {value!r}")
     rng = np.random.default_rng(seed)
-    sends = []
-    token = 0
-    for src in range(world):
-        items = []
-        for _ in range(per_rank):
-            items.append(Item(src=src, dst=int(rng.integers(world)), token=token, nbytes=nbytes))
-            token += 1
-        sends.append(items)
-    return sends
+    return [
+        [Item(src, int(rng.integers(world)), src * per_rank + n, nbytes) for n in range(per_rank)]
+        for src in range(world)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -239,29 +248,13 @@ def synthetic_sends(
 def flat_all_to_all(sends: list[list[Item]], cost: CostModel | None = None) -> CommTrace:
     """Baseline exchange: p rounds, round r pairs src with (src + r) mod p."""
     world = len(sends)
-    if world < 1:
-        raise ScheduleError("world must have at least one rank")
     cost = cost or CostModel()
-    _check_sends(sends, world, lambda r: r)
-    _check_dst_range(sends, world)
+    reference = _validate(sends, lambda r: r, world)
 
-    reference = _payload_bytes(sends)
-    buckets = [_bucket_by(items, lambda it: it.dst) for items in sends]
     events: list[CommEvent] = []
-    recv: list[list[Item]] = [[] for _ in range(world)]
-    volume = 0
-    for r in range(world):
-        for s in range(world):
-            d = (s + r) % world
-            payload = buckets[s].get(d)
-            if not payload:
-                continue
-            nbytes = sum(it.nbytes for it in payload)
-            volume += nbytes
-            events.append(
-                CommEvent(r, "a2a-phase", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
-            )
-            recv[d].extend(payload)
+    recv, volume = _exchange(
+        sends, lambda s, dst: dst, lambda s, d: (d - s) % world, 0, cost, reference, events
+    )
 
     return CommTrace(
         schedule="flat",
@@ -290,72 +283,28 @@ def hierarchical_all_to_all(
     """
     world = len(sends)
     g = gpus_per_node
-    if world < 1:
-        raise ScheduleError("world must have at least one rank")
     if g < 1 or world % g != 0:
         raise ScheduleError(f"gpus_per_node {g} must divide world {world}")
     cost = cost or CostModel()
-    _check_sends(sends, world, lambda r: r)
-    _check_dst_range(sends, world)
+    reference = _validate(sends, lambda r: r, world)
 
-    nodes = world // g
-    reference = _payload_bytes(sends)
     events: list[CommEvent] = []
-    step = 0
-
-    # local regrouping before the intra-node phase
-    for s in range(world):
-        total = sum(it.nbytes for it in sends[s])
-        if total:
-            events.append(CommEvent(step, "layout-transform", s, s, total, 0.0))
-    step += 1
-
+    _layout_transform(sends, 0, events)
     # intra-node phase: round l delivers to the local-id-l rank of each node
-    held: list[list[Item]] = [[] for _ in range(world)]
-    volume = 0
-    intra = [_bucket_by(items, lambda it: it.dst % g) for items in sends]
-    for l in range(g):
-        for s in range(world):
-            payload = intra[s].get(l)
-            if not payload:
-                continue
-            d = (s // g) * g + l
-            nbytes = sum(it.nbytes for it in payload)
-            volume += nbytes
-            events.append(
-                CommEvent(step, "a2a-phase", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
-            )
-            held[d].extend(payload)
-        step += 1
-
-    # regroup by destination node before the inter-node phase
-    for s in range(world):
-        total = sum(it.nbytes for it in held[s])
-        if total:
-            events.append(CommEvent(step, "layout-transform", s, s, total, 0.0))
-    step += 1
-
+    held, intra_volume = _exchange(
+        sends, lambda s, dst: (s // g) * g + dst % g, lambda s, d: d % g, 1, cost, reference, events
+    )
+    _layout_transform(held, g + 1, events)
     # inter-node phase: round m delivers to node m, between same-local ranks
-    recv: list[list[Item]] = [[] for _ in range(world)]
-    inter = [_bucket_by(items, lambda it: it.dst // g) for items in held]
-    for m in range(nodes):
-        for s in range(world):
-            payload = inter[s].get(m)
-            if not payload:
-                continue
-            d = m * g + s % g
-            nbytes = sum(it.nbytes for it in payload)
-            volume += nbytes
-            events.append(
-                CommEvent(step, "a2a-phase", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
-            )
-            recv[d].extend(payload)
-        step += 1
+    recv, inter_volume = _exchange(
+        held, lambda s, dst: (dst // g) * g + s % g, lambda s, d: d // g, g + 2, cost, reference, events
+    )
 
+    volume = intra_volume + inter_volume
     return CommTrace(
         schedule="hierarchical",
         world_size=world,
-        a2a_rounds=g + nodes,
+        a2a_rounds=g + world // g,
         allgather_rounds=0,
         volume_bytes=volume,
         a2a_volume_bytes=volume,
@@ -380,75 +329,46 @@ def coordinated_all_to_all(
     """
     world = len(sends)
     slice_ = tensor_slice
-    if world < 1:
-        raise ScheduleError("world must have at least one rank")
     if slice_ < 1 or world % slice_ != 0:
         raise ScheduleError(f"tensor_slice {slice_} must divide world {world}")
     cost = cost or CostModel()
     groups = world // slice_
-    _check_sends(sends, world, lambda r: r // slice_)
-    _check_dst_range(sends, groups)
-    for grp in range(groups):
-        base = sends[grp * slice_]
-        for t in range(1, slice_):
-            if sends[grp * slice_ + t] != base:
-                raise ReplicaMismatchError(
-                    f"rank {grp * slice_ + t} disagrees with rank {grp * slice_} "
-                    f"on group {grp}'s payload"
-                )
+    total = _validate(sends, lambda r: r // slice_, groups)
+    for r in range(world):
+        base = r - r % slice_
+        if r != base and sends[r] != sends[base]:
+            raise ReplicaMismatchError(
+                f"rank {r} disagrees with rank {base} on group {r // slice_}'s payload"
+            )
 
     # reference counts the logical payload once, not per replica
-    reference = sum(it.nbytes for grp in range(groups) for it in sends[grp * slice_])
+    reference = total // slice_
     events: list[CommEvent] = []
-    step = 0
-    volume = 0
-    a2a_volume = 0
 
     # stride-L sub-exchange, all slices in parallel each round
-    held: list[list[Item]] = [[] for _ in range(world)]
-    share_of = {
-        (grp, t): [it for i, it in enumerate(sends[grp * slice_]) if i % slice_ == t]
-        for grp in range(groups)
-        for t in range(slice_)
-    }
-    for j in range(groups):
-        for grp in range(groups):
-            dst_grp = (grp + j) % groups
-            for t in range(slice_):
-                payload = [it for it in share_of[(grp, t)] if it.dst == dst_grp]
-                if not payload:
-                    continue
-                s = grp * slice_ + t
-                d = dst_grp * slice_ + t
-                nbytes = sum(it.nbytes for it in payload)
-                volume += nbytes
-                a2a_volume += nbytes
-                events.append(
-                    CommEvent(step, "a2a-phase", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
-                )
-                held[d].extend(payload)
-        step += 1
+    held, a2a_volume = _exchange(
+        [items[s % slice_::slice_] for s, items in enumerate(sends)],
+        lambda s, dst: dst * slice_ + s % slice_,
+        lambda s, d: (d // slice_ - s // slice_) % groups,
+        0, cost, reference, events,
+    )
+    volume = a2a_volume
 
     # allgather: round t broadcasts replica t's share to its group peers
-    recv: list[list[Item]] = [[] for _ in range(world)]
-    for r in range(world):
-        recv[r].extend(held[r])
+    recv = [list(items) for items in held]
     for t in range(slice_):
-        for grp in range(groups):
-            s = grp * slice_ + t
+        for s in range(t, world, slice_):
             share = held[s]
-            nbytes = sum(it.nbytes for it in share)
-            for u in range(slice_):
-                if u == t:
+            nbytes = sum(map(_nbytes, share))
+            for d in range(s - t, s - t + slice_):
+                if d == s:
                     continue
-                d = grp * slice_ + u
                 if nbytes:
                     volume += nbytes
                     events.append(
-                        CommEvent(step, "allgather", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
+                        CommEvent(groups + t, "allgather", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
                     )
                 recv[d].extend(share)
-        step += 1
 
     return CommTrace(
         schedule="coordinated",
@@ -470,24 +390,43 @@ def coordinated_all_to_all(
 
 
 def estimate_latency(trace: CommTrace, topology: ClusterTopology) -> float:
-    """Pessimistic wall-clock estimate from link constants.
+    """Wall-clock estimate from the topology's link constants.
 
-    Worst-case locality: every non-self message is priced at the inter-node
-    link. A round costs its latency constant plus the largest per-source
-    byte count over the bandwidth; rounds that move nothing are free, and so
-    are self-deliveries and local layout transforms.
+    Each non-self message is priced by the link between its endpoints: the
+    intra-node link when both ranks share a node (rank // gpus_per_node),
+    the inter-node link otherwise. A source's messages in one round cost the
+    largest of their link latencies plus each message's bytes over its
+    link's bandwidth; a round costs its busiest source. Rounds that move
+    nothing are free, and so are self-deliveries and local layout
+    transforms. With intra_link == inter_link every message is priced at one
+    link, which is the pessimistic worst-case-locality figure.
     """
-    link = topology.inter_link
-    per_round: dict[int, dict[int, int]] = {}
+    g = topology.gpus_per_node
+    links = (topology.intra_link, topology.inter_link)
+    split = links[0] != links[1]  # equal links price as one: a source's bytes sum before dividing
+    # per round: bytes by source, one dict per link
+    per_round: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     for e in trace.events:
-        if e.kind == "layout-transform" or e.src == e.dst:
-            continue
-        per_round.setdefault(e.step, {}).setdefault(e.src, 0)
-        per_round[e.step][e.src] += e.nbytes
+        if e.kind != "layout-transform" and e.src != e.dst:
+            sent = per_round.setdefault(e.step, ({}, {}))[split and e.src // g != e.dst // g]
+            sent[e.src] = sent.get(e.src, 0) + e.nbytes
     total = 0.0
-    for _, by_src in sorted(per_round.items()):
-        heaviest = max(by_src.values())
-        total += link.latency_s + heaviest / link.bandwidth_bytes_per_s
+    for _, by_link in sorted(per_round.items()):
+        # on one link the heaviest source is slowest; a source using both
+        # links pays the larger latency plus both transfer times
+        costs = [
+            link.latency_s + max(sent.values()) / link.bandwidth_bytes_per_s
+            for link, sent in zip(links, by_link)
+            if sent
+        ]
+        near, far = by_link
+        costs += [
+            max(link.latency_s for link in links)
+            + near[src] / links[0].bandwidth_bytes_per_s
+            + far[src] / links[1].bandwidth_bytes_per_s
+            for src in near.keys() & far.keys()
+        ]
+        total += max(costs)
     return total
 
 

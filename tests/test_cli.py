@@ -204,6 +204,17 @@ def test_simulate_bad_slice_is_invalid_request(tmp_path, capsys):
     assert "invalid request" in err
 
 
+@pytest.mark.parametrize("tokens", [-1, "8"])
+def test_simulate_bad_tokens_per_rank_is_invalid_request(tmp_path, capsys, tokens):
+    cfg = write_config(
+        tmp_path,
+        {"cluster": {"nodes": 2, "gpus_per_node": 2}, "options": {"tokens_per_rank": tokens}},
+    )
+    code, _, err = run(capsys, "simulate", "--config", cfg)
+    assert code == 3
+    assert "invalid request:" in err
+
+
 # ---------------------------------------------------------------------------
 # plan
 # ---------------------------------------------------------------------------

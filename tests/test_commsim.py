@@ -14,7 +14,6 @@ from moekit.commsim import (
     estimate_latency,
     flat_all_to_all,
     hierarchical_all_to_all,
-    initial_states,
     payload_multiset,
     synthetic_sends,
 )
@@ -250,9 +249,118 @@ def test_malformed_payload_rejected():
         flat_all_to_all([[Item(0, 0, 0, -8)]], COST)  # negative size
 
 
+@pytest.mark.parametrize(
+    "world, per_rank, nbytes",
+    [(0, 4, 8), (4, -1, 8), (4, 4, -8), (4, "4", 8), (4, 4, 8.0), (4, True, 8)],
+)
+def test_synthetic_sends_rejects_bad_sizes(world, per_rank, nbytes):
+    with pytest.raises(ScheduleError):
+        synthetic_sends(world, per_rank, nbytes=nbytes)
+
+
 def test_cost_model_validation():
     with pytest.raises(ScheduleError):
         CostModel(c1=-1.0, c2=0.0)
+
+
+# ---------------------------------------------------------------------------
+# pinned event sequences
+# ---------------------------------------------------------------------------
+
+# 8 ranks, 2 GPUs per node: mixed sizes, an empty rank, a 0-byte item and
+# one self-send (rank 1)
+PINNED_RANK_SENDS = [
+    [Item(0, 5, 0, 100), Item(0, 1, 1, 40), Item(0, 5, 2, 8)],
+    [Item(1, 1, 3, 64)],
+    [Item(2, 7, 4, 12)],
+    [Item(3, 0, 5, 200), Item(3, 6, 6, 0)],
+    [],
+    [Item(5, 2, 7, 16)],
+    [Item(6, 3, 8, 32), Item(6, 4, 9, 24)],
+    [Item(7, 0, 10, 48)],
+]
+
+# 4 logical groups for tensor slice 2; group 1 sends to itself
+PINNED_GROUP_SENDS = [
+    [Item(0, 2, 0, 100), Item(0, 1, 1, 40), Item(0, 2, 2, 8)],
+    [Item(1, 1, 3, 64)],
+    [Item(2, 3, 4, 12), Item(2, 0, 5, 200)],
+    [Item(3, 0, 6, 48)],
+]
+
+
+def _event_tuples(trace):
+    return [(e.step, e.kind, e.src, e.dst, e.nbytes) for e in trace.events]
+
+
+def test_flat_pinned_event_sequence():
+    trace = flat_all_to_all(PINNED_RANK_SENDS, COST)
+    assert _event_tuples(trace) == [
+        (0, "a2a-phase", 1, 1, 64),
+        (1, "a2a-phase", 0, 1, 40),
+        (1, "a2a-phase", 7, 0, 48),
+        (3, "a2a-phase", 3, 6, 0),
+        (5, "a2a-phase", 0, 5, 108),
+        (5, "a2a-phase", 2, 7, 12),
+        (5, "a2a-phase", 3, 0, 200),
+        (5, "a2a-phase", 5, 2, 16),
+        (5, "a2a-phase", 6, 3, 32),
+        (6, "a2a-phase", 6, 4, 24),
+    ]
+
+
+def test_hierarchical_pinned_event_sequence():
+    trace = hierarchical_all_to_all(PINNED_RANK_SENDS, 2, COST)
+    assert _event_tuples(trace) == [
+        (0, "layout-transform", 0, 0, 148),
+        (0, "layout-transform", 1, 1, 64),
+        (0, "layout-transform", 2, 2, 12),
+        (0, "layout-transform", 3, 3, 200),
+        (0, "layout-transform", 5, 5, 16),
+        (0, "layout-transform", 6, 6, 56),
+        (0, "layout-transform", 7, 7, 48),
+        (1, "a2a-phase", 3, 2, 200),
+        (1, "a2a-phase", 5, 4, 16),
+        (1, "a2a-phase", 6, 6, 24),
+        (1, "a2a-phase", 7, 6, 48),
+        (2, "a2a-phase", 0, 1, 148),
+        (2, "a2a-phase", 1, 1, 64),
+        (2, "a2a-phase", 2, 3, 12),
+        (2, "a2a-phase", 6, 7, 32),
+        (3, "layout-transform", 1, 1, 212),
+        (3, "layout-transform", 2, 2, 200),
+        (3, "layout-transform", 3, 3, 12),
+        (3, "layout-transform", 4, 4, 16),
+        (3, "layout-transform", 6, 6, 72),
+        (3, "layout-transform", 7, 7, 32),
+        (4, "a2a-phase", 1, 1, 104),
+        (4, "a2a-phase", 2, 0, 200),
+        (4, "a2a-phase", 6, 0, 48),
+        (5, "a2a-phase", 4, 2, 16),
+        (5, "a2a-phase", 7, 3, 32),
+        (6, "a2a-phase", 1, 5, 108),
+        (6, "a2a-phase", 6, 4, 24),
+        (7, "a2a-phase", 2, 6, 0),
+        (7, "a2a-phase", 3, 7, 12),
+    ]
+
+
+def test_coordinated_pinned_event_sequence():
+    trace = coordinated_all_to_all(replicate(PINNED_GROUP_SENDS, 2), 2, COST)
+    assert _event_tuples(trace) == [
+        (0, "a2a-phase", 2, 2, 64),
+        (1, "a2a-phase", 1, 3, 40),
+        (1, "a2a-phase", 4, 6, 12),
+        (1, "a2a-phase", 6, 0, 48),
+        (2, "a2a-phase", 0, 4, 108),
+        (2, "a2a-phase", 5, 1, 200),
+        (4, "allgather", 0, 1, 48),
+        (4, "allgather", 2, 3, 64),
+        (4, "allgather", 4, 5, 108),
+        (4, "allgather", 6, 7, 12),
+        (5, "allgather", 1, 0, 200),
+        (5, "allgather", 3, 2, 40),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +375,35 @@ TOPO = ClusterTopology(
 )
 
 
+# one GPU per node: every non-self message crosses the inter-node link
+ONE_GPU_NODES = ClusterTopology(
+    nodes=16,
+    gpus_per_node=1,
+    intra_link=TOPO.intra_link,
+    inter_link=TOPO.inter_link,
+)
+
+
+def _inter_link_estimate(trace, link):
+    """Reference: every non-self message priced at one link."""
+    per_round = {}
+    for e in trace.events:
+        if e.kind == "layout-transform" or e.src == e.dst:
+            continue
+        by_src = per_round.setdefault(e.step, {})
+        by_src[e.src] = by_src.get(e.src, 0) + e.nbytes
+    total = 0.0
+    for _, by_src in sorted(per_round.items()):
+        total += link.latency_s + max(by_src.values()) / link.bandwidth_bytes_per_s
+    return total
+
+
 def test_estimate_hand_value():
-    # one 1000-byte item per rank to the next rank: a single busy round
+    # one 1000-byte item per rank to the next rank, all inside node 0: a
+    # single busy round on the intra-node link
     sends = [[Item(s, (s + 1) % 4, s, 1000)] for s in range(4)]
     trace = flat_all_to_all(sends, COST)
-    expected = TOPO.inter_link.latency_s + 1000 / TOPO.inter_link.bandwidth_bytes_per_s
+    expected = TOPO.intra_link.latency_s + 1000 / TOPO.intra_link.bandwidth_bytes_per_s
     assert estimate_latency(trace, TOPO) == pytest.approx(expected, rel=1e-15)
 
 
@@ -286,20 +418,53 @@ def test_estimate_scales_linearly_in_bytes():
     big = [[Item(it.src, it.dst, it.token, 2 * it.nbytes) for it in items] for items in small]
     t_small = flat_all_to_all(small, COST)
     t_big = flat_all_to_all(big, COST)
-    alpha = TOPO.inter_link.latency_s
+    alpha = ONE_GPU_NODES.inter_link.latency_s
     busy = len({e.step for e in t_small.events if e.src != e.dst})
-    est_small = estimate_latency(t_small, TOPO)
-    est_big = estimate_latency(t_big, TOPO)
+    est_small = estimate_latency(t_small, ONE_GPU_NODES)
+    est_big = estimate_latency(t_big, ONE_GPU_NODES)
     assert est_big - est_small == pytest.approx(est_small - busy * alpha, rel=1e-9)
 
 
 def test_estimate_charges_max_source_per_round():
-    # round 1: rank 0 pushes 4000 bytes, others push 1000; the round is
-    # priced by the heaviest source
+    # round 1: rank 0 pushes 4000 bytes, others push 1000, all inside node
+    # 0; the round is priced by the heaviest source
     sends = [[Item(0, 1, 0, 4000)]] + [[Item(s, (s + 1) % 4, s, 1000)] for s in range(1, 4)]
     trace = flat_all_to_all(sends, COST)
-    expected = TOPO.inter_link.latency_s + 4000 / TOPO.inter_link.bandwidth_bytes_per_s
+    expected = TOPO.intra_link.latency_s + 4000 / TOPO.intra_link.bandwidth_bytes_per_s
     assert estimate_latency(trace, TOPO) == pytest.approx(expected, rel=1e-15)
+
+
+def test_estimate_mixes_links_per_source():
+    # one tensor-slice group of 4 ranks over 2 nodes of 2 GPUs: each
+    # allgather source reaches one peer on its node and two on the other
+    topo = ClusterTopology(
+        nodes=2, gpus_per_node=2, intra_link=TOPO.intra_link, inter_link=TOPO.inter_link
+    )
+    logical = [[Item(0, 0, 0, 1000), Item(0, 0, 1, 3000)]]
+    trace = coordinated_all_to_all(replicate(logical, 4), 4, COST)
+    intra, inter = topo.intra_link, topo.inter_link
+    expected = sum(
+        inter.latency_s + n / intra.bandwidth_bytes_per_s + 2 * n / inter.bandwidth_bytes_per_s
+        for n in (1000, 3000)
+    )
+    assert estimate_latency(trace, topo) == pytest.approx(expected, rel=1e-12)
+
+
+def test_estimate_with_equal_links_is_inter_link_pricing():
+    link = TOPO.inter_link
+    # 2 GPUs per node: each coordinated allgather source reaches peers on
+    # both nodes of its group in one round; at 1 MB per item, pricing its
+    # two shares separately would differ from the old figure in the last bit
+    topo = ClusterTopology(nodes=8, gpus_per_node=2, intra_link=link, inter_link=link)
+    sends = synthetic_sends(16, 5, nbytes=96, seed=17)
+    traces = [
+        flat_all_to_all(sends, COST),
+        hierarchical_all_to_all(sends, 4, COST),
+        coordinated_all_to_all(replicate(synthetic_sends(4, 5, nbytes=10**6, seed=18), 4), 4, COST),
+    ]
+    for trace in traces:
+        assert estimate_latency(trace, topo) == _inter_link_estimate(trace, link)
+    assert estimate_latency(traces[1], TOPO) < _inter_link_estimate(traces[1], link)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +481,3 @@ def test_trace_csv_has_header_and_rows():
     assert lines[0] == "step,kind,src,dst,nbytes,latency_s"
     assert len(lines) == len(trace.events) + 1
 
-
-def test_initial_states_bucket_by_destination():
-    sends = [[Item(0, 1, 0, 8), Item(0, 1, 1, 8), Item(0, 0, 2, 8)], []]
-    states = initial_states(sends, gpus_per_node=2)
-    assert states[0].rank == 0 and states[0].node == 0
-    assert sorted(states[0].send) == [0, 1]
-    assert len(states[0].send[1]) == 2
-    assert states[1].send == {}
