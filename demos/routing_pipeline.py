@@ -60,8 +60,9 @@ for cf in (0.5, 1.0, 2.0):
     p = gating.build_dispatch_plan(gating.top_k_gate(logits, c), c, S)
     print(f"capacity_factor {cf}: capacity {p.capacity}, kept {int(p.kept_mask().sum())}/{S}")
 
-# the slot assignment rides on an exclusive prefix scan; the work-efficient
-# tree scan agrees with the sequential definition at every length
+# a slot is an exclusive prefix count of earlier assignments to the same
+# expert; the work-efficient tree scan computes such prefix sums and agrees
+# with the sequential definition at every length
 v = rng.integers(0, 5, size=1000)
 seq = np.zeros_like(v)
 run = 0

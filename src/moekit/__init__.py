@@ -2,7 +2,7 @@
 
 Subpackages by capability:
   tensor   - float64 matrices + reverse-mode gradient tape
-  gating   - top-k gating, scan-based dispatch tables, scatter/combine
+  gating   - top-k gating, sort-ranked dispatch tables, scatter/combine
   arch     - layer stacks, parameter and FLOP accounting, pyramid/residual builds
   distill  - staged knowledge distillation and depth-reduced students
   planner  - per-layer expert/data/tensor parallelism placement

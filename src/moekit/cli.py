@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -187,6 +188,18 @@ def _options(config: dict, allowed: set[str], verb: str) -> dict:
     return section
 
 
+def _cost_option(opts: dict, name: str, default: float) -> float:
+    value = opts.get(name, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value < 0
+    ):
+        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
+
+
 def _emit(header: list[str], rows: list[list], out_path: str | None) -> None:
     if out_path is None:
         writer = csv.writer(sys.stdout)
@@ -330,10 +343,12 @@ def _cmd_simulate(args, config) -> int:
     world = cluster.world_size
     schedule = opts.get("schedule", "all")
     slice_ = opts.get("tensor_slice", 1)
+    if isinstance(slice_, bool) or not isinstance(slice_, int) or slice_ < 1:
+        raise ConfigError(f"tensor_slice must be an integer >= 1, got {slice_!r}")
     per_rank = opts.get("tokens_per_rank", 8)
     nbytes = opts.get("nbytes", 1024)
     emit = opts.get("emit", "summary")
-    cost = CostModel(c1=opts.get("c1", 1e-4), c2=opts.get("c2", 1e-3))
+    cost = CostModel(c1=_cost_option(opts, "c1", 1e-4), c2=_cost_option(opts, "c2", 1e-3))
     if emit not in ("summary", "trace"):
         raise ConfigError(f"emit must be summary or trace, not {emit!r}")
     if schedule not in ("flat", "hierarchical", "coordinated", "all"):

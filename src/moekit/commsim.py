@@ -150,22 +150,40 @@ class CommTrace:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def _validate(sends: list[list[Item]], src_of_rank, dst_limit: int) -> int:
-    """Check every item's src, dst and size; return the payload's total bytes."""
+    """Check every item's src, dst and size; return the payload's total bytes.
+
+    src, dst and nbytes must be ints (numpy integers pass, bools do not).
+    """
     if not sends:
         raise ScheduleError("world must have at least one rank")
     total = 0
     for rank, items in enumerate(sends):
         want_src = src_of_rank(rank)
         for it in items:
-            if it.src != want_src:
-                raise ScheduleError(f"rank {rank}: item src {it.src} should be {want_src}")
-            if not (0 <= it.dst < dst_limit):
-                raise ScheduleError(f"rank {rank}: dst {it.dst} outside [0, {dst_limit})")
-            if it.nbytes < 0:
+            src, dst, nbytes = it.src, it.dst, it.nbytes
+            # plain ints take the first test; numpy integers the second
+            if not (type(src) is type(dst) is type(nbytes) is int) and not (
+                _is_int(src) and _is_int(dst) and _is_int(nbytes)
+            ):
+                raise ScheduleError(f"rank {rank}: src, dst and nbytes must be ints on {it}")
+            if src != want_src:
+                raise ScheduleError(f"rank {rank}: item src {src} should be {want_src}")
+            if not (0 <= dst < dst_limit):
+                raise ScheduleError(f"rank {rank}: dst {dst} outside [0, {dst_limit})")
+            if nbytes < 0:
                 raise ScheduleError(f"rank {rank}: negative nbytes on {it}")
-            total += it.nbytes
+            total += nbytes
     return total
+
+
+def _check_divisor(name: str, value, world: int) -> None:
+    if not _is_int(value) or value < 1 or world % value != 0:
+        raise ScheduleError(f"{name} {value!r} must be an int that divides world {world}")
 
 
 _nbytes = attrgetter("nbytes")
@@ -231,7 +249,7 @@ def synthetic_sends(
 ) -> list[list[Item]]:
     """Random but seeded payload: per_rank items per rank, uniform dst."""
     for name, value, low in (("world", world, 1), ("per_rank", per_rank, 0), ("nbytes", nbytes, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        if not _is_int(value) or value < low:
             raise ScheduleError(f"{name} must be an integer >= {low}, got {value!r}")
     rng = np.random.default_rng(seed)
     return [
@@ -283,8 +301,7 @@ def hierarchical_all_to_all(
     """
     world = len(sends)
     g = gpus_per_node
-    if g < 1 or world % g != 0:
-        raise ScheduleError(f"gpus_per_node {g} must divide world {world}")
+    _check_divisor("gpus_per_node", g, world)
     cost = cost or CostModel()
     reference = _validate(sends, lambda r: r, world)
 
@@ -329,8 +346,7 @@ def coordinated_all_to_all(
     """
     world = len(sends)
     slice_ = tensor_slice
-    if slice_ < 1 or world % slice_ != 0:
-        raise ScheduleError(f"tensor_slice {slice_} must divide world {world}")
+    _check_divisor("tensor_slice", slice_, world)
     cost = cost or CostModel()
     groups = world // slice_
     total = _validate(sends, lambda r: r // slice_, groups)

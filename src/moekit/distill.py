@@ -35,7 +35,7 @@ from .arch import (
     forward_layer,
     init_layer_params,
 )
-from .gating import GatingConfig
+from .gating import GatingConfig, NonFiniteError
 from .tensor import GradTape, Tensor
 
 __all__ = [
@@ -54,7 +54,7 @@ __all__ = [
 
 
 class TrainingError(RuntimeError):
-    """Raised when the toy optimizer hits a non-finite loss."""
+    """Raised when the toy optimizer hits a non-finite loss or activation."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step}: {message}")
@@ -302,14 +302,18 @@ def train_toy(
 
     One batch per step, evaluated against the stream's fixed held-out set
     after the update. Raises TrainingError with the failing step index if the
-    loss stops being finite.
+    loss stops being finite, or if routing rejects a non-finite gate logit or
+    activation in the forward pass or the held-out eval.
     """
     records: list[StepRecord] = []
     leaves = student.leaves()
     for step in range(cfg.steps):
         x, labels = stream.next_batch()
         tape = GradTape()
-        logits = student.logits(x, tape)
+        try:
+            logits = student.logits(x, tape)
+        except NonFiniteError as e:
+            raise TrainingError(step, f"forward pass: {e}") from e
         loss, ce_val, kd_val = kd_objective(
             logits, stream.teacher_logits(x), labels, cfg.kd, step
         )
@@ -321,9 +325,11 @@ def train_toy(
         for leaf in leaves:
             if leaf.grad is not None:
                 leaf.value -= cfg.lr * leaf.grad
-        heldout = tk.cross_entropy(
-            student.logits(stream.holdout_x), stream.holdout_labels
-        ).item()
+        try:
+            heldout_logits = student.logits(stream.holdout_x)
+        except NonFiniteError as e:
+            raise TrainingError(step, f"held-out eval: {e}") from e
+        heldout = tk.cross_entropy(heldout_logits, stream.holdout_labels).item()
         records.append(
             StepRecord(step=step, ce=ce_val, kd=kd_val, total=total, heldout_ce=heldout)
         )

@@ -3,20 +3,28 @@
 The routing pipeline turns a batch of S token activations into per-expert
 work buffers and back:
 
-  1. ``top_k_gate``       - softmax over expert logits, pick k experts/token.
+  1. ``top_k_gate``       - softmax over expert logits, pick k experts/token
+     with one argmax per choice.
   2. ``build_dispatch_plan`` - assign each (token, choice) a capacity slot on
-     its expert using an exclusive prefix scan over indicator vectors; tokens
-     beyond an expert's capacity are dropped (slot = DROPPED).
-  3. ``scatter_tokens``   - gather token rows into (E, c, M) expert buffers.
+     its expert: its rank among that expert's assignments in token-major
+     order, from one stable sort by expert id; tokens beyond an expert's
+     capacity are dropped (slot = DROPPED).
+  3. ``scatter_tokens``   - gather token rows into (E, c, M) expert buffers
+     with one row take.
   4. ``combine_tokens``   - return expert outputs to original token order,
-     scaled by the gate probability; dropped assignments contribute nothing,
-     so a fully dropped token comes back as the zero row (its residual path
-     elsewhere carries the activation through).
+     scaled by the gate probability, with one row take per choice; dropped
+     assignments contribute nothing, so a fully dropped token comes back as
+     the zero row (its residual path elsewhere carries the activation
+     through).
+
+NaN or inf logits and token rows are rejected with ``NonFiniteError``, a
+``ShapeError``, instead of being routed.
 
 ``sparse_dispatch_oracle`` / ``sparse_combine_oracle`` implement the same
 semantics as literal one-hot tensor contractions of shape (S, E, c). They are
 reference implementations: slower by a factor of E, used to cross-check the
-table-driven path.
+table-driven path. ``exclusive_scan_blelloch`` is a public utility that no
+stage above calls.
 
 Operation counters measure the token-routing index space each path sweeps:
 the one-hot contraction touches (token, expert, slot, hidden) = S*E*c*M
@@ -36,6 +44,7 @@ from .tensor import ShapeError
 __all__ = [
     "DROPPED",
     "GatingConfig",
+    "NonFiniteError",
     "TopKGate",
     "DispatchPlan",
     "ExpertBuffers",
@@ -50,6 +59,10 @@ __all__ = [
 ]
 
 DROPPED = -1  # slot value for assignments that exceeded expert capacity
+
+
+class NonFiniteError(ShapeError):
+    """Raised when gate logits or token rows hold NaN or inf."""
 
 
 @dataclass(frozen=True)
@@ -71,8 +84,10 @@ class GatingConfig:
             raise ValueError(f"k must be 1 or 2, got {self.k}")
         if self.k > self.num_experts:
             raise ValueError(f"k={self.k} exceeds num_experts={self.num_experts}")
-        if not (self.capacity_factor > 0):
-            raise ValueError(f"capacity_factor must be positive, got {self.capacity_factor}")
+        if not (self.capacity_factor > 0 and np.isfinite(self.capacity_factor)):
+            raise ValueError(
+                f"capacity_factor must be positive and finite, got {self.capacity_factor}"
+            )
 
     def capacity(self, num_tokens: int) -> int:
         if num_tokens == 0:
@@ -142,9 +157,9 @@ class OpCounter:
 def top_k_gate(logits: np.ndarray, cfg: GatingConfig) -> TopKGate:
     """Select each token's k highest-logit experts.
 
-    logits: (S, E) float64. Probabilities are the softmax over all E logits
-    evaluated at the selected indices; the top-2 pair is deliberately not
-    renormalized. Ties break toward the lower expert index.
+    logits: (S, E) float64, all finite. Probabilities are the softmax over all
+    E logits evaluated at the selected indices; the top-2 pair is deliberately
+    not renormalized. Ties break toward the lower expert index.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
@@ -153,14 +168,18 @@ def top_k_gate(logits: np.ndarray, cfg: GatingConfig) -> TopKGate:
         raise ShapeError(
             f"gate logits have {logits.shape[1]} columns, config expects {cfg.num_experts}"
         )
-    shifted = logits - logits.max(axis=1, keepdims=True) if logits.size else logits
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True) if logits.size else e
-    # stable sort on negated logits: equal logits keep ascending index order
-    order = np.argsort(-logits, axis=1, kind="stable")
-    ids = order[:, : cfg.k].astype(np.int64)
-    sel = np.take_along_axis(probs, ids, axis=1) if logits.size else np.zeros_like(ids, dtype=float)
-    return TopKGate(expert_ids=ids, gate_probs=sel, probs=probs)
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("gate logits contain NaN or inf")
+    # argmax returns the first maximum, so equal logits go to the lower index
+    ids = logits.argmax(axis=1, keepdims=True)
+    if cfg.k == 2:
+        masked = logits.copy()
+        np.put_along_axis(masked, ids, -np.inf, axis=1)
+        ids = np.hstack([ids, masked.argmax(axis=1, keepdims=True)])
+    probs = logits - np.take_along_axis(logits, ids[:, :1], axis=1)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return TopKGate(expert_ids=ids, gate_probs=np.take_along_axis(probs, ids, axis=1), probs=probs)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +231,10 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
     """Assign capacity slots in ascending token order per expert.
 
     Assignments are processed in flattened token-major order (token 0 choice
-    0, token 0 choice 1, token 1 choice 0, ...). For each expert, the slot of
-    an assignment is the number of earlier assignments to that expert,
-    computed with the exclusive scan over the expert's indicator vector.
+    0, token 0 choice 1, token 1 choice 0, ...). The slot of an assignment is
+    its rank among the assignments to the same expert: a stable sort by
+    expert keeps token-major order inside each expert's run, and the rank is
+    the position in the sorted order minus the start of the expert's run.
     Assignments landing at slot >= capacity are DROPPED.
     """
     if gates.expert_ids.shape != (num_tokens, cfg.k):
@@ -224,17 +244,13 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
         )
     cap = cfg.capacity(num_tokens)
     flat_ids = gates.expert_ids.reshape(-1)  # token-major
-    slots_flat = np.full(flat_ids.shape[0], DROPPED, dtype=np.int64)
-    load = np.zeros(cfg.num_experts, dtype=np.int64)
-    for e in range(cfg.num_experts):
-        indicator = (flat_ids == e).astype(np.int64)
-        prior = exclusive_scan_blelloch(indicator)  # running count of e-assignments
-        mine = indicator == 1
-        slot = prior[mine]
-        kept = slot < cap
-        chosen = np.where(mine)[0]
-        slots_flat[chosen[kept]] = slot[kept]
-        load[e] = int(kept.sum())
+    if flat_ids.size and not (0 <= flat_ids.min() and flat_ids.max() < cfg.num_experts):
+        raise ShapeError(f"gate table names experts outside [0, {cfg.num_experts})")
+    n = flat_ids.shape[0]
+    order = np.argsort(flat_ids, kind="stable")
+    counts = np.bincount(flat_ids, minlength=cfg.num_experts)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
     return DispatchPlan(
         num_tokens=num_tokens,
         num_experts=cfg.num_experts,
@@ -242,8 +258,8 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
         capacity=cap,
         expert_ids=gates.expert_ids.copy(),
         gate_probs=gates.gate_probs.copy(),
-        slots=slots_flat.reshape(num_tokens, cfg.k),
-        expert_load=load,
+        slots=np.where(rank < cap, rank, DROPPED).reshape(num_tokens, cfg.k),
+        expert_load=np.minimum(counts, cap),
     )
 
 
@@ -257,22 +273,24 @@ def scatter_tokens(
 ) -> ExpertBuffers:
     """Copy each kept token row into its expert's capacity slot.
 
-    batch: (S, M). Unoccupied slots are zero-filled. Counter accounting: the
-    table resolves each of the S*k assignments against its expert's c slots,
-    M lanes wide -> S*c*M per transform (no factor of E).
+    batch: (S, M), all finite. Unoccupied slots are zero-filled. Counter
+    accounting: the table resolves each of the S*k assignments against its
+    expert's c slots, M lanes wide -> S*c*M per transform (no factor of E).
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[0] != plan.num_tokens:
         raise ShapeError(f"batch shape {batch.shape} does not match plan S={plan.num_tokens}")
+    if not np.isfinite(batch).all():
+        raise NonFiniteError("token batch contains NaN or inf")
     m = batch.shape[1]
-    data = np.zeros((plan.num_experts, plan.capacity, m))
-    occupied = np.zeros((plan.num_experts, plan.capacity), dtype=bool)
     kept = plan.kept_mask()
-    tok = np.nonzero(kept)[0]
-    e_ids = plan.expert_ids[kept]
-    slots = plan.slots[kept]
-    data[e_ids, slots] = batch[tok]
+    e_ids, slots = plan.expert_ids[kept], plan.slots[kept]
+    occupied = np.zeros((plan.num_experts, plan.capacity), dtype=bool)
     occupied[e_ids, slots] = True
+    src = np.zeros(occupied.shape, dtype=np.int64)  # unoccupied slots read row 0
+    src[e_ids, slots] = np.nonzero(kept)[0]
+    data = batch.take(src, axis=0)  # (E, c, M)
+    data[~occupied] = 0.0
     if counter is not None:
         counter.add(plan.num_tokens * plan.capacity * m)
     return ExpertBuffers(data=data, occupied=occupied)
@@ -286,8 +304,9 @@ def combine_tokens(
     """Return expert outputs to original token order, gate-prob scaled.
 
     Each token row is the sum over its kept assignments of
-    gate_prob * expert_output[expert, slot]; tokens with every assignment
-    dropped come back as zero rows. Same counter convention as scatter.
+    gate_prob * expert_output[expert, slot], added in choice order to a zero
+    row; tokens with every assignment dropped come back as zero rows. Same
+    counter convention as scatter.
     """
     e_count, cap, m = outputs.data.shape
     if e_count != plan.num_experts or cap != plan.capacity:
@@ -295,13 +314,15 @@ def combine_tokens(
             f"buffer shape {outputs.data.shape} does not match plan "
             f"(E={plan.num_experts}, c={plan.capacity})"
         )
-    combined = np.zeros((plan.num_tokens, m))
+    flat = outputs.data.reshape(e_count * cap, m)
     kept = plan.kept_mask()
-    tok = np.nonzero(kept)[0]
-    e_ids = plan.expert_ids[kept]
-    slots = plan.slots[kept]
-    probs = plan.gate_probs[kept]
-    np.add.at(combined, tok, probs[:, None] * outputs.data[e_ids, slots])
+    idx = np.where(kept, plan.expert_ids * cap + plan.slots, 0)  # dropped ones read row 0
+    combined = np.zeros((plan.num_tokens, m))
+    for j in range(plan.k):
+        t = flat.take(idx[:, j], axis=0)
+        t *= plan.gate_probs[:, j, None]
+        t[~kept[:, j]] = 0.0  # after scaling, so a non-finite row read by a drop adds nothing
+        combined += t
     if counter is not None:
         counter.add(plan.num_tokens * plan.capacity * m)
     return combined
@@ -315,8 +336,8 @@ def combine_tokens(
 def _onehot_dispatch_mask(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> np.ndarray:
     """(S, E, c) one-hot dispatch mask with the same slot order as the table.
 
-    Slot positions are derived independently of the scan path, with a plain
-    sequential cumulative sum over flattened token-major assignments.
+    Slot positions are derived independently of the table path's sort, with
+    a plain cumulative sum over flattened token-major assignments.
     """
     cap = cfg.capacity(num_tokens)
     flat_ids = gates.expert_ids.reshape(-1)

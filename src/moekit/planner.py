@@ -75,12 +75,6 @@ class ClusterTopology:
     def world_size(self) -> int:
         return self.nodes * self.gpus_per_node
 
-    def node_of(self, rank: int) -> int:
-        return rank // self.gpus_per_node
-
-    def local_rank(self, rank: int) -> int:
-        return rank % self.gpus_per_node
-
 
 @dataclass(frozen=True)
 class LayerPlacement:

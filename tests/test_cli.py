@@ -215,6 +215,25 @@ def test_simulate_bad_tokens_per_rank_is_invalid_request(tmp_path, capsys, token
     assert "invalid request:" in err
 
 
+@pytest.mark.parametrize(
+    "option",
+    [
+        {"schedule": "coordinated", "tensor_slice": 0},
+        {"schedule": "coordinated", "tensor_slice": "2"},
+        {"schedule": "coordinated", "tensor_slice": True},
+        {"c1": "x"},
+        {"c1": -1e-4},
+        {"c2": float("inf")},
+        {"c2": False},
+    ],
+)
+def test_simulate_bad_option_is_config_error(tmp_path, capsys, option):
+    cfg = write_config(tmp_path, {"cluster": {"nodes": 2, "gpus_per_node": 2}, "options": option})
+    code, _, err = run(capsys, "simulate", "--config", cfg)
+    assert code == 2
+    assert "config error:" in err
+
+
 # ---------------------------------------------------------------------------
 # plan
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Property tests for the all-to-all schedules on random worlds and payloads."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,7 +82,11 @@ def test_coordinated_ranks_receive_their_groups_items(case):
 
 @st.composite
 def corruptions(draw):
-    """A valid cluster payload with one item given a bad src, dst or nbytes."""
+    """A valid cluster payload with one item given a bad src, dst or nbytes.
+
+    The bad value is out of range, or of a type other than int: a string,
+    a float or a bool (even one equal to the valid value).
+    """
     sends, gpus = draw(clusters())
     world = len(sends)
     filled = [rank for rank, items in enumerate(sends) if items]
@@ -90,25 +96,34 @@ def corruptions(draw):
     rank = draw(st.sampled_from(filled))
     pos = draw(st.integers(0, len(sends[rank]) - 1))
     field = draw(st.sampled_from(["src", "dst", "nbytes"]))
-    return sends, gpus, rank, pos, field, draw(st.integers(1, 100))
+    kind = draw(st.sampled_from(["range", "str", "float", "bool"]))
+    return sends, gpus, rank, pos, field, kind, draw(st.integers(1, 100))
 
 
-def _corrupt(item, field, by, dst_limit):
-    if field == "src":
-        return Item(item.src + by, item.dst, item.token, item.nbytes)
-    if field == "dst":
+def _corrupt(item, field, kind, by, dst_limit):
+    value = getattr(item, field)
+    if kind == "str":
+        bad = str(value)
+    elif kind == "float":
+        bad = float(value)
+    elif kind == "bool":
+        bad = bool(value)
+    elif field == "src":
+        bad = item.src + by
+    elif field == "dst":
         bad = dst_limit - 1 + by if by % 2 else -by
-        return Item(item.src, bad, item.token, item.nbytes)
-    return Item(item.src, item.dst, item.token, -by)
+    else:
+        bad = -by
+    return replace(item, **{field: bad})
 
 
 @PROPERTY_SETTINGS
 @given(corruptions())
 def test_schedules_reject_bad_items(case):
-    sends, gpus, rank, pos, field, by = case
+    sends, gpus, rank, pos, field, kind, by = case
     world = len(sends)
     bad = [list(items) for items in sends]
-    bad[rank][pos] = _corrupt(bad[rank][pos], field, by, world)
+    bad[rank][pos] = _corrupt(bad[rank][pos], field, kind, by, world)
     with pytest.raises(ScheduleError):
         flat_all_to_all(bad)
     with pytest.raises(ScheduleError):
@@ -118,3 +133,14 @@ def test_schedules_reject_bad_items(case):
     replicated = _replicate(bad, 2)
     with pytest.raises(ScheduleError):
         coordinated_all_to_all(replicated, 2)
+
+
+@PROPERTY_SETTINGS
+@given(clusters(), st.sampled_from(["str", "float", "bool", "zero"]))
+def test_schedules_reject_bad_divisors(case, kind):
+    sends, gpus = case
+    bad = {"str": str(gpus), "float": float(gpus), "bool": True, "zero": 0}[kind]
+    with pytest.raises(ScheduleError):
+        hierarchical_all_to_all(sends, bad)
+    with pytest.raises(ScheduleError):
+        coordinated_all_to_all(_replicate(sends, gpus), bad)

@@ -5,17 +5,25 @@ Oracles used here:
   * brute_force_plan          - dict-based sequential slot assignment.
   * the in-package one-hot contraction oracles, cross-checked against the
     table-driven path on randomized instances.
+  * argsort_gate / scan_slots / zero_fill_scatter / add_at_combine - the
+    earlier implementations of the four routing stages (stable argsort,
+    per-expert Blelloch scan, zero-filled fancy-index assignment, np.add.at),
+    which the current stages must match bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from moekit.gating import (
     DROPPED,
     DispatchPlan,
     GatingConfig,
+    NonFiniteError,
     OpCounter,
     build_dispatch_plan,
     combine_tokens,
@@ -101,6 +109,13 @@ class TestTopKGate:
         with pytest.raises(ShapeError):
             top_k_gate(np.zeros((4, 5)), GatingConfig(num_experts=8, k=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        logits = np.zeros((4, 3))
+        logits[2, 1] = bad
+        with pytest.raises(ShapeError):
+            top_k_gate(logits, GatingConfig(num_experts=3, k=2))
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             GatingConfig(num_experts=8, k=3)
@@ -110,6 +125,9 @@ class TestTopKGate:
             GatingConfig(num_experts=8, k=1, capacity_factor=0.0)
         with pytest.raises(ValueError):
             GatingConfig(num_experts=1, k=2)
+        for cf in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                GatingConfig(num_experts=8, k=1, capacity_factor=cf)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +245,14 @@ class TestDispatchPlan:
         assert kept_counts[1] == 32
         assert kept_counts[2] == 64
 
+    def test_out_of_range_expert_ids_rejected(self):
+        cfg = GatingConfig(num_experts=2, k=1)
+        gates = top_k_gate(np.zeros((3, 2)), cfg)
+        for bad in (2, -1):
+            gates.expert_ids[1, 0] = bad
+            with pytest.raises(ShapeError):
+                build_dispatch_plan(gates, cfg, 3)
+
     def test_determinism(self):
         rng = np.random.default_rng(6)
         logits = rng.standard_normal((40, 4))
@@ -288,6 +314,15 @@ class TestScatterCombine:
         buffers = scatter_tokens(batch, plan)
         assert not buffers.occupied.all()
         assert not np.any(buffers.data[~buffers.occupied])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scatter_rejects_non_finite_batch(self, bad):
+        cfg = GatingConfig(num_experts=2, k=1, capacity_factor=2.0)
+        plan = build_dispatch_plan(top_k_gate(np.zeros((4, 2)), cfg), cfg, 4)
+        batch = np.ones((4, 3))
+        batch[3, 2] = bad
+        with pytest.raises(ShapeError):
+            scatter_tokens(batch, plan)
 
     def test_scatter_bitwise_equals_oracle(self):
         rng = np.random.default_rng(8)
@@ -392,3 +427,100 @@ class TestOpCounts:
             ratios[e] = oracle_ops.ops / dense_ops.ops
         for e in (2, 4, 8):
             assert ratios[2 * e] == pytest.approx(2 * ratios[e], rel=0.01)
+
+
+# ---------------------------------------------------------------------------
+# bitwise equivalence with the earlier stage implementations
+# ---------------------------------------------------------------------------
+
+
+def argsort_gate(logits: np.ndarray, cfg: GatingConfig):
+    """Top-k by a stable argsort of the negated logits; returns (ids, gate_probs, probs)."""
+    shifted = logits - logits.max(axis=1, keepdims=True) if logits.size else logits
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True) if logits.size else e
+    ids = np.argsort(-logits, axis=1, kind="stable")[:, : cfg.k].astype(np.int64)
+    sel = np.take_along_axis(probs, ids, axis=1) if logits.size else np.zeros_like(ids, dtype=float)
+    return ids, sel, probs
+
+
+def scan_slots(expert_ids: np.ndarray, cfg: GatingConfig, num_tokens: int):
+    """Slots from one exclusive Blelloch scan per expert's indicator vector; returns (slots, load)."""
+    cap = cfg.capacity(num_tokens)
+    flat_ids = expert_ids.reshape(-1)
+    slots_flat = np.full(flat_ids.shape[0], DROPPED, dtype=np.int64)
+    load = np.zeros(cfg.num_experts, dtype=np.int64)
+    for e in range(cfg.num_experts):
+        indicator = (flat_ids == e).astype(np.int64)
+        prior = exclusive_scan_blelloch(indicator)
+        mine = indicator == 1
+        slot = prior[mine]
+        kept = slot < cap
+        slots_flat[np.where(mine)[0][kept]] = slot[kept]
+        load[e] = int(kept.sum())
+    return slots_flat.reshape(num_tokens, cfg.k), load
+
+
+def zero_fill_scatter(batch: np.ndarray, plan: DispatchPlan):
+    """Zero (E, c, M) buffers, then one fancy-index assignment of the kept rows."""
+    data = np.zeros((plan.num_experts, plan.capacity, batch.shape[1]))
+    occupied = np.zeros((plan.num_experts, plan.capacity), dtype=bool)
+    kept = plan.kept_mask()
+    e_ids, slots = plan.expert_ids[kept], plan.slots[kept]
+    data[e_ids, slots] = batch[np.nonzero(kept)[0]]
+    occupied[e_ids, slots] = True
+    return data, occupied
+
+
+def add_at_combine(data: np.ndarray, plan: DispatchPlan) -> np.ndarray:
+    """np.add.at of each kept assignment's gate-scaled expert row into a zero buffer."""
+    combined = np.zeros((plan.num_tokens, data.shape[2]))
+    kept = plan.kept_mask()
+    e_ids, slots, probs = plan.expert_ids[kept], plan.slots[kept], plan.gate_probs[kept]
+    np.add.at(combined, np.nonzero(kept)[0], probs[:, None] * data[e_ids, slots])
+    return combined
+
+
+@st.composite
+def routing_cases(draw):
+    """(logits, batch, cfg): integer or half-integer logits, so ties are frequent."""
+    s = draw(st.integers(0, 40))
+    e = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(2, e)))
+    cf = draw(st.sampled_from([0.05, 0.3, 1.0, 1.25, 4.0]))  # 0.05 drops most assignments
+    m = draw(st.integers(1, 5))
+    logits = draw(arrays(np.float64, (s, e), elements=st.integers(-4, 4).map(lambda v: v / 2)))
+    batch = draw(arrays(np.float64, (s, m), elements=st.floats(-1e3, 1e3, width=64)))
+    return logits, batch, GatingConfig(num_experts=e, k=k, capacity_factor=cf)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(routing_cases())
+def test_routing_stages_match_earlier_implementations_bitwise(case):
+    logits, batch, cfg = case
+    s = logits.shape[0]
+    gate = top_k_gate(logits, cfg)
+    ids, gate_probs, probs = argsort_gate(logits, cfg)
+    assert_same_bits(gate.expert_ids, ids)
+    assert_same_bits(gate.gate_probs, gate_probs)
+    assert_same_bits(gate.probs, probs)
+
+    plan = build_dispatch_plan(gate, cfg, s)
+    slots, load = scan_slots(ids, cfg, s)
+    assert_same_bits(plan.slots, slots)
+    assert_same_bits(plan.expert_load, load)
+
+    buffers = scatter_tokens(batch, plan)
+    data, occupied = zero_fill_scatter(batch, plan)
+    assert_same_bits(buffers.data, data)
+    assert_same_bits(buffers.occupied, occupied)
+
+    # identity experts, then experts that also write unoccupied slots
+    for expert_out in (buffers.data, np.sin(buffers.data) * 3.0 + 1.0):
+        got = combine_tokens(ExpertBuffersLike(expert_out), plan)
+        assert_same_bits(got, add_at_combine(expert_out, plan))
