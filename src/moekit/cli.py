@@ -1,23 +1,23 @@
 """Command-line front end.
 
-Verbs:
-
-  params       parameter and FLOP accounting for presets or a configured model
-  route-bench  routing pipeline statistics and oracle error on random batches
-  simulate     all-to-all schedule comparison or a full event trace
-  plan         cluster placement for a model, with per-device memory
-  distill      depth-reduced student derivation and size accounting
-  kd-demo      staged vs constant teacher-blend comparison on the toy task
+Each verb (params, route-bench, simulate, plan, distill, kd-demo) is a
+``_cmd_*`` function whose docstring is its ``moekit --help`` line.
 
 All verbs read an optional JSON config ({"seed", "model", "cluster",
-"options"}) and write CSV with a header row to --out or stdout. Exit codes:
-0 success, 2 config problems, 3 impossible plans/schedules/model settings,
+"options"}) and write CSV with a header row to --out or stdout. The option
+tables below (``CONFIG_TABLE``, ``MODEL_TABLE``, ``CLUSTER_TABLE`` and one
+``*_TABLE`` per verb) list every key with its kind, default and range, and
+``_section`` is the one place that checks config values against them.
+Exit codes: 0 success; 2 config problems (unreadable JSON, an unknown key,
+or a value of the wrong kind or outside its row's range); 3 valid values
+that do not fit together (impossible plans, schedules or student depths);
 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -68,10 +68,68 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+# Option tables: key -> (kind, default, bound). A kind is one of the names
+# below or a tuple of allowed values; a bound is a _BOUNDS key or None.
+# Defaults are not checked; a callable default is computed from the rows
+# above it.
+INT = "an int"
+INT_OR_NULL = "an int or null"
+NUMBER = "a finite number"
+BOOL = "a bool"
+STR = "a string"
+INTS = "a list of ints"
+OBJECT = "an object"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_KINDS = {
+    INT: _is_int,
+    INT_OR_NULL: lambda v: v is None or _is_int(v),
+    NUMBER: lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+    BOOL: lambda v: isinstance(v, bool),
+    STR: lambda v: isinstance(v, str),
+    INTS: lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    OBJECT: lambda v: isinstance(v, dict),
+}
+_BOUNDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0}
+
+
+def _fits(value, kind, bound) -> bool:
+    if isinstance(kind, tuple):  # type() keeps True from matching 1, and 1.0 from 1
+        return any(type(value) is type(allowed) and value == allowed for allowed in kind)
+    return _KINDS[kind](value) and (bound is None or value is None or _BOUNDS[bound](value))
+
+
+def _section(raw: dict, table: dict, where: str) -> dict:
+    """Check a config section (a dict) against its option table.
+
+    Returns every key's value, with defaults for absent keys. An unknown key,
+    or a value that does not fit its row, raises ConfigError.
+    """
+    unknown = set(raw) - set(table)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    values = {}
+    for key, (kind, default, bound) in table.items():
+        if key not in raw:
+            values[key] = default(values) if callable(default) else default
+        elif _fits(raw[key], kind, bound):
+            values[key] = raw[key]
+        else:
+            want = f"one of {list(kind)}" if isinstance(kind, tuple) else f"{kind} {bound or ''}"
+            raise ConfigError(f"{where} {key} must be {want.strip()}, got {raw[key]!r}")
+    return values
+
+
+CONFIG_TABLE = {
+    "seed": (INT, DEFAULT_SEED, ">= 0"),
+    "model": (OBJECT, None, None),  # None: no model; verbs that need one say so
+    "cluster": (OBJECT, {}, None),
+    "options": (OBJECT, {}, None),
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -86,22 +144,21 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    _require_keys(data, {"seed", "model", "cluster", "options"}, "config")
     return data
 
 
-MODEL_KEYS = {
-    "preset",
-    "num_layers",
-    "hidden",
-    "heads",
-    "vocab",
-    "context",
-    "experts",
-    "expert_schedule",
-    "residual",
-    "k",
-    "capacity_factor",
+MODEL_TABLE = {
+    "preset": (STR, None, None),  # a preset name excludes every other model key
+    "num_layers": (INT, 24, ">= 1"),
+    "hidden": (INT, 1024, ">= 1"),
+    "heads": (INT, 16, ">= 1"),
+    "vocab": (INT, 50257, ">= 1"),
+    "context": (INT, 2048, ">= 1"),
+    "experts": (INT, None, ">= 1"),  # None with no expert_schedule: a dense model
+    "expert_schedule": (INTS, None, None),  # entries >= 1, checked by build_pr_moe
+    "residual": (BOOL, True, None),
+    "k": ((1, 2), 1, None),
+    "capacity_factor": (NUMBER, 1.0, "> 0"),
 }
 
 
@@ -112,110 +169,68 @@ def _preset_config(name: str) -> MoeModelConfig:
         raise ConfigError(str(e)) from None
 
 
-def _build_model(section: dict | None, preset_flag: str | None) -> MoeModelConfig | None:
-    if preset_flag is not None:
-        return _preset_config(preset_flag)
-    if section is None:
+def _build_model(raw: dict | None) -> MoeModelConfig | None:
+    if raw is None:
         return None
-    _require_keys(section, MODEL_KEYS, "model")
-    if "preset" in section:
-        extra = set(section) - {"preset"}
+    m = _section(raw, MODEL_TABLE, "model")
+    if m["preset"] is not None:
+        extra = set(raw) - {"preset"}
         if extra:
             raise ConfigError(f"model preset cannot be combined with {sorted(extra)}")
-        return _preset_config(section["preset"])
+        return _preset_config(m["preset"])
+    if m["experts"] is not None and m["expert_schedule"] is not None:
+        raise ConfigError("model takes either experts or expert_schedule, not both")
+    k, cf = m["k"], m["capacity_factor"]
     try:
         base = dense_config(
-            num_layers=section.get("num_layers", 24),
-            hidden=section.get("hidden", 1024),
-            heads=section.get("heads", 16),
-            vocab=section.get("vocab", 50257),
-            context=section.get("context", 2048),
+            num_layers=m["num_layers"],
+            hidden=m["hidden"],
+            heads=m["heads"],
+            vocab=m["vocab"],
+            context=m["context"],
         )
-        k = section.get("k", 1)
-        cf = section.get("capacity_factor", 1.0)
-        if "experts" in section and "expert_schedule" in section:
-            raise ConfigError("model takes either experts or expert_schedule, not both")
-        if "expert_schedule" in section:
+        if m["expert_schedule"] is not None:
             return build_pr_moe(
-                base,
-                tuple(section["expert_schedule"]),
-                residual=section.get("residual", True),
-                k=k,
-                capacity_factor=cf,
+                base, tuple(m["expert_schedule"]), residual=m["residual"], k=k, capacity_factor=cf
             )
-        if "experts" in section:
-            return build_standard(base, section["experts"], k=k, capacity_factor=cf)
+        if m["experts"] is not None:
+            return build_standard(base, m["experts"], k=k, capacity_factor=cf)
         return base
-    except ValidationError as e:
+    except ValueError as e:  # ValidationError, or GatingConfig's plain ValueError (k > experts)
         raise ConfigError(f"bad model section: {e}") from e
 
 
-CLUSTER_KEYS = {
-    "nodes",
-    "gpus_per_node",
-    "intra_latency_s",
-    "intra_bandwidth_bytes_per_s",
-    "inter_latency_s",
-    "inter_bandwidth_bytes_per_s",
+CLUSTER_TABLE = {
+    "nodes": (INT, 16, ">= 1"),
+    "gpus_per_node": (INT, 8, ">= 1"),
+    "intra_latency_s": (NUMBER, 1e-6, ">= 0"),
+    "intra_bandwidth_bytes_per_s": (NUMBER, 300e9, "> 0"),
+    "inter_latency_s": (NUMBER, 5e-6, ">= 0"),
+    "inter_bandwidth_bytes_per_s": (NUMBER, 50e9, "> 0"),
 }
 
 
-def _build_cluster(section: dict | None) -> ClusterTopology:
-    if section is None:
-        return ClusterTopology(nodes=16, gpus_per_node=8)
-    _require_keys(section, CLUSTER_KEYS, "cluster")
-    intra = LinkSpec(
-        latency_s=section.get("intra_latency_s", 1e-6),
-        bandwidth_bytes_per_s=section.get("intra_bandwidth_bytes_per_s", 300e9),
-    )
-    inter = LinkSpec(
-        latency_s=section.get("inter_latency_s", 5e-6),
-        bandwidth_bytes_per_s=section.get("inter_bandwidth_bytes_per_s", 50e9),
-    )
+def _build_cluster(raw: dict) -> ClusterTopology:
+    c = _section(raw, CLUSTER_TABLE, "cluster")
     return ClusterTopology(
-        nodes=section.get("nodes", 16),
-        gpus_per_node=section.get("gpus_per_node", 8),
-        intra_link=intra,
-        inter_link=inter,
+        nodes=c["nodes"],
+        gpus_per_node=c["gpus_per_node"],
+        intra_link=LinkSpec(c["intra_latency_s"], c["intra_bandwidth_bytes_per_s"]),
+        inter_link=LinkSpec(c["inter_latency_s"], c["inter_bandwidth_bytes_per_s"]),
     )
 
 
-def _options(config: dict, allowed: set[str], verb: str) -> dict:
-    section = config.get("options") or {}
-    if not isinstance(section, dict):
-        raise ConfigError("options must be a JSON object")
-    _require_keys(section, allowed, f"{verb} options")
-    return section
-
-
-def _cost_option(opts: dict, name: str, default: float) -> float:
-    value = opts.get(name, default)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-        or value < 0
-    ):
-        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
-    return value
+def _open_out(path: str | None):
+    """The --out file, or stdout (left open) when there is none."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
 def _emit(header: list[str], rows: list[list], out_path: str | None) -> None:
-    if out_path is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(out_path, "w", newline="") as f:
+    """Write CSV; floats are written with 10 significant digits."""
+    with _open_out(out_path) as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
+        writer.writerows([f"{x:.10g}" if isinstance(x, float) else x for x in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +259,8 @@ def _param_row(name: str, cfg: MoeModelConfig) -> list:
     ]
 
 
-def _cmd_params(args, config) -> int:
-    _options(config, set(), "params")
-    model = _build_model(config.get("model"), args.preset)
+def _cmd_params(args, model, cluster, opts) -> int:
+    """parameter and FLOP accounting for presets or a configured model"""
     if model is not None:
         name = args.preset or "configured-model"
         rows = [_param_row(name, model)]
@@ -270,23 +284,28 @@ ROUTE_HEADER = [
 ]
 
 
-def _cmd_route_bench(args, config) -> int:
-    opts = _options(
-        config, {"tokens", "experts", "k", "capacity_factor", "instances"}, "route-bench"
-    )
-    tokens = opts.get("tokens", 256)
-    experts = opts.get("experts", 8)
-    k = opts.get("k", 1)
-    cf = opts.get("capacity_factor", 1.0)
-    instances = opts.get("instances", 20)
+ROUTE_TABLE = {
+    "tokens": (INT, 256, ">= 0"),
+    "experts": (INT, 8, ">= 1"),
+    "k": ((1, 2), 1, None),
+    "capacity_factor": (NUMBER, 1.0, "> 0"),
+    "instances": (INT, 20, ">= 0"),
+}
+
+
+def _cmd_route_bench(args, model, cluster, opts) -> int:
+    """routing statistics and one-hot oracle error on random batches"""
+    tokens, experts, k = opts["tokens"], opts["experts"], opts["k"]
     try:
-        gcfg = gating.GatingConfig(num_experts=experts, k=k, capacity_factor=cf)
+        gcfg = gating.GatingConfig(
+            num_experts=experts, k=k, capacity_factor=opts["capacity_factor"]
+        )
     except ValueError as e:
         raise ConfigError(f"bad routing options: {e}") from e
 
     hidden = 32
     rows = []
-    for i in range(instances):
+    for i in range(opts["instances"]):
         rng = np.random.default_rng(args.seed + i)
         logits = rng.standard_normal((tokens, experts))
         x = rng.standard_normal((tokens, hidden))
@@ -301,19 +320,10 @@ def _cmd_route_bench(args, config) -> int:
         oracle_out = gating.sparse_combine_oracle(oracle_buf, gate, gcfg, counter=oracle_ops)
         err = float(np.max(np.abs(combined - oracle_out))) if tokens else 0.0
         kept = int(dplan.kept_mask().sum())
+        balance = load_balance_loss(dplan, gate.probs)
+        op_ratio = oracle_ops.ops / mapped_ops.ops if mapped_ops.ops else 0.0
         rows.append(
-            [
-                i,
-                tokens,
-                experts,
-                k,
-                dplan.capacity,
-                kept,
-                tokens * k - kept,
-                _fmt(load_balance_loss(dplan, gate.probs)),
-                _fmt(err),
-                _fmt(oracle_ops.ops / mapped_ops.ops if mapped_ops.ops else 0.0),
-            ]
+            [i, tokens, experts, k, dplan.capacity, kept, tokens * k - kept, balance, err, op_ratio]
         )
     _emit(ROUTE_HEADER, rows, args.out)
     return EXIT_OK
@@ -333,26 +343,23 @@ SIM_HEADER = [
 ]
 
 
-def _cmd_simulate(args, config) -> int:
-    opts = _options(
-        config,
-        {"schedule", "tensor_slice", "tokens_per_rank", "nbytes", "c1", "c2", "emit"},
-        "simulate",
-    )
-    cluster = _build_cluster(config.get("cluster"))
+SIM_TABLE = {
+    "schedule": (("flat", "hierarchical", "coordinated", "all"), "all", None),
+    "tensor_slice": (INT, 1, ">= 1"),
+    "tokens_per_rank": (INT, 8, ">= 0"),
+    "nbytes": (INT, 1024, ">= 0"),
+    "c1": (NUMBER, 1e-4, ">= 0"),
+    "c2": (NUMBER, 1e-3, ">= 0"),
+    "emit": (("summary", "trace"), "summary", None),
+}
+
+
+def _cmd_simulate(args, model, cluster, opts) -> int:
+    """all-to-all schedule comparison or a full event trace"""
     world = cluster.world_size
-    schedule = opts.get("schedule", "all")
-    slice_ = opts.get("tensor_slice", 1)
-    if isinstance(slice_, bool) or not isinstance(slice_, int) or slice_ < 1:
-        raise ConfigError(f"tensor_slice must be an integer >= 1, got {slice_!r}")
-    per_rank = opts.get("tokens_per_rank", 8)
-    nbytes = opts.get("nbytes", 1024)
-    emit = opts.get("emit", "summary")
-    cost = CostModel(c1=_cost_option(opts, "c1", 1e-4), c2=_cost_option(opts, "c2", 1e-3))
-    if emit not in ("summary", "trace"):
-        raise ConfigError(f"emit must be summary or trace, not {emit!r}")
-    if schedule not in ("flat", "hierarchical", "coordinated", "all"):
-        raise ConfigError(f"unknown schedule {schedule!r}")
+    schedule, slice_, emit = opts["schedule"], opts["tensor_slice"], opts["emit"]
+    per_rank, nbytes = opts["tokens_per_rank"], opts["nbytes"]
+    cost = CostModel(c1=opts["c1"], c2=opts["c2"])
     if emit == "trace" and schedule == "all":
         raise ConfigError("trace output needs a single schedule")
 
@@ -373,30 +380,25 @@ def _cmd_simulate(args, config) -> int:
     traces = [(name, run(name)) for name in wanted]
 
     if emit == "trace":
-        _, trace = traces[0]
-        if args.out is None:
-            trace.to_csv(sys.stdout)
-        else:
-            with open(args.out, "w", newline="") as f:
-                trace.to_csv(f)
+        with _open_out(args.out) as f:
+            traces[0][1].to_csv(f)
         return EXIT_OK
 
-    rows = []
-    for name, trace in traces:
-        rows.append(
-            [
-                name,
-                trace.world_size,
-                trace.rounds,
-                trace.a2a_rounds,
-                trace.allgather_rounds,
-                trace.volume_bytes,
-                trace.a2a_volume_bytes,
-                _fmt(trace.volume_ratio),
-                _fmt(trace.modeled_latency_s),
-                _fmt(commsim.estimate_latency(trace, cluster)),
-            ]
-        )
+    rows = [
+        [
+            name,
+            trace.world_size,
+            trace.rounds,
+            trace.a2a_rounds,
+            trace.allgather_rounds,
+            trace.volume_bytes,
+            trace.a2a_volume_bytes,
+            trace.volume_ratio,
+            trace.modeled_latency_s,
+            commsim.estimate_latency(trace, cluster),
+        ]
+        for name, trace in traces
+    ]
     _emit(SIM_HEADER, rows, args.out)
     return EXIT_OK
 
@@ -414,31 +416,25 @@ PLAN_HEADER = [
 ]
 
 
-def _cmd_plan(args, config) -> int:
-    opts = _options(config, {"latency_mode", "tensor_slice", "bytes_per_param"}, "plan")
-    model = _build_model(config.get("model"), args.preset)
+PLAN_TABLE = {
+    "latency_mode": (BOOL, False, None),
+    "tensor_slice": (INT, 1, ">= 1"),
+    "bytes_per_param": (NUMBER, 2, "> 0"),
+}
+
+
+def _cmd_plan(args, model, cluster, opts) -> int:
+    """cluster placement for a model, with per-device memory"""
     if model is None:
         raise ConfigError("plan needs a model (preset or config)")
-    cluster = _build_cluster(config.get("cluster"))
     built = plan(
-        model,
-        cluster,
-        latency_mode=opts.get("latency_mode", False),
-        tensor_slice=opts.get("tensor_slice", 1),
+        model, cluster, latency_mode=opts["latency_mode"], tensor_slice=opts["tensor_slice"]
     )
-    est = memory_per_device(built, model, bytes_per_param=opts.get("bytes_per_param", 2))
+    est = memory_per_device(built, model, bytes_per_param=opts["bytes_per_param"])
+    memory = [est.expert_bytes, est.non_expert_bytes, est.total_bytes]  # the same on every row
     rows = [
-        [
-            p.layer_index,
-            p.num_experts,
-            p.ep_degree,
-            p.expert_dp,
-            p.expert_slice,
-            built.tensor_slice,
-            _fmt(est.expert_bytes),
-            _fmt(est.non_expert_bytes),
-            _fmt(est.total_bytes),
-        ]
+        [p.layer_index, p.num_experts, p.ep_degree, p.expert_dp, p.expert_slice, built.tensor_slice]
+        + memory
         for p in built.placements
     ]
     _emit(PLAN_HEADER, rows, args.out)
@@ -455,64 +451,63 @@ DISTILL_HEADER = [
 ]
 
 
-def _cmd_distill(args, config) -> int:
-    opts = _options(config, {"target_depth"}, "distill")
-    model = _build_model(config.get("model"), args.preset)
+DISTILL_TABLE = {
+    "target_depth": (INT, None, None),  # None: three blocks below the teacher's depth
+}
+
+
+def _cmd_distill(args, model, cluster, opts) -> int:
+    """depth-reduced student derivation and size accounting"""
     if model is None:
         raise ConfigError("distill needs a teacher model (preset or config)")
-    target = opts.get("target_depth", model.num_layers - 3)
+    target = opts["target_depth"]
+    if target is None:
+        target = model.num_layers - 3
     splan = derive_student(model, target)
     t_total = count_params(splan.teacher).total
     s_total = count_params(splan.student).total
-    rows = [
-        [
-            args.preset or "configured-model",
-            target,
-            " ".join(str(i) for i in splan.removed_layers),
-            t_total,
-            s_total,
-            _fmt(s_total / t_total),
-        ]
-    ]
-    _emit(DISTILL_HEADER, rows, args.out)
+    removed = " ".join(str(i) for i in splan.removed_layers)
+    name = args.preset or "configured-model"
+    _emit(DISTILL_HEADER, [[name, target, removed, t_total, s_total, s_total / t_total]], args.out)
     return EXIT_OK
 
 
 KD_HEADER = ["seed", "staged_final_ce", "constant_final_ce", "staged_wins"]
 
 
-def _cmd_kd_demo(args, config) -> int:
-    opts = _options(
-        config,
-        {"seeds", "steps", "alpha", "boundary", "teacher_noise", "lr"},
-        "kd-demo",
-    )
-    seeds = opts.get("seeds", 10)
-    steps = opts.get("steps", 200)
-    alpha = opts.get("alpha", 2.0)
-    boundary = opts.get("boundary", steps // 2)
-    noise = opts.get("teacher_noise", 1.2)
-    lr = opts.get("lr", 0.05)
+KD_TABLE = {
+    "seeds": (INT, 10, ">= 0"),
+    "steps": (INT, 200, ">= 1"),
+    "alpha": (NUMBER, 2.0, ">= 0"),
+    "boundary": (INT_OR_NULL, lambda opts: opts["steps"] // 2, None),  # null: no stage stop
+    "teacher_noise": (NUMBER, 1.2, ">= 0"),
+    "lr": (NUMBER, 0.05, "> 0"),
+}
 
+
+def _cmd_kd_demo(args, model, cluster, opts) -> int:
+    """staged vs constant teacher-blend comparison on the toy task"""
     rows = []
-    for seed in range(args.seed, args.seed + seeds):
+    for seed in range(args.seed, args.seed + opts["seeds"]):
         results = {}
-        for label, bound in (("staged", boundary), ("constant", None)):
+        for label, bound in (("staged", opts["boundary"]), ("constant", None)):
             stream = SyntheticStream(
-                hidden=16, vocab=16, batch=32, seed=seed, teacher_noise=noise
+                hidden=16, vocab=16, batch=32, seed=seed, teacher_noise=opts["teacher_noise"]
             )
             model = ToyModel.create(
                 hidden=16, vocab=16, experts=4, seed=seed, capacity_factor=2.0
             )
             cfg = ToyTrainConfig(
-                kd=KDConfig(alpha=alpha, stage_boundary=bound), steps=steps, lr=lr
+                kd=KDConfig(alpha=opts["alpha"], stage_boundary=bound),
+                steps=opts["steps"],
+                lr=opts["lr"],
             )
             results[label] = train_toy(model, stream, cfg).final_heldout_ce
         rows.append(
             [
                 seed,
-                _fmt(results["staged"]),
-                _fmt(results["constant"]),
+                results["staged"],
+                results["constant"],
                 int(results["staged"] < results["constant"]),
             ]
         )
@@ -525,12 +520,12 @@ def _cmd_kd_demo(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 _VERBS = {
-    "params": _cmd_params,
-    "route-bench": _cmd_route_bench,
-    "simulate": _cmd_simulate,
-    "plan": _cmd_plan,
-    "distill": _cmd_distill,
-    "kd-demo": _cmd_kd_demo,
+    "params": (_cmd_params, {}),
+    "route-bench": (_cmd_route_bench, ROUTE_TABLE),
+    "simulate": (_cmd_simulate, SIM_TABLE),
+    "plan": (_cmd_plan, PLAN_TABLE),
+    "distill": (_cmd_distill, DISTILL_TABLE),
+    "kd-demo": (_cmd_kd_demo, KD_TABLE),
 }
 
 
@@ -540,7 +535,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Expert-sparse model sizing, routing, placement and scheduling tools.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, fn in _VERBS.items():
+    for verb, (fn, _) in _VERBS.items():
         p = sub.add_parser(verb, help=fn.__doc__)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="write CSV here instead of stdout")
@@ -556,19 +551,25 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags, keep that; normalize --help to 0
         return int(e.code or 0)
     try:
-        config = _load_config(args.config)
-        if args.seed is None:
-            args.seed = config.get("seed", DEFAULT_SEED)
-        if not isinstance(args.seed, int):
-            raise ConfigError("seed must be an integer")
-        return _VERBS[args.verb](args, config)
+        raw = _load_config(args.config)
+        if args.seed is not None:
+            raw["seed"] = args.seed  # the flag beats the config's seed
+        config = _section(raw, CONFIG_TABLE, "config")
+        args.seed = config["seed"]
+        fn, table = _VERBS[args.verb]
+        opts = _section(config["options"], table, f"{args.verb} options")
+        # every section is checked, even one the verb ignores or --preset replaces
+        model = _build_model(config["model"])
+        if args.preset is not None:
+            model = _preset_config(args.preset)
+        return fn(args, model, _build_cluster(config["cluster"]), opts)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (PlanError, ScheduleError, ValidationError) as e:
         print(f"invalid request: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except TrainingError as e:
+    except (TrainingError, OverflowError) as e:  # OverflowError: a float sum or cast past 1e308
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -35,8 +35,8 @@ from .arch import (
     forward_layer,
     init_layer_params,
 )
-from .gating import GatingConfig, NonFiniteError
-from .tensor import GradTape, Tensor
+from .gating import GatingConfig
+from .tensor import GradTape, NonFiniteError, Tensor
 
 __all__ = [
     "KDConfig",
@@ -292,6 +292,10 @@ class ToyTrainConfig:
     steps: int = 200
     lr: float = 0.05
 
+    def __post_init__(self) -> None:
+        if self.steps < 1:
+            raise ValidationError(f"steps must be >= 1, got {self.steps}")
+
 
 def train_toy(
     student: ToyModel,
@@ -302,8 +306,8 @@ def train_toy(
 
     One batch per step, evaluated against the stream's fixed held-out set
     after the update. Raises TrainingError with the failing step index if the
-    loss stops being finite, or if routing rejects a non-finite gate logit or
-    activation in the forward pass or the held-out eval.
+    loss stops being finite, or if a non-finite gate logit, activation or
+    teacher logit is rejected in the forward pass or the held-out eval.
     """
     records: list[StepRecord] = []
     leaves = student.leaves()
@@ -312,11 +316,11 @@ def train_toy(
         tape = GradTape()
         try:
             logits = student.logits(x, tape)
+            loss, ce_val, kd_val = kd_objective(
+                logits, stream.teacher_logits(x), labels, cfg.kd, step
+            )
         except NonFiniteError as e:
             raise TrainingError(step, f"forward pass: {e}") from e
-        loss, ce_val, kd_val = kd_objective(
-            logits, stream.teacher_logits(x), labels, cfg.kd, step
-        )
         total = loss.item()
         if not np.isfinite(total):
             raise TrainingError(step, f"non-finite loss {total}")

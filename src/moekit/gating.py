@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeError
+from .tensor import NonFiniteError, ShapeError
 
 __all__ = [
     "DROPPED",
@@ -59,10 +59,6 @@ __all__ = [
 ]
 
 DROPPED = -1  # slot value for assignments that exceeded expert capacity
-
-
-class NonFiniteError(ShapeError):
-    """Raised when gate logits or token rows hold NaN or inf."""
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ footprint.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from .arch import MoeModelConfig, count_params, count_params_per_layer
@@ -140,26 +141,35 @@ class ParallelPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParallelPlan":
-        top_keys = {"world_size", "gpus_per_node", "tensor_slice", "placements"}
-        unknown = set(data) - top_keys
-        if unknown:
-            raise PlanError(f"unknown plan keys: {sorted(unknown)}")
-        missing = top_keys - set(data)
-        if missing:
-            raise PlanError(f"missing plan keys: {sorted(missing)}")
-        placement_keys = {"layer_index", "num_experts", "ep_degree", "expert_dp", "expert_slice"}
+        """Inverse of ``to_dict``; raises PlanError on a malformed field."""
+        sizes = ("world_size", "gpus_per_node", "tensor_slice")
+        _check_keys(data, {*sizes, "placements"}, set(), "plan")
+        if not isinstance(data["placements"], list):
+            raise PlanError(f"plan placements must be a list, got {data['placements']!r}")
+        required = {"layer_index", "num_experts", "ep_degree", "expert_dp"}
         placements = []
         for entry in data["placements"]:
-            bad = set(entry) - placement_keys
-            if bad:
-                raise PlanError(f"unknown placement keys: {sorted(bad)}")
-            placements.append(LayerPlacement(**entry))
-        return cls(
-            world_size=data["world_size"],
-            gpus_per_node=data["gpus_per_node"],
-            tensor_slice=data["tensor_slice"],
-            placements=tuple(placements),
-        )
+            _check_keys(entry, required, {"expert_slice"}, "placement")
+            placements.append(LayerPlacement(**{k: _int(entry, k, "placement") for k in entry}))
+        return cls(**{k: _int(data, k, "plan") for k in sizes}, placements=tuple(placements))
+
+
+def _check_keys(entry, required: set[str], optional: set[str], where: str) -> None:
+    if not isinstance(entry, dict):
+        raise PlanError(f"{where} must be an object, got {entry!r}")
+    unknown = set(entry) - required - optional
+    if unknown:
+        raise PlanError(f"unknown {where} keys: {sorted(unknown)}")
+    missing = required - set(entry)
+    if missing:
+        raise PlanError(f"missing {where} keys: {sorted(missing)}")
+
+
+def _int(entry: dict, key: str, where: str) -> int:
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise PlanError(f"{where} {key} must be an int, got {value!r}")
+    return value
 
 
 def plan(

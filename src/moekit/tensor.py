@@ -14,6 +14,8 @@ Conventions:
     inputs.
   * ``GradTape.backward`` walks records in reverse creation order and
     accumulates gradients additively into ``Tensor.grad``.
+  * ``Tensor(...)`` rejects NaN or inf entries with ``NonFiniteError``; op
+    results skip that check.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "ShapeError",
+    "NonFiniteError",
     "GradTape",
     "Tensor",
     "softmax",
@@ -46,6 +49,10 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Raised when operand dimensions do not line up."""
+
+
+class NonFiniteError(ShapeError):
+    """Raised when a Tensor's entries, gate logits or token rows hold NaN or inf."""
 
 
 class GradTape:
@@ -92,7 +99,7 @@ class Tensor:
         if arr.ndim != 2:
             raise ShapeError(f"Tensor must be 2-D, got shape {arr.shape}")
         if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("Tensor entries must be finite")
+            raise NonFiniteError("Tensor entries must be finite")
         self.value = arr
         self.grad: np.ndarray | None = None
         self.tape = tape

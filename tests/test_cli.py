@@ -105,6 +105,44 @@ def test_missing_config_file_rejected(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "verb, config",
+    [
+        ("route-bench", {"options": {"tokens": "8"}}),
+        ("route-bench", {"options": {"tokens": -5}}),
+        ("route-bench", {"options": {"instances": 1.5}}),
+        ("simulate", {"cluster": {"nodes": "2"}}),
+        ("plan", {"model": {"preset": PRESET_52B}, "options": {"tensor_slice": "2"}}),
+        ("plan", {"model": {"preset": PRESET_52B}, "options": {"bytes_per_param": -1}}),
+        ("plan", {"model": {"preset": PRESET_52B}, "options": {"latency_mode": "yes"}}),
+        ("params", {"model": {"experts": 8, "k": 3}}),
+        ("params", {"model": {"experts": 1, "k": 2}}),
+        ("params", {"model": {"hidden": 2.5}}),
+        ("params", {"model": {"heads": "1"}}),
+        ("params", {"options": []}),
+        ("params", {"seed": True}),
+        ("route-bench", {"seed": -1}),
+        ("distill", {"model": {"preset": "1.3B+PR-MoE-64/128"}, "options": {"target_depth": 3.0}}),
+        ("kd-demo", {"options": {"seeds": "1"}}),
+        ("kd-demo", {"options": {"steps": 0}}),
+        # sections the verb does not read are checked too
+        ("route-bench", {"cluster": {"nodes": "2"}, "options": {"instances": 1}}),
+        ("kd-demo", {"model": {"hidden": 2.5}}),
+    ],
+)
+def test_malformed_config_is_config_error(tmp_path, capsys, verb, config):
+    code, _, err = run(capsys, verb, "--config", write_config(tmp_path, config))
+    assert code == 2
+    assert "config error:" in err
+
+
+def test_preset_flag_still_checks_model_section(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": {"hidden": "wide"}})
+    code, _, err = run(capsys, "params", "--config", cfg, "--preset", PRESET_52B)
+    assert code == 2
+    assert "model hidden" in err
+
+
 def test_experts_and_schedule_conflict(tmp_path, capsys):
     cfg = write_config(
         tmp_path, {"model": {"experts": 8, "expert_schedule": [8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 16, 16]}}
@@ -204,17 +242,6 @@ def test_simulate_bad_slice_is_invalid_request(tmp_path, capsys):
     assert "invalid request" in err
 
 
-@pytest.mark.parametrize("tokens", [-1, "8"])
-def test_simulate_bad_tokens_per_rank_is_invalid_request(tmp_path, capsys, tokens):
-    cfg = write_config(
-        tmp_path,
-        {"cluster": {"nodes": 2, "gpus_per_node": 2}, "options": {"tokens_per_rank": tokens}},
-    )
-    code, _, err = run(capsys, "simulate", "--config", cfg)
-    assert code == 3
-    assert "invalid request:" in err
-
-
 @pytest.mark.parametrize(
     "option",
     [
@@ -225,6 +252,8 @@ def test_simulate_bad_tokens_per_rank_is_invalid_request(tmp_path, capsys, token
         {"c1": -1e-4},
         {"c2": float("inf")},
         {"c2": False},
+        {"tokens_per_rank": -1},
+        {"tokens_per_rank": "8"},
     ],
 )
 def test_simulate_bad_option_is_config_error(tmp_path, capsys, option):
@@ -308,6 +337,35 @@ def test_kd_demo_divergence_is_numeric_failure(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_kd_demo_boundary_defaults_to_half_the_steps(tmp_path, capsys):
+    def final_ces(options):
+        cfg = write_config(tmp_path, {"options": {"seeds": 1, "steps": 4, **options}})
+        code, out, _ = run(capsys, "kd-demo", "--config", cfg)
+        assert code == 0
+        return out
+
+    assert final_ces({}) == final_ces({"boundary": 2})
+    never = rows_of(final_ces({"boundary": None}))[0]  # null: the teacher term never stops
+    assert never["staged_final_ce"] == never["constant_final_ce"]
+
+
+def test_kd_demo_teacher_overflow_is_numeric_failure(tmp_path, capsys):
+    import numpy as np
+
+    cfg = write_config(tmp_path, {"options": {"seeds": 1, "steps": 3, "teacher_noise": 1e308}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run(capsys, "kd-demo", "--config", cfg)
+    assert code == 4
+    assert "numerical failure: step 0" in err
+
+
+def test_float_overflow_is_numeric_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"options": {"tokens": 16, "instances": 1, "capacity_factor": 1e308}})
+    code, _, err = run(capsys, "route-bench", "--config", cfg)
+    assert code == 4
+    assert "numerical failure" in err
+
+
 # ---------------------------------------------------------------------------
 # shared flags
 # ---------------------------------------------------------------------------
@@ -338,6 +396,20 @@ def test_bad_seed_type_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"seed": "forty-two"})
     code, _, err = run(capsys, "params", "--config", cfg)
     assert code == 2
+
+
+def test_negative_seed_flag_is_config_error(capsys):
+    code, _, err = run(capsys, "route-bench", "--seed", "-1")
+    assert code == 2
+    assert "config error:" in err
+
+
+def test_help_describes_every_verb(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    help_of = dict(line.split(None, 1) for line in out.splitlines() if len(line.split()) > 1)
+    for verb in ("params", "route-bench", "simulate", "plan", "distill", "kd-demo"):
+        assert help_of.get(verb, "").strip(), f"no help for {verb}"
 
 
 def test_unknown_verb_exits_nonzero(capsys):

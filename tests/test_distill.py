@@ -379,6 +379,21 @@ def test_non_finite_gate_logit_in_heldout_eval_raises_with_step():
     assert exc.value.step == 0
 
 
+def test_non_finite_teacher_logits_raise_with_step():
+    # the teacher map overflows to inf, so the KD term meets non-finite teacher logits
+    with np.errstate(over="ignore", invalid="ignore"):
+        stream = SyntheticStream(hidden=16, vocab=16, batch=32, seed=0, teacher_noise=1e308)
+        model = ToyModel.create(hidden=16, vocab=16, experts=4, seed=0)
+        with pytest.raises(TrainingError, match="forward pass") as exc:
+            train_toy(model, stream, ToyTrainConfig(kd=KDConfig(alpha=1.0), steps=5))
+    assert exc.value.step == 0
+
+
+def test_train_config_needs_a_step():
+    with pytest.raises(ValidationError, match="steps"):
+        ToyTrainConfig(kd=KDConfig(), steps=0)
+
+
 def test_trajectory_csv_round_trip():
     res = _toy_run(4, boundary=5, steps=12)
     buf = io.StringIO()

@@ -227,6 +227,51 @@ def test_from_dict_rejects_missing_keys():
         ParallelPlan.from_dict(data)
 
 
+def _corrupt_plan_dict(where, key, value):
+    data = plan(_moe_cfg(64), CLUSTER_128).to_dict()
+    target = data if where == "plan" else data["placements"][0]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "where, key, value, message",
+    [
+        ("placement", "num_experts", None, "missing placement keys"),
+        ("placement", "ep_degree", None, "missing placement keys"),
+        ("placement", "expert_dp", None, "missing placement keys"),
+        ("placement", "ep_degree", "8", "placement ep_degree must be an int"),
+        ("placement", "expert_slice", 1.0, "placement expert_slice must be an int"),
+        ("placement", "layer_index", True, "placement layer_index must be an int"),
+        ("plan", "world_size", "8", "plan world_size must be an int"),
+        ("plan", "tensor_slice", False, "plan tensor_slice must be an int"),
+        ("plan", "placements", {"layer_index": 1}, "placements must be a list"),
+    ],
+)
+def test_from_dict_rejects_malformed_fields(where, key, value, message):
+    with pytest.raises(PlanError, match=message):
+        ParallelPlan.from_dict(_corrupt_plan_dict(where, key, value))
+
+
+def test_from_dict_rejects_non_object_entries():
+    data = plan(_moe_cfg(64), CLUSTER_128).to_dict()
+    data["placements"][0] = [1, 64, 64, 2, 1]
+    with pytest.raises(PlanError, match="placement must be an object"):
+        ParallelPlan.from_dict(data)
+    with pytest.raises(PlanError, match="plan must be an object"):
+        ParallelPlan.from_dict([data])
+
+
+def test_from_dict_expert_slice_is_optional():
+    data = plan(_moe_cfg(64), CLUSTER_128).to_dict()
+    for entry in data["placements"]:
+        del entry["expert_slice"]
+    assert ParallelPlan.from_dict(data) == plan(_moe_cfg(64), CLUSTER_128)
+
+
 # ---------------------------------------------------------------------------
 # memory accounting
 # ---------------------------------------------------------------------------
