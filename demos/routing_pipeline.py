@@ -31,10 +31,10 @@ plan = gating.build_dispatch_plan(gate, cfg, S)
 print("per-expert load:", plan.expert_load.tolist())
 print("dropped assignments:", int((~plan.kept_mask()).sum()))
 
-# slots fill in token order within each expert
-for e in range(E):
-    sel = (plan.expert_ids[:, 0] == e) & plan.kept_mask()[:, 0]
-    print(f"  expert {e} serves tokens {np.nonzero(sel)[0].tolist()}")
+# slots fill in token order within each expert; the slot table lists the
+# token in each of an expert's first expert_load[e] slots
+for e, load in enumerate(plan.expert_load):
+    print(f"  expert {e} serves tokens {plan.slot_tokens[e, :load].tolist()}")
 
 # scatter rows into per-expert buffers, then bring them back gate-scaled
 mapped_ops = gating.OpCounter()

@@ -392,16 +392,12 @@ def forward_layer(x: Tensor, spec: LayerSpec, params) -> Tensor:
 
 
 def _combine_experts(x: Tensor, probs: Tensor, plan, params: MoeLayerParams) -> Tensor:
-    """Sum over experts of scatter(prob * expert(gathered rows))."""
-    kept = plan.kept_mask()
+    """Sum over experts of scatter(prob * expert(rows)), rows in slot-table order."""
     acc: Tensor | None = None
-    for e in range(plan.num_experts):
-        sel = kept & (plan.expert_ids == e)
-        if not sel.any():
+    for e, load in enumerate(plan.expert_load):
+        if load == 0:
             continue
-        # order rows by capacity slot so evaluation order is deterministic
-        order = np.argsort(plan.slots[sel], kind="stable")
-        tokens = np.nonzero(sel)[0][order]
+        tokens = plan.slot_tokens[e, :load]
         rows = tk.gather_rows(x, tokens)
         y = forward_ffn(rows, params.experts[e])
         weight = tk.take_elems(probs, tokens, np.full(tokens.shape, e, dtype=np.int64))

@@ -8,9 +8,11 @@ work buffers and back:
   2. ``build_dispatch_plan`` - assign each (token, choice) a capacity slot on
      its expert: its rank among that expert's assignments in token-major
      order, from one stable sort by expert id; tokens beyond an expert's
-     capacity are dropped (slot = DROPPED).
+     capacity are dropped (slot = DROPPED). The same sort fills the slot
+     table ``slot_tokens``, the one dispatch layout, which ``scatter_tokens``
+     and ``arch.forward_layer`` read.
   3. ``scatter_tokens``   - gather token rows into (E, c, M) expert buffers
-     with one row take.
+     with one row take of the slot table.
   4. ``combine_tokens``   - return expert outputs to original token order,
      scaled by the gate probability, with one row take per choice; dropped
      assignments contribute nothing, so a fully dropped token comes back as
@@ -66,7 +68,8 @@ class GatingConfig:
     """Routing hyperparameters.
 
     k is the number of experts each token is sent to (1 or 2). Capacity per
-    expert is ceil(capacity_factor * S * k / E) slots for a batch of S tokens.
+    expert is ceil(capacity_factor * S * k / E) slots for a batch of S tokens,
+    clipped to [1, S]: top-k never sends a token to one expert twice.
     """
 
     num_experts: int
@@ -86,9 +89,9 @@ class GatingConfig:
             )
 
     def capacity(self, num_tokens: int) -> int:
-        if num_tokens == 0:
-            return 0
-        return int(np.ceil(self.capacity_factor * num_tokens * self.k / self.num_experts))
+        # a Python float product: a huge factor gives inf and a subnormal one 0.0
+        slots = np.ceil(float(self.capacity_factor) * num_tokens * self.k / self.num_experts)
+        return int(min(num_tokens, max(1, slots)))
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,9 @@ class DispatchPlan:
     expert_ids / gate_probs mirror the gate output; slots[(s, j)] is the
     capacity slot of token s's j-th choice on its expert, or DROPPED.
     expert_load counts kept (non-dropped) assignments per expert.
+    slot_tokens is the same table seen from the experts: slot_tokens[e, i] is
+    the token in slot i of expert e for i < expert_load[e], and 0 past it, so
+    one take reads every slot.
     """
 
     num_tokens: int
@@ -122,6 +128,7 @@ class DispatchPlan:
     gate_probs: np.ndarray  # (S, k)
     slots: np.ndarray  # (S, k), DROPPED where over capacity
     expert_load: np.ndarray  # (E,), kept counts, each <= capacity
+    slot_tokens: np.ndarray  # (E, capacity) int64, 0 in empty slots
 
     def kept_mask(self) -> np.ndarray:
         return self.slots != DROPPED
@@ -132,7 +139,6 @@ class ExpertBuffers:
     """Per-expert work buffers: data[(e, slot)] holds one routed token row."""
 
     data: np.ndarray  # (E, capacity, M)
-    occupied: np.ndarray  # (E, capacity) bool
 
 
 @dataclass
@@ -231,22 +237,28 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
     its rank among the assignments to the same expert: a stable sort by
     expert keeps token-major order inside each expert's run, and the rank is
     the position in the sorted order minus the start of the expert's run.
-    Assignments landing at slot >= capacity are DROPPED.
+    Assignments landing at slot >= capacity are DROPPED. The kept part of the
+    sorted order, written by (expert, rank), is the slot table slot_tokens.
     """
-    if gates.expert_ids.shape != (num_tokens, cfg.k):
-        raise ShapeError(
-            f"gate table shape {gates.expert_ids.shape} does not match "
-            f"({num_tokens}, {cfg.k})"
-        )
-    cap = cfg.capacity(num_tokens)
-    flat_ids = gates.expert_ids.reshape(-1)  # token-major
+    ids = gates.expert_ids
+    if ids.shape != (num_tokens, cfg.k):
+        raise ShapeError(f"gate table shape {ids.shape} does not match ({num_tokens}, {cfg.k})")
+    flat_ids = ids.reshape(-1)  # token-major
     if flat_ids.size and not (0 <= flat_ids.min() and flat_ids.max() < cfg.num_experts):
         raise ShapeError(f"gate table names experts outside [0, {cfg.num_experts})")
+    if cfg.k == 2 and np.any(ids[:, 0] == ids[:, 1]):
+        raise ShapeError("gate table sends a token to the same expert twice")
+    cap = cfg.capacity(num_tokens)
     n = flat_ids.shape[0]
     order = np.argsort(flat_ids, kind="stable")
     counts = np.bincount(flat_ids, minlength=cfg.num_experts)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    sorted_rank = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    kept = sorted_rank < cap
+    assignment, slot = order[kept], sorted_rank[kept]  # kept ones, by (expert, slot)
+    slots = np.full(n, DROPPED, dtype=np.int64)
+    slots[assignment] = slot
+    slot_tokens = np.zeros((cfg.num_experts, cap), dtype=np.int64)
+    slot_tokens[flat_ids[assignment], slot] = assignment // cfg.k
     return DispatchPlan(
         num_tokens=num_tokens,
         num_experts=cfg.num_experts,
@@ -254,8 +266,9 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
         capacity=cap,
         expert_ids=gates.expert_ids.copy(),
         gate_probs=gates.gate_probs.copy(),
-        slots=np.where(rank < cap, rank, DROPPED).reshape(num_tokens, cfg.k),
+        slots=slots.reshape(num_tokens, cfg.k),
         expert_load=np.minimum(counts, cap),
+        slot_tokens=slot_tokens,
     )
 
 
@@ -269,7 +282,7 @@ def scatter_tokens(
 ) -> ExpertBuffers:
     """Copy each kept token row into its expert's capacity slot.
 
-    batch: (S, M), all finite. Unoccupied slots are zero-filled. Counter
+    batch: (S, M), all finite. Slots past an expert's load are zero-filled. Counter
     accounting: the table resolves each of the S*k assignments against its
     expert's c slots, M lanes wide -> S*c*M per transform (no factor of E).
     """
@@ -278,18 +291,11 @@ def scatter_tokens(
         raise ShapeError(f"batch shape {batch.shape} does not match plan S={plan.num_tokens}")
     if not np.isfinite(batch).all():
         raise NonFiniteError("token batch contains NaN or inf")
-    m = batch.shape[1]
-    kept = plan.kept_mask()
-    e_ids, slots = plan.expert_ids[kept], plan.slots[kept]
-    occupied = np.zeros((plan.num_experts, plan.capacity), dtype=bool)
-    occupied[e_ids, slots] = True
-    src = np.zeros(occupied.shape, dtype=np.int64)  # unoccupied slots read row 0
-    src[e_ids, slots] = np.nonzero(kept)[0]
-    data = batch.take(src, axis=0)  # (E, c, M)
-    data[~occupied] = 0.0
+    data = batch.take(plan.slot_tokens, axis=0)  # (E, c, M); empty slots read row 0
+    data[np.arange(plan.capacity) >= plan.expert_load[:, None]] = 0.0
     if counter is not None:
-        counter.add(plan.num_tokens * plan.capacity * m)
-    return ExpertBuffers(data=data, occupied=occupied)
+        counter.add(plan.num_tokens * plan.capacity * batch.shape[1])
+    return ExpertBuffers(data=data)
 
 
 def combine_tokens(

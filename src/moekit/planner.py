@@ -12,9 +12,9 @@ degree for every routed layer:
     fit inside one node.
 
 Every routed layer satisfies ep_degree * expert_dp * expert_slice ==
-world_size. ``validate`` re-checks those identities on any plan, hand-built
-or not, and ``memory_per_device`` turns a plan into a per-device weight
-footprint.
+world_size. ``validate`` is the one place that checks those identities, on
+the plans ``plan`` builds and on hand-built ones, and ``memory_per_device``
+turns a plan into a per-device weight footprint.
 """
 
 from __future__ import annotations
@@ -187,57 +187,16 @@ def plan(
     uses every device.
     """
     world = cluster.world_size
-    if tensor_slice < 1:
-        raise PlanError("tensor_slice must be >= 1")
-    if tensor_slice > cluster.gpus_per_node:
-        raise PlanError(
-            f"tensor_slice {tensor_slice} exceeds gpus_per_node {cluster.gpus_per_node}: "
-            "tensor groups may not span nodes"
-        )
-    if cluster.gpus_per_node % tensor_slice != 0:
-        raise PlanError(
-            f"tensor_slice {tensor_slice} must divide gpus_per_node {cluster.gpus_per_node}"
-        )
-
     placements = []
     for idx in cfg.moe_layer_indices:
         experts = cfg.layers[idx].experts
         ep = min(experts, world)
-        if experts % ep != 0:
-            raise PlanError(
-                f"layer {idx}: {experts} experts do not divide evenly across "
-                f"ep degree {ep}"
-            )
+        # validate() below rejects degrees that do not divide evenly
         if latency_mode and world > experts:
-            if world % experts != 0:
-                raise PlanError(
-                    f"layer {idx}: world {world} is not a multiple of {experts} experts, "
-                    "cannot slice evenly"
-                )
-            placements.append(
-                LayerPlacement(
-                    layer_index=idx,
-                    num_experts=experts,
-                    ep_degree=ep,
-                    expert_dp=1,
-                    expert_slice=world // experts,
-                )
-            )
-            continue
-        if world % ep != 0:
-            raise PlanError(
-                f"layer {idx}: ep degree {ep} leaves a fractional replica count "
-                f"for world {world}"
-            )
-        placements.append(
-            LayerPlacement(
-                layer_index=idx,
-                num_experts=experts,
-                ep_degree=ep,
-                expert_dp=world // ep,
-                expert_slice=1,
-            )
-        )
+            dp, slice_ = 1, world // experts
+        else:
+            dp, slice_ = world // ep, 1
+        placements.append(LayerPlacement(idx, experts, ep, dp, slice_))
 
     built = ParallelPlan(
         world_size=world,
@@ -261,14 +220,12 @@ def validate(built: ParallelPlan, cfg: MoeModelConfig | None = None) -> list[str
         problems.append(
             f"gpus_per_node {built.gpus_per_node} does not divide world {built.world_size}"
         )
-    if built.tensor_slice < 1 or built.world_size % built.tensor_slice != 0:
-        problems.append(f"tensor_slice {built.tensor_slice} does not divide world")
-    elif built.tensor_slice > built.gpus_per_node or (
-        built.gpus_per_node % built.tensor_slice != 0
-    ):
+    if built.tensor_slice < 1:
+        problems.append(f"tensor_slice must be >= 1, got {built.tensor_slice}")
+    elif built.gpus_per_node % built.tensor_slice != 0:
         problems.append(
             f"tensor_slice {built.tensor_slice} does not fit inside a node of "
-            f"{built.gpus_per_node} GPUs"
+            f"{built.gpus_per_node} GPUs: tensor groups may not span nodes"
         )
 
     for p in built.placements:

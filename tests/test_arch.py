@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moekit import arch
 from moekit import tensor as tk
 from moekit.arch import (
     FfnParams,
@@ -294,3 +299,59 @@ class TestForward:
         params = init_layer_params(spec, np.random.default_rng(0))
         with pytest.raises(tk.ShapeError):
             forward_layer(Tensor(np.zeros((3, 7))), spec, params)
+
+
+def mask_argsort_combine(x: Tensor, probs: Tensor, plan, params) -> Tensor:
+    """The earlier ``_combine_experts``: each expert's tokens from a kept mask,
+    ordered by a stable argsort of their slots."""
+    kept = plan.kept_mask()
+    acc = None
+    for e in range(plan.num_experts):
+        sel = kept & (plan.expert_ids == e)
+        if not sel.any():
+            continue
+        order = np.argsort(plan.slots[sel], kind="stable")
+        tokens = np.nonzero(sel)[0][order]
+        rows = tk.gather_rows(x, tokens)
+        y = forward_ffn(rows, params.experts[e])
+        weight = tk.take_elems(probs, tokens, np.full(tokens.shape, e, dtype=np.int64))
+        contrib = tk.scatter_rows(tk.mul(y, weight), tokens, x.rows)
+        acc = contrib if acc is None else tk.add(acc, contrib)
+    if acc is None:
+        acc = Tensor._wrap(np.zeros(x.shape), x.tape)
+    return acc
+
+
+def _layer_value_and_grads(spec, seed, s):
+    """forward_layer on a seeded batch; returns the output and every leaf gradient."""
+    rng = np.random.default_rng(seed)
+    params = init_layer_params(spec, rng, scale=0.5)
+    tape = GradTape()
+    x = Tensor(rng.standard_normal((s, spec.hidden)), tape)
+    out = forward_layer(x, spec, params)
+    tape.backward(tk.sum_all(tk.mul(out, Tensor(rng.standard_normal(out.shape)))))
+    return out.value, [leaf.grad for leaf in [x, *params.leaves()]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.integers(0, 24),
+    experts=st.integers(1, 6),
+    k=st.integers(1, 2),
+    cf=st.sampled_from([0.05, 0.3, 1.0, 1.25, 4.0, 1e6]),
+    residual=st.booleans(),
+    hidden=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_forward_layer_matches_mask_argsort_combine_bitwise(
+    s, experts, k, cf, residual, hidden, seed
+):
+    spec = _moe_spec(hidden=hidden, experts=experts, residual=residual, k=min(k, experts), cf=cf)
+    got, got_grads = _layer_value_and_grads(spec, seed, s)
+    with mock.patch.object(arch, "_combine_experts", mask_argsort_combine):
+        want, want_grads = _layer_value_and_grads(spec, seed, s)
+    assert got.tobytes() == want.tobytes()
+    for g, w in zip(got_grads, want_grads):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

@@ -187,6 +187,20 @@ def test_route_bench_seed_changes_output(tmp_path, capsys):
     assert out1 != out2
 
 
+@pytest.mark.parametrize(
+    "factor, capacity", [(1e6, 16), (1e12, 16), (1e308, 16), (1.7e308, 16), (5e-324, 1)]
+)
+def test_route_bench_extreme_capacity_factor(tmp_path, capsys, factor, capacity):
+    cfg = write_config(
+        tmp_path, {"options": {"tokens": 16, "instances": 1, "capacity_factor": factor}}
+    )
+    code, out, err = run(capsys, "route-bench", "--config", cfg)
+    assert code == 0, err
+    (row,) = rows_of(out)
+    assert int(row["capacity"]) == capacity
+    assert float(row["max_abs_err"]) == 0.0
+
+
 def test_route_bench_bad_gating_options(tmp_path, capsys):
     cfg = write_config(tmp_path, {"options": {"k": 3}})
     code, _, err = run(capsys, "route-bench", "--config", cfg)
@@ -360,8 +374,9 @@ def test_kd_demo_teacher_overflow_is_numeric_failure(tmp_path, capsys):
 
 
 def test_float_overflow_is_numeric_failure(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"options": {"tokens": 16, "instances": 1, "capacity_factor": 1e308}})
-    code, _, err = run(capsys, "route-bench", "--config", cfg)
+    # an in-range width whose per-device memory is past the largest float
+    cfg = write_config(tmp_path, {"model": {"hidden": 10**160}})
+    code, _, err = run(capsys, "plan", "--config", cfg)
     assert code == 4
     assert "numerical failure" in err
 

@@ -1,4 +1,5 @@
-"""Smoke test: each fast demo script runs to completion as its own process."""
+"""Smoke test: each fast demo script runs to completion as its own process,
+and a demo that checks itself prints the expected verdict lines."""
 
 import os
 import subprocess
@@ -11,6 +12,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # staged_distillation trains 20 toy runs (about 18 s) and is left out
 FAST_DEMOS = ["exchange_schedules", "cluster_planning", "model_sizing", "routing_pipeline"]
+
+# lines a demo prints when its own cross-check holds
+EXPECTED_LINES = {
+    "routing_pipeline": ["dispatch matches oracle: True", "combine max abs diff: 0.0"],
+}
 
 
 @pytest.mark.parametrize("name", FAST_DEMOS)
@@ -25,3 +31,6 @@ def test_demo_exits_zero(name):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for want in EXPECTED_LINES.get(name, []):
+        assert want in lines, proc.stdout

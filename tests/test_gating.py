@@ -8,7 +8,8 @@ Oracles used here:
   * argsort_gate / scan_slots / zero_fill_scatter / add_at_combine - the
     earlier implementations of the four routing stages (stable argsort,
     per-expert Blelloch scan, zero-filled fancy-index assignment, np.add.at),
-    which the current stages must match bit for bit.
+    which the current stages must match bit for bit; slot_table_from_slots
+    builds the (E, c) slot table from the scan's slots.
 """
 
 from __future__ import annotations
@@ -180,6 +181,38 @@ class TestDispatchPlan:
         assert GatingConfig(64, k=2, capacity_factor=1.0).capacity(512) == 16
         assert GatingConfig(4, k=1, capacity_factor=1e-9).capacity(8) == 1
         assert GatingConfig(4, k=1).capacity(0) == 0
+        # clipped to [1, S]
+        assert GatingConfig(2, k=2, capacity_factor=4.0).capacity(16) == 16  # unclipped: 64
+        assert GatingConfig(8, k=1, capacity_factor=1e12).capacity(16) == 16
+        assert GatingConfig(8, k=2, capacity_factor=np.finfo(np.float64).max).capacity(16) == 16
+        assert GatingConfig(8, k=2, capacity_factor=1e300).capacity(0) == 0
+        assert GatingConfig(3, k=1, capacity_factor=5e-324).capacity(1) == 1  # product underflows
+
+    def test_capped_capacity_keeps_every_assignment(self):
+        rng = np.random.default_rng(15)
+        for k in (1, 2):
+            cfg = GatingConfig(num_experts=3, k=k, capacity_factor=1e12)
+            gates = top_k_gate(rng.integers(-1, 2, size=(20, 3)).astype(float), cfg)
+            plan = build_dispatch_plan(gates, cfg, 20)
+            assert plan.capacity == 20
+            assert plan.kept_mask().all()
+            assert np.array_equal(plan.slots, brute_force_plan(gates, cfg, 20)[0])
+
+    def test_k2_same_expert_twice_rejected(self):
+        cfg = GatingConfig(num_experts=3, k=2, capacity_factor=1e12)
+        gates = top_k_gate(np.zeros((4, 3)), cfg)
+        gates.expert_ids[2, 1] = gates.expert_ids[2, 0]
+        with pytest.raises(ShapeError, match="same expert twice"):
+            build_dispatch_plan(gates, cfg, 4)
+
+    def test_slot_table_lists_tokens_in_slot_order(self):
+        cfg = GatingConfig(num_experts=3, k=2, capacity_factor=0.5)
+        # choices (0,1) (1,0) (0,2) (2,1): capacity ceil(0.5*4*2/3) = 2, token 3 drops on 1
+        logits = np.array([[2.0, 1, 0], [1, 2, 0], [2, 0, 1], [0, 1, 2]])
+        plan = build_dispatch_plan(top_k_gate(logits, cfg), cfg, 4)
+        assert plan.expert_load.tolist() == [2, 2, 2]
+        assert plan.slot_tokens.tolist() == [[0, 1], [0, 1], [2, 3]]
+        assert plan.slots[3].tolist() == [1, DROPPED]
 
     def test_slots_in_token_order_with_drop(self):
         cfg = GatingConfig(num_experts=2, k=1, capacity_factor=1.0)
@@ -267,6 +300,7 @@ class TestDispatchPlan:
         plan = build_dispatch_plan(top_k_gate(np.zeros((0, 4)), cfg), cfg, 0)
         assert plan.capacity == 0
         assert plan.slots.shape == (0, 1)
+        assert plan.slot_tokens.shape == (4, 0)
         counter = OpCounter()
         buffers = scatter_tokens(np.zeros((0, 3)), plan, counter)
         assert buffers.data.shape == (4, 0, 3)
@@ -304,7 +338,8 @@ class TestScatterCombine:
         assert np.array_equal(buffers.data[1, 0], batch[1])
         assert np.array_equal(buffers.data[0, 1], batch[2])
         assert np.array_equal(buffers.data[1, 1], batch[3])
-        assert buffers.occupied.all()
+        assert (plan.expert_load == plan.capacity).all()
+        assert plan.slot_tokens.tolist() == [[0, 2], [1, 3]]
 
     def test_unoccupied_slots_zero(self):
         cfg = GatingConfig(num_experts=4, k=1, capacity_factor=2.0)
@@ -312,8 +347,10 @@ class TestScatterCombine:
         batch = rng.standard_normal((8, 3))
         plan = build_dispatch_plan(top_k_gate(rng.standard_normal((8, 4)), cfg), cfg, 8)
         buffers = scatter_tokens(batch, plan)
-        assert not buffers.occupied.all()
-        assert not np.any(buffers.data[~buffers.occupied])
+        occupied = np.arange(plan.capacity) < plan.expert_load[:, None]
+        assert not occupied.all()
+        assert not np.any(buffers.data[~occupied])
+        assert not np.any(plan.slot_tokens[~occupied])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_scatter_rejects_non_finite_batch(self, bad):
@@ -388,7 +425,6 @@ class ExpertBuffersLike:
 
     def __init__(self, data: np.ndarray):
         self.data = data
-        self.occupied = np.ones(data.shape[:2], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +497,14 @@ def scan_slots(expert_ids: np.ndarray, cfg: GatingConfig, num_tokens: int):
     return slots_flat.reshape(num_tokens, cfg.k), load
 
 
+def slot_table_from_slots(expert_ids, slots, cfg: GatingConfig, cap: int) -> np.ndarray:
+    """(E, c) table of the token in each kept slot, 0 in empty slots."""
+    table = np.zeros((cfg.num_experts, cap), dtype=np.int64)
+    kept = slots != DROPPED
+    table[expert_ids[kept], slots[kept]] = np.nonzero(kept)[0]
+    return table
+
+
 def zero_fill_scatter(batch: np.ndarray, plan: DispatchPlan):
     """Zero (E, c, M) buffers, then one fancy-index assignment of the kept rows."""
     data = np.zeros((plan.num_experts, plan.capacity, batch.shape[1]))
@@ -514,11 +558,12 @@ def test_routing_stages_match_earlier_implementations_bitwise(case):
     slots, load = scan_slots(ids, cfg, s)
     assert_same_bits(plan.slots, slots)
     assert_same_bits(plan.expert_load, load)
+    assert_same_bits(plan.slot_tokens, slot_table_from_slots(ids, slots, cfg, plan.capacity))
 
     buffers = scatter_tokens(batch, plan)
     data, occupied = zero_fill_scatter(batch, plan)
     assert_same_bits(buffers.data, data)
-    assert_same_bits(buffers.occupied, occupied)
+    assert_same_bits(np.arange(plan.capacity) < plan.expert_load[:, None], occupied)
 
     # identity experts, then experts that also write unoccupied slots
     for expert_out in (buffers.data, np.sin(buffers.data) * 3.0 + 1.0):
