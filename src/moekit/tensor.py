@@ -228,7 +228,7 @@ def gelu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     c = np.sqrt(2.0 / np.pi)
     x = a.value
-    inner = c * (x + 0.044715 * x**3)
+    inner = c * (x + 0.044715 * (x * x * x))
     th = np.tanh(inner)
     out = Tensor._wrap(0.5 * x * (1.0 + th), a.tape)
     if a.tape is not None:
