@@ -9,6 +9,13 @@ A model is a flat stack of transformer blocks. Every block carries attention
                   (a shared feed-forward runs beside the experts; the expert
                   contribution acts as a correction term on top of it)
 
+A routed layer evaluates all of its experts as one grouped tape node: the
+kept rows are gathered once in slot-table order, each loaded expert runs one
+GEMM pair on its own rows only (no capacity padding), one GELU covers every
+row, and one scatter-add combines the gate-scaled rows per token. Its
+hand-written vjp is bitwise equal to the per-expert chain of tape ops it
+replaces. Expert weights stay per-expert 2-D leaves.
+
 Builders:
   * ``build_standard``  - experts on every other feed-forward layer, uniform
     expert count (a 24-layer base gets 12 routed layers).
@@ -383,7 +390,7 @@ def forward_layer(x: Tensor, spec: LayerSpec, params) -> Tensor:
     gate_logits = tk.matmul(x, params.gate_w)  # (S, E)
     gates = top_k_gate(gate_logits.value, spec.gating)
     plan = build_dispatch_plan(gates, spec.gating, x.rows)
-    probs = tk.row_softmax(gate_logits)
+    probs = tk._softmax_node(gate_logits, gates.probs)
 
     out = tk.add(x, _combine_experts(x, probs, plan, params))
     if spec.residual:
@@ -392,17 +399,73 @@ def forward_layer(x: Tensor, spec: LayerSpec, params) -> Tensor:
 
 
 def _combine_experts(x: Tensor, probs: Tensor, plan, params: MoeLayerParams) -> Tensor:
-    """Sum over experts of scatter(prob * expert(rows)), rows in slot-table order."""
-    acc: Tensor | None = None
-    for e, load in enumerate(plan.expert_load):
-        if load == 0:
-            continue
-        tokens = plan.slot_tokens[e, :load]
-        rows = tk.gather_rows(x, tokens)
-        y = forward_ffn(rows, params.experts[e])
-        weight = tk.take_elems(probs, tokens, np.full(tokens.shape, e, dtype=np.int64))
-        contrib = tk.scatter_rows(tk.mul(y, weight), tokens, x.rows)
-        acc = contrib if acc is None else tk.add(acc, contrib)
-    if acc is None:
-        acc = Tensor._wrap(np.zeros(x.shape), x.tape)
-    return acc
+    """Sum over experts of prob * expert(rows), scattered back by token: one tape node.
+
+    The kept rows are gathered once in slot-table order, so expert e owns the
+    segment ends[e] - load[e] : ends[e]. Each loaded expert runs its GEMM pair
+    on its own segment, one GELU covers every row, and one ``np.add.at``
+    returns the gate-scaled rows to their tokens in expert order.
+
+    The value and every gradient are bitwise those of the per-op chain
+    gather_rows -> forward_ffn -> take_elems -> mul -> scatter_rows -> add per
+    expert. To keep them so, the vjp hands back one ``x`` contribution per
+    loaded expert, last expert first (the order the per-op sweep met them,
+    which fixes how k=2 sums associate), and passes a load-1 expert's bias
+    gradient through without a row sum, as ``tk.add`` does when shapes match.
+    """
+    load = plan.expert_load
+    live = np.flatnonzero(load)
+    if live.size == 0:
+        return Tensor._wrap(np.zeros(x.shape), x.tape)
+    tok = plan.slot_tokens[np.arange(plan.capacity) < load[:, None]]
+    eid = np.repeat(np.arange(plan.num_experts), load)
+    ends = np.cumsum(load)
+    segs = [slice(ends[e] - load[e], ends[e]) for e in live]
+    ffns = [params.experts[e] for e in live]
+    leaves = [leaf for p in ffns for leaf in p.leaves()]
+    weights = [[leaf.value for leaf in p.leaves()] for p in ffns]  # w1, b1, w2, b2
+    tape = tk._tape_of(x, probs, *leaves)
+
+    xs = x.value[tok]
+    h = np.empty((tok.size, weights[0][0].shape[1]))
+    for seg, (w1, b1, _, _) in zip(segs, weights):
+        h[seg] = xs[seg] @ w1 + b1
+    z, gelu_slope = tk._gelu(h, tape is not None)
+    y = np.empty(xs.shape)
+    for seg, (_, _, w2, b2) in zip(segs, weights):
+        y[seg] = z[seg] @ w2 + b2
+    gate = probs.value[tok, eid][:, None]
+    acc = np.zeros(x.shape)
+    np.add.at(acc, tok, y * gate)
+    out = Tensor._wrap(acc, tape)
+    if tape is None:
+        return out
+    x_shape, probs_shape = x.shape, probs.shape
+
+    def vjp(g: np.ndarray):
+        gtok = g[tok]
+        gy = gtok * gate
+        ggate = gtok * y if y.shape[1] == 1 else (gtok * y).sum(axis=1, keepdims=True)
+        gprobs = np.zeros(probs_shape)
+        np.add.at(gprobs, (tok, eid), ggate[:, 0])
+        gz = np.empty(z.shape)
+        for seg, (_, _, w2, _) in zip(segs, weights):
+            gz[seg] = gy[seg] @ w2.T
+        gh = gz * gelu_slope
+        gxs, gleaves = [], []
+        for seg, (w1, _, _, _) in zip(segs, weights):
+            gx = np.zeros(x_shape)
+            np.add.at(gx, tok[seg], gh[seg] @ w1.T)
+            gxs.append(gx)
+            gleaves += [
+                xs[seg].T @ gh[seg], _bias_grad(gh[seg]), z[seg].T @ gy[seg], _bias_grad(gy[seg])
+            ]
+        return [*reversed(gxs), gprobs, *gleaves]
+
+    tape.record(out, (x,) * len(segs) + (probs, *leaves), vjp)
+    return out
+
+
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    # tk.add sums a broadcast bias gradient over rows but passes one row through as is
+    return g if g.shape[0] == 1 else g.sum(axis=0, keepdims=True)

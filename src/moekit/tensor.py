@@ -12,8 +12,13 @@ Conventions:
     the graph entry point (for example the input batch); parameters created
     without a tape still receive gradients because they participate as op
     inputs.
-  * ``GradTape.backward`` walks records in reverse creation order and
-    accumulates gradients additively into ``Tensor.grad``.
+  * ``GradTape.backward`` walks records in reverse creation order,
+    accumulates gradients additively into ``Tensor.grad``, and releases each
+    record once its vjp has run; ``len(tape)`` still counts the ops recorded.
+  * A caller may record a fused node of its own (``arch`` records one node
+    for all experts of a routed layer). ``_gelu`` (value and derivative) and
+    ``_softmax_node`` are shared with such nodes so each formula lives here
+    once.
   * ``Tensor(...)`` rejects NaN or inf entries with ``NonFiniteError``; op
     results skip that check.
 """
@@ -59,25 +64,37 @@ class GradTape:
     """Ordered record of primitive ops for one reverse sweep.
 
     Each record holds the output tensor, its input tensors, and a vjp closure
-    mapping the output gradient to per-input gradients.
+    mapping the output gradient to per-input gradients. ``len(tape)`` counts
+    the ops recorded, also after ``backward`` has released them.
     """
 
     def __init__(self) -> None:
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._recorded = 0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._recorded
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
         self._records.append((out, inputs, vjp))
+        self._recorded += 1
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(tensor) into ``.grad`` for every tensor reachable
-        from ``loss``. ``loss`` must be scalar shaped ``(1, 1)``."""
+        from ``loss``. ``loss`` must be scalar shaped ``(1, 1)``.
+
+        The sweep consumes the records: each op's outputs and closures are
+        released once its vjp has run. Every op output refers to the tape, so
+        records kept past the sweep would make each step a reference cycle
+        that only the cyclic garbage collector frees.
+        """
         if loss.value.shape != (1, 1):
             raise ShapeError(f"backward needs a (1, 1) scalar loss, got {loss.value.shape}")
         loss.grad = np.ones((1, 1))
-        for out, inputs, vjp in reversed(self._records):
+        records = self._records
+        self._records = []
+        while records:
+            out, inputs, vjp = records.pop()
             if out.grad is None:
                 continue  # this op did not feed the loss
             for tensor, contribution in zip(inputs, vjp(out.grad)):
@@ -223,22 +240,26 @@ def scale(a: Tensor, c: float) -> Tensor:
     return out
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def _gelu(x: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Smooth GELU (tanh form) of ``x`` and, when ``slope`` is set, its derivative."""
+    th = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    out = 0.5 * x * (1.0 + th)
+    if not slope:
+        return out, None
+    sech2 = 1.0 - th**2
+    return out, 0.5 * (1.0 + th) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+
+
 def gelu(a: Tensor) -> Tensor:
     """Smooth GELU (tanh form), used as the feed-forward activation."""
     a = _as_tensor(a)
-    c = np.sqrt(2.0 / np.pi)
-    x = a.value
-    inner = c * (x + 0.044715 * (x * x * x))
-    th = np.tanh(inner)
-    out = Tensor._wrap(0.5 * x * (1.0 + th), a.tape)
+    value, d = _gelu(a.value, a.tape is not None)
+    out = Tensor._wrap(value, a.tape)
     if a.tape is not None:
-
-        def vjp(g: np.ndarray):
-            sech2 = 1.0 - th**2
-            d = 0.5 * (1.0 + th) + 0.5 * x * sech2 * c * (1.0 + 3 * 0.044715 * x**2)
-            return (g * d,)
-
-        a.tape.record(out, (a,), vjp)
+        a.tape.record(out, (a,), lambda g: (g * d,))
     return out
 
 
@@ -263,7 +284,16 @@ def row_softmax(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     if a.cols == 0:
         raise ShapeError("row_softmax needs at least one column")
-    s = _row_softmax_value(a.value)
+    return _softmax_node(a, _row_softmax_value(a.value))
+
+
+def _softmax_node(a: Tensor, s: np.ndarray) -> Tensor:
+    """Tape node for ``s``, the row softmax of ``a`` computed by the caller.
+
+    ``gating.top_k_gate`` already computes the gate softmax (bitwise equal to
+    ``_row_softmax_value``); ``arch.forward_layer`` passes it here instead of
+    computing it a second time.
+    """
     out = Tensor._wrap(s, a.tape)
     if a.tape is not None:
 

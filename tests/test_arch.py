@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -294,6 +296,34 @@ class TestForward:
         assert params.gate_w.grad is not None and np.any(params.gate_w.grad)
         assert any(np.any(e.w1.grad) for e in params.experts if e.w1.grad is not None)
 
+    def test_routed_layer_records_one_node_for_all_experts(self):
+        rng = np.random.default_rng(26)
+        spec = _moe_spec(hidden=6, experts=4, k=2, cf=4.0)
+        params = init_layer_params(spec, rng)
+        tape = GradTape()
+        forward_layer(Tensor(rng.standard_normal((10, 6)), tape), spec, params)
+        assert len(tape) == 4  # gate matmul, gate softmax, experts, skip add
+
+    def test_layer_step_is_freed_without_cyclic_gc(self):
+        rng = np.random.default_rng(27)
+        spec = _moe_spec(hidden=6, experts=3, k=2, residual=True, cf=4.0)
+        params = init_layer_params(spec, rng)
+
+        def step():
+            tape = GradTape()
+            out = forward_layer(Tensor(rng.standard_normal((8, 6)), tape), spec, params)
+            # the mul vjp captures out.value
+            tape.backward(tk.sum_all(tk.mul(out, Tensor(rng.standard_normal(out.shape)))))
+            return weakref.ref(out.value)
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert step()() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_width_mismatch_rejected(self):
         spec = LayerSpec(kind="dense", hidden=8)
         params = init_layer_params(spec, np.random.default_rng(0))
@@ -355,3 +385,21 @@ def test_forward_layer_matches_mask_argsort_combine_bitwise(
         assert (g is None) == (w is None)
         if g is not None:
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s=st.integers(1, 200),
+    experts=st.integers(1, 8),
+    k=st.integers(1, 2),
+    scale=st.floats(0.1, 300.0),
+    half_integer=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_top_k_gate_probs_equal_row_softmax_bitwise(s, experts, k, scale, half_integer, seed):
+    """forward_layer takes the gate softmax from top_k_gate instead of row_softmax."""
+    logits = np.random.default_rng(seed).standard_normal((s, experts)) * scale
+    if half_integer:
+        logits = np.round(2 * logits) / 2  # many exact ties
+    gate = top_k_gate(logits, GatingConfig(num_experts=experts, k=min(k, experts)))
+    assert gate.probs.tobytes() == tk.row_softmax(Tensor(logits)).value.tobytes()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -383,6 +386,24 @@ class TestBackward:
         a = Tensor(np.arange(8.0).reshape(2, 4), tape)
         tape.backward(mean_all(a))
         assert np.allclose(a.grad, np.full((2, 4), 1 / 8))
+
+    def test_backward_frees_the_step_without_cyclic_gc(self):
+        def step():
+            tape = GradTape()
+            x = Tensor(np.ones((3, 4)), tape)
+            hidden = gelu(x)  # the matmul vjp below captures hidden.value
+            tape.backward(sum_all(matmul(hidden, Tensor(np.full((4, 2), 0.5)))))
+            return tape, weakref.ref(hidden.value)
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape, captured = step()
+            assert captured() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(tape) == 3  # still counts the ops recorded before the sweep
 
 
 class TestTensorBasics:
