@@ -10,8 +10,8 @@ tables below (``CONFIG_TABLE``, ``MODEL_TABLE``, ``CLUSTER_TABLE`` and one
 ``_section`` is the one place that checks config values against them.
 Exit codes: 0 success; 2 config problems (unreadable JSON, an unknown key,
 or a value of the wrong kind or outside its row's range); 3 valid values
-that do not fit together (impossible plans, schedules or student depths);
-4 numerical failure.
+that do not fit together (impossible plans, schedules or student depths) or
+that ask for more memory than the machine can allocate; 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -568,6 +568,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (PlanError, ScheduleError, ValidationError) as e:
         print(f"invalid request: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as e:  # e.g. route-bench tokens sized past the machine
+        print(f"invalid request: out of memory: {e}", file=sys.stderr)
         return EXIT_INVALID
     except (TrainingError, OverflowError) as e:  # OverflowError: a float sum or cast past 1e308
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -211,7 +211,11 @@ def plan(
 
 
 def validate(built: ParallelPlan, cfg: MoeModelConfig | None = None) -> list[str]:
-    """Structural checks; returns a list of violation strings (empty = ok)."""
+    """Structural checks; returns a list of violation strings (empty = ok).
+
+    A per-layer problem shared by several layers is reported once, naming
+    them all: "layers 1,3,5: ...".
+    """
     problems: list[str] = []
     if built.world_size < 1:
         problems.append("world_size must be positive")
@@ -228,25 +232,27 @@ def validate(built: ParallelPlan, cfg: MoeModelConfig | None = None) -> list[str
             f"{built.gpus_per_node} GPUs: tensor groups may not span nodes"
         )
 
+    per_layer: list[tuple[int, str]] = []
     for p in built.placements:
-        tag = f"layer {p.layer_index}"
         if p.ep_degree < 1 or p.expert_dp < 1 or p.expert_slice < 1:
-            problems.append(f"{tag}: degrees must be >= 1")
+            per_layer.append((p.layer_index, "degrees must be >= 1"))
             continue
         if p.ep_degree * p.expert_dp * p.expert_slice != built.world_size:
-            problems.append(
-                f"{tag}: ep {p.ep_degree} * dp {p.expert_dp} * slice {p.expert_slice} "
-                f"!= world {built.world_size}"
-            )
+            per_layer.append((
+                p.layer_index,
+                f"ep {p.ep_degree} * dp {p.expert_dp} * slice {p.expert_slice} "
+                f"!= world {built.world_size}",
+            ))
         if p.ep_degree > p.num_experts:
-            problems.append(
-                f"{tag}: ep degree {p.ep_degree} exceeds {p.num_experts} experts"
+            per_layer.append(
+                (p.layer_index, f"ep degree {p.ep_degree} exceeds {p.num_experts} experts")
             )
         elif p.num_experts % p.ep_degree != 0:
-            problems.append(
-                f"{tag}: uneven experts per device "
-                f"({p.num_experts} experts over ep degree {p.ep_degree})"
-            )
+            per_layer.append((
+                p.layer_index,
+                f"uneven experts per device "
+                f"({p.num_experts} experts over ep degree {p.ep_degree})",
+            ))
 
     if cfg is not None:
         want = {i: cfg.layers[i].experts for i in cfg.moe_layer_indices}
@@ -258,9 +264,13 @@ def validate(built: ParallelPlan, cfg: MoeModelConfig | None = None) -> list[str
         else:
             for i, e in want.items():
                 if got[i] != e:
-                    problems.append(
-                        f"layer {i}: placement has {got[i]} experts, model has {e}"
-                    )
+                    per_layer.append((i, f"placement has {got[i]} experts, model has {e}"))
+
+    layers_with: dict[str, list[str]] = {}  # problem -> the layers that have it, in order
+    for layer, problem in per_layer:
+        layers_with.setdefault(problem, []).append(str(layer))
+    for problem, layers in layers_with.items():
+        problems.append(f"layer{'s' * (len(layers) > 1)} {','.join(layers)}: {problem}")
     return problems
 
 

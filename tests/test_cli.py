@@ -201,6 +201,15 @@ def test_route_bench_extreme_capacity_factor(tmp_path, capsys, factor, capacity)
     assert float(row["max_abs_err"]) == 0.0
 
 
+def test_route_bench_unallocatable_size_is_invalid_request(tmp_path, capsys):
+    # 1e13 tokens x 8 experts of float64 logits: numpy refuses the allocation at once
+    cfg = write_config(tmp_path, {"options": {"tokens": 10_000_000_000_000, "instances": 1}})
+    code, out, err = run(capsys, "route-bench", "--config", cfg)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("invalid request: out of memory:")
+
+
 def test_route_bench_bad_gating_options(tmp_path, capsys):
     cfg = write_config(tmp_path, {"options": {"k": 3}})
     code, _, err = run(capsys, "route-bench", "--config", cfg)
@@ -304,6 +313,20 @@ def test_plan_rejects_oversized_tensor_slice(tmp_path, capsys):
     code, _, err = run(capsys, "plan", "--config", cfg, "--preset", PRESET_52B)
     assert code == 3
     assert "invalid request" in err
+
+
+def test_plan_names_a_shared_problem_once(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"num_layers": 24, "hidden": 1024, "heads": 16, "experts": 32},
+            "cluster": {"nodes": 6, "gpus_per_node": 8},
+        },
+    )
+    code, _, err = run(capsys, "plan", "--config", cfg)
+    assert code == 3
+    layers = ",".join(str(i) for i in range(1, 24, 2))
+    assert err.strip() == f"invalid request: layers {layers}: ep 32 * dp 1 * slice 1 != world 48"
 
 
 def test_plan_requires_model(tmp_path, capsys):
