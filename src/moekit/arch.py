@@ -401,17 +401,12 @@ def forward_layer(x: Tensor, spec: LayerSpec, params) -> Tensor:
 def _combine_experts(x: Tensor, probs: Tensor, plan, params: MoeLayerParams) -> Tensor:
     """Sum over experts of prob * expert(rows), scattered back by token: one tape node.
 
-    The kept rows are gathered once in slot-table order, so expert e owns the
-    segment ends[e] - load[e] : ends[e]. Each loaded expert runs its GEMM pair
-    on its own segment, one GELU covers every row, and one ``np.add.at``
-    returns the gate-scaled rows to their tokens in expert order.
-
-    The value and every gradient are bitwise those of the per-op chain
-    gather_rows -> forward_ffn -> take_elems -> mul -> scatter_rows -> add per
-    expert. To keep them so, the vjp hands back one ``x`` contribution per
-    loaded expert, last expert first (the order the per-op sweep met them,
-    which fixes how k=2 sums associate), and passes a load-1 expert's bias
-    gradient through without a row sum, as ``tk.add`` does when shapes match.
+    Expert e owns rows ends[e] - load[e] : ends[e] of the slot-table gather.
+    The vjp is bitwise that of the per-expert chain gather_rows -> forward_ffn
+    -> take_elems -> mul -> scatter_rows -> add: it hands back one ``x``
+    contribution per loaded expert, last expert first (the order that chain's
+    sweep met them, which fixes how k=2 sums associate), and passes a load-1
+    expert's bias gradient through unsummed, as ``tk.add`` does.
     """
     load = plan.expert_load
     live = np.flatnonzero(load)

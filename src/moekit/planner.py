@@ -234,25 +234,16 @@ def validate(built: ParallelPlan, cfg: MoeModelConfig | None = None) -> list[str
 
     per_layer: list[tuple[int, str]] = []
     for p in built.placements:
-        if p.ep_degree < 1 or p.expert_dp < 1 or p.expert_slice < 1:
-            per_layer.append((p.layer_index, "degrees must be >= 1"))
+        i, ep, dp, sl, e = p.layer_index, p.ep_degree, p.expert_dp, p.expert_slice, p.num_experts
+        if ep < 1 or dp < 1 or sl < 1:
+            per_layer.append((i, "degrees must be >= 1"))
             continue
-        if p.ep_degree * p.expert_dp * p.expert_slice != built.world_size:
-            per_layer.append((
-                p.layer_index,
-                f"ep {p.ep_degree} * dp {p.expert_dp} * slice {p.expert_slice} "
-                f"!= world {built.world_size}",
-            ))
-        if p.ep_degree > p.num_experts:
-            per_layer.append(
-                (p.layer_index, f"ep degree {p.ep_degree} exceeds {p.num_experts} experts")
-            )
-        elif p.num_experts % p.ep_degree != 0:
-            per_layer.append((
-                p.layer_index,
-                f"uneven experts per device "
-                f"({p.num_experts} experts over ep degree {p.ep_degree})",
-            ))
+        if ep * dp * sl != built.world_size:
+            per_layer.append((i, f"ep {ep} * dp {dp} * slice {sl} != world {built.world_size}"))
+        if ep > e:
+            per_layer.append((i, f"ep degree {ep} exceeds {e} experts"))
+        elif e % ep != 0:
+            per_layer.append((i, f"uneven experts per device ({e} experts over ep degree {ep})"))
 
     if cfg is not None:
         want = {i: cfg.layers[i].experts for i in cfg.moe_layer_indices}

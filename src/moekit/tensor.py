@@ -15,10 +15,8 @@ Conventions:
   * ``GradTape.backward`` walks records in reverse creation order,
     accumulates gradients additively into ``Tensor.grad``, and releases each
     record once its vjp has run; ``len(tape)`` still counts the ops recorded.
-  * A caller may record a fused node of its own (``arch`` records one node
-    for all experts of a routed layer). ``_gelu`` (value and derivative) and
-    ``_softmax_node`` are shared with such nodes so each formula lives here
-    once.
+  * ``arch`` records one fused node for all experts of a routed layer; it
+    shares ``_gelu`` and ``_softmax_node`` so each formula lives here once.
   * ``Tensor(...)`` rejects NaN or inf entries with ``NonFiniteError``; op
     results skip that check.
 """
@@ -83,13 +81,15 @@ class GradTape:
         """Accumulate d(loss)/d(tensor) into ``.grad`` for every tensor reachable
         from ``loss``. ``loss`` must be scalar shaped ``(1, 1)``.
 
-        The sweep consumes the records: each op's outputs and closures are
-        released once its vjp has run. Every op output refers to the tape, so
-        records kept past the sweep would make each step a reference cycle
-        that only the cyclic garbage collector frees.
+        The sweep consumes the records, so a second call raises RuntimeError.
+        Every op output refers to the tape, so records kept past the sweep
+        would leave each step a reference cycle that only the cyclic garbage
+        collector frees.
         """
         if loss.value.shape != (1, 1):
             raise ShapeError(f"backward needs a (1, 1) scalar loss, got {loss.value.shape}")
+        if self._recorded and not self._records:
+            raise RuntimeError("backward already swept this tape")
         loss.grad = np.ones((1, 1))
         records = self._records
         self._records = []
@@ -288,12 +288,8 @@ def row_softmax(a: Tensor) -> Tensor:
 
 
 def _softmax_node(a: Tensor, s: np.ndarray) -> Tensor:
-    """Tape node for ``s``, the row softmax of ``a`` computed by the caller.
-
-    ``gating.top_k_gate`` already computes the gate softmax (bitwise equal to
-    ``_row_softmax_value``); ``arch.forward_layer`` passes it here instead of
-    computing it a second time.
-    """
+    """Tape node for ``s``, the row softmax of ``a`` already computed by the
+    caller (``arch.forward_layer`` passes ``top_k_gate``'s bitwise-equal probs)."""
     out = Tensor._wrap(s, a.tape)
     if a.tape is not None:
 

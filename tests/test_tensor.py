@@ -405,6 +405,13 @@ class TestBackward:
                 gc.enable()
         assert len(tape) == 3  # still counts the ops recorded before the sweep
 
+    def test_second_backward_on_a_swept_tape_raises(self):
+        tape = GradTape()
+        loss = sum_all(Tensor(np.ones((2, 2)), tape))
+        tape.backward(loss)
+        with pytest.raises(RuntimeError, match="already swept"):
+            tape.backward(loss)
+
 
 class TestTensorBasics:
     def test_rejects_non_2d(self):
