@@ -17,13 +17,18 @@ modeled:
     shrinks to p/L rounds at full payload volume, plus L cheap allgather
     rounds.
 
-The schedules differ only in which rank each message goes to and in which
-round, so every exchange phase runs through one helper, ``_exchange``: it
-buckets each rank's items by destination, maps each bucket to its receiving
-rank and round, and emits the phase's events in (round, source) order.
+The payload is read once into numpy columns (src, dst, token, nbytes; one
+row per item), after a type check of every field. The schedules differ only
+in which rank each message goes to and in which round, so every exchange
+phase runs through one helper, ``_exchange``: it maps each item to its
+receiving rank and round, groups the items of each message with one argsort
+of an int64 (round, source) key, sums each message's bytes over its segment
+and emits the phase's events in (round, source) order. Every byte count a
+schedule reports must fit int64; a larger payload raises ScheduleError.
 
 All schedules deliver bit-identical receive lists (sorted by source rank and
-token id), which the tests rely on. Self-deliveries inside an exchange phase
+token id, equal pairs in arrival order), which the tests rely on; each is
+one lexsort of the input columns. Self-deliveries inside an exchange phase
 count toward volume, so the hierarchical schedule's volume is exactly twice
 the flat one's.
 
@@ -37,9 +42,10 @@ pricing each message by the intra- or inter-node link between its endpoints.
 from __future__ import annotations
 
 import csv
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, is_
 from typing import Literal
 
 import numpy as np
@@ -146,52 +152,73 @@ class CommTrace:
 
 
 # ---------------------------------------------------------------------------
-# payload helpers
+# payload columns and the exchange phase
 # ---------------------------------------------------------------------------
+
+_FIELDS = (("src", np.int32), ("dst", np.int32), ("token", np.int64), ("nbytes", np.int64))
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
-def _validate(sends: list[list[Item]], src_of_rank, dst_limit: int) -> int:
-    """Check every item's src, dst and size; return the payload's total bytes.
+def _columns(lists: list[list[Item]], ranks) -> list[np.ndarray]:
+    """src, dst, token and nbytes of the items in ``lists``, one column each.
 
-    src, dst and nbytes must be ints (numpy integers pass, bools do not).
+    Every value must be an int (numpy integers pass, bools do not) that fits
+    its column's dtype. A bad value names the rank ``ranks[i]`` of its list i.
     """
-    if not sends:
+    columns = []
+    for field, dtype in _FIELDS:
+        values = list(map(attrgetter(field), chain.from_iterable(lists)))
+        try:
+            if all(kind is int or issubclass(kind, np.integer) for kind in set(map(type, values))):
+                columns.append(np.fromiter(values, dtype, len(values)))
+                continue
+        except OverflowError:  # a value past the dtype's range, found below
+            pass
+        info = np.iinfo(dtype)
+        i = next(i for i, v in enumerate(values) if not (_is_int(v) and info.min <= v <= info.max))
+        rank = ranks[int(np.searchsorted(np.cumsum(list(map(len, lists))), i, side="right"))]
+        raise ScheduleError(f"rank {rank}: {field} {values[i]!r} is not an int in {info.dtype} range")
+    return columns
+
+
+def _read(lists: list[list[Item]], ranks, dst_limit: int, volume_factor: int):
+    """Columns of a payload whose list i is held by rank ``ranks[i]``.
+
+    The items of list i must have src i and a dst in [0, dst_limit), and no
+    negative nbytes. The schedule moves volume_factor times the payload's
+    total bytes, which must fit int64, so every byte count summed over the
+    columns is exact. Returns (items as an object array, src, dst, token,
+    nbytes, total bytes as an int).
+    """
+    if not lists:
         raise ScheduleError("world must have at least one rank")
-    total = 0
-    for rank, items in enumerate(sends):
-        want_src = src_of_rank(rank)
-        for it in items:
-            src, dst, nbytes = it.src, it.dst, it.nbytes
-            # plain ints take the first test; numpy integers the second
-            if not (type(src) is type(dst) is type(nbytes) is int) and not (
-                _is_int(src) and _is_int(dst) and _is_int(nbytes)
-            ):
-                raise ScheduleError(f"rank {rank}: src, dst and nbytes must be ints on {it}")
-            if src != want_src:
-                raise ScheduleError(f"rank {rank}: item src {src} should be {want_src}")
-            if not (0 <= dst < dst_limit):
-                raise ScheduleError(f"rank {rank}: dst {dst} outside [0, {dst_limit})")
-            if nbytes < 0:
-                raise ScheduleError(f"rank {rank}: negative nbytes on {it}")
-            total += nbytes
-    return total
+    src, dst, token, nbytes = _columns(lists, ranks)
+    owner = np.repeat(np.arange(len(lists), dtype=np.int32), list(map(len, lists)))
+    items = np.fromiter(chain.from_iterable(lists), object, len(owner))
+    for bad, problem in (
+        (src != owner, lambda i: f"item src {src[i]} should be {owner[i]}"),
+        ((dst < 0) | (dst >= dst_limit), lambda i: f"dst {dst[i]} outside [0, {dst_limit})"),
+        (nbytes < 0, lambda i: f"negative nbytes on {items[i]}"),
+    ):
+        if bad.any():
+            i = int(bad.argmax())
+            raise ScheduleError(f"rank {ranks[owner[i]]}: {problem(i)}")
+    # summed as 32-bit halves, so the total is exact even past int64
+    total = (int((nbytes >> 32).sum()) << 32) + int((nbytes & 0xFFFFFFFF).sum())
+    if total * volume_factor > _INT64_MAX:
+        raise ScheduleError(
+            f"payload of {total} bytes: the schedule would move more than {_INT64_MAX} bytes"
+        )
+    return items, src, dst, token, nbytes, total
 
 
 def _check_divisor(name: str, value, world: int) -> None:
     if not _is_int(value) or value < 1 or world % value != 0:
         raise ScheduleError(f"{name} {value!r} must be an int that divides world {world}")
-
-
-_nbytes = attrgetter("nbytes")
-_recv_order = attrgetter("src", "token")
-
-
-def _sorted_recv(items: list[Item]) -> tuple[Item, ...]:
-    return tuple(sorted(items, key=_recv_order))
 
 
 def _msg_latency(nbytes: int, src: int, dst: int, cost: CostModel, reference: int) -> float:
@@ -202,46 +229,53 @@ def _msg_latency(nbytes: int, src: int, dst: int, cost: CostModel, reference: in
     return cost.c2 * nbytes / reference
 
 
+def _rank_bytes(ranks: np.ndarray, nbytes: np.ndarray, world: int) -> np.ndarray:
+    out = np.zeros(world, np.int64)
+    np.add.at(out, ranks, nbytes)
+    return out
+
+
 def _exchange(
-    held: list[list[Item]], dest, round_of, step: int, cost: CostModel, reference: int, events: list
-) -> tuple[list[list[Item]], int]:
-    """One all-to-all phase; returns each rank's received items and bytes moved.
+    at: np.ndarray, dst: np.ndarray, nbytes: np.ndarray, dest, round_of,
+    world: int, step: int, cost: CostModel, reference: int,
+) -> tuple[list[CommEvent], np.ndarray, np.ndarray]:
+    """One all-to-all phase over items held at ranks ``at`` and bound for ``dst``.
 
     Rank s sends its items addressed to ``dst`` to rank ``dest(s, dst)``;
-    all items from s to d form one message, sent in round ``round_of(s, d)``.
-    Events are appended in (round, source) order at ``step + round``.
+    all items from s to d form one message, sent in round ``round_of(s, d)``
+    (both map rank columns to rank columns). A rank sends at most one message
+    per round, so the int64 key round * world + s names the message: one
+    argsort groups the items of each message and its bytes are a segment sum.
+    Returns the events in key, that is (round, source), order at
+    ``step + round``; each item's receiving rank; each rank's received bytes.
     """
-    messages: dict[tuple[int, int, int], list[Item]] = {}
-    for s, items in enumerate(held):
-        buckets: defaultdict[int, list[Item]] = defaultdict(list)
-        for it in items:
-            buckets[it.dst].append(it)
-        for dst, bucket in buckets.items():
-            d = dest(s, dst)
-            message = messages.setdefault((round_of(s, d), s, d), bucket)
-            if message is not bucket:
-                message.extend(bucket)
-
-    recv: list[list[Item]] = [[] for _ in held]
-    moved = 0
-    for key in sorted(messages):
-        r, s, d = key
-        payload = messages.pop(key)
-        nbytes = sum(map(_nbytes, payload))
-        moved += nbytes
-        events.append(
-            CommEvent(step + r, "a2a-phase", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
-        )
-        recv[d].extend(payload)
-    return recv, moved
+    d = dest(at, dst)
+    key = round_of(at, d).astype(np.int64) * world + at
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    sizes = np.add.reduceat(nbytes[order], first)
+    rounds, srcs = np.divmod(key[first], world)
+    dsts = d[order[first]]
+    events = [
+        CommEvent(step + r, "a2a-phase", s, t, b, _msg_latency(b, s, t, cost, reference))
+        for r, s, t, b in zip(rounds.tolist(), srcs.tolist(), dsts.tolist(), sizes.tolist())
+    ]
+    return events, d, _rank_bytes(dsts, sizes, world)
 
 
-def _layout_transform(held: list[list[Item]], step: int, events: list[CommEvent]) -> None:
-    """Record each rank's local regrouping of everything it holds."""
-    for s, items in enumerate(held):
-        total = sum(map(_nbytes, items))
-        if total:
-            events.append(CommEvent(step, "layout-transform", s, s, total, 0.0))
+def _layout_transform(held: np.ndarray, step: int) -> list[CommEvent]:
+    """Each rank's local regrouping of the ``held[rank]`` bytes it holds."""
+    return [
+        CommEvent(step, "layout-transform", s, s, b, 0.0) for s, b in enumerate(held.tolist()) if b
+    ]
+
+
+def _deliver(items: np.ndarray, keys: tuple, dst: np.ndarray, ranks: int) -> list[tuple[Item, ...]]:
+    """The items in ``np.lexsort(keys)`` order, whose last key is ``dst``,
+    as one tuple per receiving rank."""
+    counts = np.bincount(dst, minlength=ranks)
+    return list(map(tuple, np.split(items[np.lexsort(keys)], np.cumsum(counts[:-1]))))
 
 
 def synthetic_sends(
@@ -251,10 +285,10 @@ def synthetic_sends(
     for name, value, low in (("world", world, 1), ("per_rank", per_rank, 0), ("nbytes", nbytes, 0)):
         if not _is_int(value) or value < low:
             raise ScheduleError(f"{name} must be an integer >= {low}, got {value!r}")
-    rng = np.random.default_rng(seed)
+    dsts = np.random.default_rng(seed).integers(world, size=(world, per_rank)).tolist()
     return [
-        [Item(src, int(rng.integers(world)), src * per_rank + n, nbytes) for n in range(per_rank)]
-        for src in range(world)
+        [Item(src, d, src * per_rank + n, nbytes) for n, d in enumerate(row)]
+        for src, row in enumerate(dsts)
     ]
 
 
@@ -267,11 +301,11 @@ def flat_all_to_all(sends: list[list[Item]], cost: CostModel | None = None) -> C
     """Baseline exchange: p rounds, round r pairs src with (src + r) mod p."""
     world = len(sends)
     cost = cost or CostModel()
-    reference = _validate(sends, lambda r: r, world)
+    items, src, dst, token, nbytes, reference = _read(sends, range(world), world, 1)
 
-    events: list[CommEvent] = []
-    recv, volume = _exchange(
-        sends, lambda s, dst: dst, lambda s, d: (d - s) % world, 0, cost, reference, events
+    events, _, _ = _exchange(
+        src, dst, nbytes, lambda s, dst: dst, lambda s, d: (d - s) % world,
+        world, 0, cost, reference,
     )
 
     return CommTrace(
@@ -279,12 +313,12 @@ def flat_all_to_all(sends: list[list[Item]], cost: CostModel | None = None) -> C
         world_size=world,
         a2a_rounds=world,
         allgather_rounds=0,
-        volume_bytes=volume,
-        a2a_volume_bytes=volume,
+        volume_bytes=reference,
+        a2a_volume_bytes=reference,
         reference_bytes=reference,
         cost=cost,
         events=tuple(events),
-        recv=tuple(_sorted_recv(r) for r in recv),
+        recv=tuple(_deliver(items, (token, src, dst), dst, world)),
     )
 
 
@@ -303,32 +337,36 @@ def hierarchical_all_to_all(
     g = gpus_per_node
     _check_divisor("gpus_per_node", g, world)
     cost = cost or CostModel()
-    reference = _validate(sends, lambda r: r, world)
+    items, src, dst, token, nbytes, reference = _read(sends, range(world), world, 2)
 
-    events: list[CommEvent] = []
-    _layout_transform(sends, 0, events)
     # intra-node phase: round l delivers to the local-id-l rank of each node
-    held, intra_volume = _exchange(
-        sends, lambda s, dst: (s // g) * g + dst % g, lambda s, d: d % g, 1, cost, reference, events
+    intra, held, held_bytes = _exchange(
+        src, dst, nbytes, lambda s, dst: (s // g) * g + dst % g, lambda s, d: d % g,
+        world, 1, cost, reference,
     )
-    _layout_transform(held, g + 1, events)
     # inter-node phase: round m delivers to node m, between same-local ranks
-    recv, inter_volume = _exchange(
-        held, lambda s, dst: (dst // g) * g + s % g, lambda s, d: d // g, g + 2, cost, reference, events
+    inter, _, _ = _exchange(
+        held, dst, nbytes, lambda s, dst: (dst // g) * g + s % g, lambda s, d: d // g,
+        world, g + 2, cost, reference,
     )
+    events = [
+        *_layout_transform(_rank_bytes(src, nbytes, world), 0),
+        *intra,
+        *_layout_transform(held_bytes, g + 1),
+        *inter,
+    ]
 
-    volume = intra_volume + inter_volume
     return CommTrace(
         schedule="hierarchical",
         world_size=world,
         a2a_rounds=g + world // g,
         allgather_rounds=0,
-        volume_bytes=volume,
-        a2a_volume_bytes=volume,
+        volume_bytes=2 * reference,
+        a2a_volume_bytes=2 * reference,
         reference_bytes=reference,
         cost=cost,
         events=tuple(events),
-        recv=tuple(_sorted_recv(r) for r in recv),
+        recv=tuple(_deliver(items, (token, src, dst), dst, world)),
     )
 
 
@@ -342,61 +380,70 @@ def coordinated_all_to_all(
     each group sends only items at positions i with i mod L == t, through a
     sub-exchange with the other groups' replica-t ranks (p/L parallel
     rounds); L allgather rounds inside each group then rebuild the complete
-    receive set on every member.
+    receive set on every member, its own share first.
     """
     world = len(sends)
     slice_ = tensor_slice
     _check_divisor("tensor_slice", slice_, world)
     cost = cost or CostModel()
     groups = world // slice_
-    total = _validate(sends, lambda r: r // slice_, groups)
     for r in range(world):
         base = r - r % slice_
-        if r != base and sends[r] != sends[base]:
+        if r == base:
+            continue
+        if sends[r] != sends[base]:
             raise ReplicaMismatchError(
                 f"rank {r} disagrees with rank {base} on group {r // slice_}'s payload"
             )
-
+        # equal is not enough (1.0 == True == 1): items that are not the base
+        # replica's own objects get their types checked too
+        if not all(map(is_, sends[r], sends[base])):
+            _columns([sends[r]], [r])
+    # each group's base replica now stands for all of its replicas;
     # reference counts the logical payload once, not per replica
-    reference = total // slice_
-    events: list[CommEvent] = []
+    items, src, dst, token, nbytes, reference = _read(
+        sends[::slice_], range(0, world, slice_), groups, slice_
+    )
+    per_group = np.bincount(src, minlength=groups)
+    first_row = np.repeat(np.cumsum(per_group) - per_group, per_group)
+    share = (np.arange(len(items)) - first_row) % slice_
 
     # stride-L sub-exchange, all slices in parallel each round
-    held, a2a_volume = _exchange(
-        [items[s % slice_::slice_] for s, items in enumerate(sends)],
+    events, _, held = _exchange(
+        src * slice_ + share, dst, nbytes,
         lambda s, dst: dst * slice_ + s % slice_,
         lambda s, d: (d // slice_ - s // slice_) % groups,
-        0, cost, reference, events,
+        world, 0, cost, reference,
     )
-    volume = a2a_volume
 
     # allgather: round t broadcasts replica t's share to its group peers
-    recv = [list(items) for items in held]
+    held = held.tolist()
     for t in range(slice_):
         for s in range(t, world, slice_):
-            share = held[s]
-            nbytes = sum(map(_nbytes, share))
+            size = held[s]
             for d in range(s - t, s - t + slice_):
-                if d == s:
-                    continue
-                if nbytes:
-                    volume += nbytes
+                if size and d != s:
                     events.append(
-                        CommEvent(groups + t, "allgather", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
+                        CommEvent(groups + t, "allgather", s, d, size, _msg_latency(size, s, d, cost, reference))
                     )
-                recv[d].extend(share)
+
+    # replica t receives its own share first, then the others in replica order
+    by_replica = [
+        _deliver(items, (np.where(share == t, 0, share + 1), token, src, dst), dst, groups)
+        for t in range(slice_)
+    ]
 
     return CommTrace(
         schedule="coordinated",
         world_size=world,
         a2a_rounds=groups,
         allgather_rounds=slice_,
-        volume_bytes=volume,
-        a2a_volume_bytes=a2a_volume,
+        volume_bytes=slice_ * reference,
+        a2a_volume_bytes=reference,
         reference_bytes=reference,
         cost=cost,
         events=tuple(events),
-        recv=tuple(_sorted_recv(r) for r in recv),
+        recv=tuple(by_replica[t][grp] for grp in range(groups) for t in range(slice_)),
     )
 
 
@@ -415,8 +462,14 @@ def estimate_latency(trace: CommTrace, topology: ClusterTopology) -> float:
     link's bandwidth; a round costs its busiest source. Rounds that move
     nothing are free, and so are self-deliveries and local layout
     transforms. With intra_link == inter_link every message is priced at one
-    link, which is the pessimistic worst-case-locality figure.
+    link, which is the pessimistic worst-case-locality figure. A trace over
+    more ranks than the topology has raises ScheduleError.
     """
+    if trace.world_size > topology.world_size:
+        raise ScheduleError(
+            f"trace of {trace.world_size} ranks cannot be priced on a "
+            f"{topology.world_size}-rank topology"
+        )
     g = topology.gpus_per_node
     links = (topology.intra_link, topology.inter_link)
     split = links[0] != links[1]  # equal links price as one: a source's bytes sum before dividing

@@ -265,6 +265,20 @@ def test_simulate_bad_slice_is_invalid_request(tmp_path, capsys):
     assert "invalid request" in err
 
 
+@pytest.mark.parametrize("schedule", ["flat", "hierarchical", "coordinated"])
+def test_simulate_bytes_past_int64_is_invalid_request(tmp_path, capsys, schedule):
+    cfg = write_config(
+        tmp_path,
+        {
+            "cluster": {"nodes": 2, "gpus_per_node": 2},
+            "options": {"schedule": schedule, "tensor_slice": 2, "nbytes": 2**62},
+        },
+    )
+    code, _, err = run(capsys, "simulate", "--config", cfg)
+    assert code == 3
+    assert "invalid request" in err and "bytes" in err
+
+
 @pytest.mark.parametrize(
     "option",
     [

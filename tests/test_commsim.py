@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from moekit.commsim import (
@@ -249,6 +250,88 @@ def test_malformed_payload_rejected():
         flat_all_to_all([[Item(0, 0, 0, -8)]], COST)  # negative size
 
 
+def _all_schedules(sends):
+    """The payload through flat, hierarchical (2 GPUs per node when the world
+    is even) and coordinated (as logical groups replicated on slice-2 pairs)."""
+    yield lambda: flat_all_to_all(sends, COST)
+    yield lambda: hierarchical_all_to_all(sends, 2 if len(sends) % 2 == 0 else 1, COST)
+    yield lambda: coordinated_all_to_all(replicate(sends, 2), 2, COST)
+
+
+@pytest.mark.parametrize("token", ["a", 1.0, True, None])
+def test_schedules_reject_non_int_tokens(token):
+    sends = [[Item(0, 0, token, 8), Item(0, 0, 1, 8)]]
+    for run in _all_schedules(sends):
+        with pytest.raises(ScheduleError, match="rank 0"):
+            run()
+
+
+def test_schedules_accept_numpy_integer_tokens():
+    sends = [[Item(0, 1, np.int64(5), 8), Item(0, 0, np.int32(-3), 8)], [Item(1, 0, 2, 8)]]
+    for run in _all_schedules(sends):
+        assert [it.token for it in run().recv[0]][:2] == [-3, 2]
+
+
+def test_coordinated_checks_types_on_equal_replicas():
+    # 1.0 == 1, so the replicas are equal, but the float is still refused
+    sends = [[Item(0, 0, 0, 8)], [Item(0, 0, 0, 8.0)]]
+    with pytest.raises(ScheduleError, match="rank 1"):
+        coordinated_all_to_all(sends, 2, COST)
+
+
+INT64_MAX = 2**63 - 1
+
+
+def test_byte_counts_stay_exact_up_to_int64():
+    # a payload of exactly INT64_MAX bytes: each schedule's volume must fit
+    # int64, so flat takes it and hierarchical, which moves it twice, refuses
+    big = [[Item(0, 1, n, 2**61) for n in range(3)] + [Item(0, 0, 3, 2**61 - 1)], []]
+    total = 4 * 2**61 - 1
+    assert total == INT64_MAX
+    flat = flat_all_to_all(big, COST)
+    assert flat.volume_bytes == flat.reference_bytes == total
+    assert sum(e.nbytes for e in flat.events) == total
+    with pytest.raises(ScheduleError, match="int64|bytes"):
+        hierarchical_all_to_all(big, 1, COST)
+    half = [[Item(0, 1, n, 2**60) for n in range(3)] + [Item(0, 0, 3, 2**60 - 1)], []]
+    hier = hierarchical_all_to_all(half, 1, COST)
+    assert hier.volume_bytes == 2 * (4 * 2**60 - 1)
+    # coordinated moves L times the logical payload
+    logical = [[Item(0, 0, 0, 2**62)]]
+    assert coordinated_all_to_all(replicate(logical, 1), 1, COST).volume_bytes == 2**62
+    with pytest.raises(ScheduleError):
+        coordinated_all_to_all(replicate(logical, 2), 2, COST)
+
+
+@pytest.mark.parametrize(
+    "item, match",
+    [
+        (Item(0, 1, 0, 2**62), "18446744073709551616"),  # four make 2**64 bytes
+        (Item(0, 1, 0, 2**63), "rank 0"),  # one item past int64
+        (Item(0, 1, 2**63, 8), "rank 0"),  # token past int64
+        (Item(0, 2**40, 0, 8), "rank 0"),  # dst past any rank
+        (Item(0, 1, 0, np.uint64(2**64 - 1)), "rank 0"),
+    ],
+)
+def test_schedules_reject_sizes_past_int64(item, match):
+    sends = [[item] * 4, []]
+    for run in _all_schedules(sends):
+        with pytest.raises(ScheduleError, match=match):
+            run()
+
+
+@pytest.mark.parametrize("world, per_rank, seed", [(1, 3, 0), (7, 0, 1), (13, 9, 7), (128, 5, 0)])
+def test_synthetic_sends_equals_scalar_draws(world, per_rank, seed):
+    rng = np.random.default_rng(seed)
+    scalar = [
+        [Item(src, int(rng.integers(world)), src * per_rank + n, 64) for n in range(per_rank)]
+        for src in range(world)
+    ]
+    got = synthetic_sends(world, per_rank, nbytes=64, seed=seed)
+    assert got == scalar
+    assert all(type(it.dst) is int for items in got for it in items)
+
+
 @pytest.mark.parametrize(
     "world, per_rank, nbytes",
     [(0, 4, 8), (4, -1, 8), (4, 4, -8), (4, "4", 8), (4, 4, 8.0), (4, True, 8)],
@@ -448,6 +531,14 @@ def test_estimate_mixes_links_per_source():
         for n in (1000, 3000)
     )
     assert estimate_latency(trace, topo) == pytest.approx(expected, rel=1e-12)
+
+
+def test_estimate_rejects_a_trace_wider_than_the_topology():
+    topo = ClusterTopology(nodes=16, gpus_per_node=8)
+    wide = flat_all_to_all(synthetic_sends(256, 1, seed=19), COST)
+    with pytest.raises(ScheduleError, match="256"):
+        estimate_latency(wide, topo)
+    assert estimate_latency(flat_all_to_all(synthetic_sends(128, 1, seed=19), COST), topo) > 0
 
 
 def test_estimate_with_equal_links_is_inter_link_pricing():

@@ -1,13 +1,20 @@
 """Property tests for the all-to-all schedules on random worlds and payloads."""
 
+from collections import defaultdict
 from dataclasses import replace
+from operator import attrgetter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moekit.commsim import (
+    CommEvent,
+    CommTrace,
+    CostModel,
     Item,
+    ReplicaMismatchError,
     ScheduleError,
     coordinated_all_to_all,
     flat_all_to_all,
@@ -144,3 +151,224 @@ def test_schedules_reject_bad_divisors(case, kind):
         hierarchical_all_to_all(sends, bad)
     with pytest.raises(ScheduleError):
         coordinated_all_to_all(_replicate(sends, gpus), bad)
+
+
+# ---------------------------------------------------------------------------
+# the Item-based schedules as the reference for the columnar ones
+# ---------------------------------------------------------------------------
+# The schedules before they ran on numpy columns: every item passes through
+# Python, messages are built per rank with dict buckets and each rank's recv
+# is a stable sort by (src, token). Kept verbatim as the oracle.
+
+
+def _is_int(value) -> bool:
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def oracle_validate(sends, src_of_rank, dst_limit: int) -> int:
+    if not sends:
+        raise ScheduleError("world must have at least one rank")
+    total = 0
+    for rank, items in enumerate(sends):
+        want_src = src_of_rank(rank)
+        for it in items:
+            src, dst, nbytes = it.src, it.dst, it.nbytes
+            if not (type(src) is type(dst) is type(nbytes) is int) and not (
+                _is_int(src) and _is_int(dst) and _is_int(nbytes)
+            ):
+                raise ScheduleError(f"rank {rank}: src, dst and nbytes must be ints on {it}")
+            if src != want_src:
+                raise ScheduleError(f"rank {rank}: item src {src} should be {want_src}")
+            if not (0 <= dst < dst_limit):
+                raise ScheduleError(f"rank {rank}: dst {dst} outside [0, {dst_limit})")
+            if nbytes < 0:
+                raise ScheduleError(f"rank {rank}: negative nbytes on {it}")
+            total += nbytes
+    return total
+
+
+_nbytes = attrgetter("nbytes")
+
+
+def _sorted_recv(items):
+    return tuple(sorted(items, key=attrgetter("src", "token")))
+
+
+def _msg_latency(nbytes, src, dst, cost, reference):
+    if src == dst or reference == 0:
+        return 0.0
+    return cost.c2 * nbytes / reference
+
+
+def oracle_exchange(held, dest, round_of, step, cost, reference, events):
+    messages = {}
+    for s, items in enumerate(held):
+        buckets = defaultdict(list)
+        for it in items:
+            buckets[it.dst].append(it)
+        for dst, bucket in buckets.items():
+            d = dest(s, dst)
+            message = messages.setdefault((round_of(s, d), s, d), bucket)
+            if message is not bucket:
+                message.extend(bucket)
+
+    recv = [[] for _ in held]
+    moved = 0
+    for key in sorted(messages):
+        r, s, d = key
+        payload = messages.pop(key)
+        nbytes = sum(map(_nbytes, payload))
+        moved += nbytes
+        events.append(
+            CommEvent(step + r, "a2a-phase", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
+        )
+        recv[d].extend(payload)
+    return recv, moved
+
+
+def oracle_layout_transform(held, step, events):
+    for s, items in enumerate(held):
+        total = sum(map(_nbytes, items))
+        if total:
+            events.append(CommEvent(step, "layout-transform", s, s, total, 0.0))
+
+
+def oracle_flat(sends, cost):
+    world = len(sends)
+    reference = oracle_validate(sends, lambda r: r, world)
+    events = []
+    recv, volume = oracle_exchange(
+        sends, lambda s, dst: dst, lambda s, d: (d - s) % world, 0, cost, reference, events
+    )
+    return CommTrace(
+        "flat", world, world, 0, volume, volume, reference, cost, tuple(events),
+        tuple(_sorted_recv(r) for r in recv),
+    )
+
+
+def oracle_hierarchical(sends, g, cost):
+    world = len(sends)
+    reference = oracle_validate(sends, lambda r: r, world)
+    events = []
+    oracle_layout_transform(sends, 0, events)
+    held, intra_volume = oracle_exchange(
+        sends, lambda s, dst: (s // g) * g + dst % g, lambda s, d: d % g, 1, cost, reference, events
+    )
+    oracle_layout_transform(held, g + 1, events)
+    recv, inter_volume = oracle_exchange(
+        held, lambda s, dst: (dst // g) * g + s % g, lambda s, d: d // g, g + 2, cost, reference, events
+    )
+    volume = intra_volume + inter_volume
+    return CommTrace(
+        "hierarchical", world, g + world // g, 0, volume, volume, reference, cost, tuple(events),
+        tuple(_sorted_recv(r) for r in recv),
+    )
+
+
+def oracle_coordinated(sends, slice_, cost):
+    world = len(sends)
+    groups = world // slice_
+    total = oracle_validate(sends, lambda r: r // slice_, groups)
+    for r in range(world):
+        base = r - r % slice_
+        if r != base and sends[r] != sends[base]:
+            raise ReplicaMismatchError(f"rank {r} disagrees with rank {base}")
+    reference = total // slice_
+    events = []
+    held, a2a_volume = oracle_exchange(
+        [items[s % slice_::slice_] for s, items in enumerate(sends)],
+        lambda s, dst: dst * slice_ + s % slice_,
+        lambda s, d: (d // slice_ - s // slice_) % groups,
+        0, cost, reference, events,
+    )
+    volume = a2a_volume
+    recv = [list(items) for items in held]
+    for t in range(slice_):
+        for s in range(t, world, slice_):
+            share = held[s]
+            nbytes = sum(map(_nbytes, share))
+            for d in range(s - t, s - t + slice_):
+                if d == s:
+                    continue
+                if nbytes:
+                    volume += nbytes
+                    events.append(
+                        CommEvent(groups + t, "allgather", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
+                    )
+                recv[d].extend(share)
+    return CommTrace(
+        "coordinated", world, groups, slice_, volume, a2a_volume, reference, cost, tuple(events),
+        tuple(_sorted_recv(r) for r in recv),
+    )
+
+
+# numpy integer types an item field may carry besides int
+INT_TYPES = (int, np.int64, np.int32)
+SIZES = (0, 0, 1, 7, 4096)
+
+
+@st.composite
+def oracle_payloads(draw, ranks, ndst):
+    """Per-rank items with duplicate (src, token) pairs, empty ranks, 0-byte
+    items and numpy-integer fields (one type code per item, a digit per field)."""
+    sends = []
+    for src in range(ranks):
+        rows = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, ndst - 1),
+                    st.integers(0, 3),  # few tokens: duplicates are common
+                    st.integers(0, len(SIZES) - 1),
+                    st.integers(0, len(INT_TYPES) ** 4 - 1),
+                ),
+                max_size=8,
+            )
+        )
+        items = []
+        for dst, token, size, code in rows:
+            fields = []
+            for value in (src, dst, token, SIZES[size]):
+                code, digit = divmod(code, len(INT_TYPES))
+                fields.append(INT_TYPES[digit](value))
+            items.append(Item(*fields))
+        sends.append(items)
+    return sends
+
+
+COSTS = st.sampled_from([CostModel(), CostModel(c1=0, c2=1), CostModel(c1=2e-4, c2=3e-3)])
+
+
+def assert_traces_identical(got, want):
+    """Every event field (latency bit for bit), recv item for item by
+    identity, and every volume."""
+    assert len(got.events) == len(want.events)
+    for e, w in zip(got.events, want.events):
+        assert (e.step, e.kind, e.src, e.dst, e.nbytes) == (w.step, w.kind, w.src, w.dst, w.nbytes)
+        assert float(e.latency_s).hex() == float(w.latency_s).hex()
+    assert [list(map(id, r)) for r in got.recv] == [list(map(id, r)) for r in want.recv]
+    for field in ("schedule", "world_size", "a2a_rounds", "allgather_rounds", "cost"):
+        assert getattr(got, field) == getattr(want, field)
+    for field in ("volume_bytes", "a2a_volume_bytes", "reference_bytes"):
+        assert getattr(got, field) == getattr(want, field)
+        assert type(getattr(got, field)) is int
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 5), st.sampled_from([1, 2, 3, 4]), COSTS)
+def test_flat_and_hierarchical_match_the_item_oracle(data, nodes, gpus, cost):
+    world = nodes * gpus
+    sends = data.draw(oracle_payloads(world, world))
+    assert_traces_identical(flat_all_to_all(sends, cost), oracle_flat(sends, cost))
+    assert_traces_identical(
+        hierarchical_all_to_all(sends, gpus, cost), oracle_hierarchical(sends, gpus, cost)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 6), st.sampled_from([1, 2, 3, 4]), COSTS)
+def test_coordinated_matches_the_item_oracle(data, groups, slice_, cost):
+    logical = data.draw(oracle_payloads(groups, groups))
+    sends = _replicate(logical, slice_)
+    assert_traces_identical(
+        coordinated_all_to_all(sends, slice_, cost), oracle_coordinated(sends, slice_, cost)
+    )
