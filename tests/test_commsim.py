@@ -269,7 +269,7 @@ def test_schedules_reject_non_int_tokens(token):
 def test_schedules_accept_numpy_integer_tokens():
     sends = [[Item(0, 1, np.int64(5), 8), Item(0, 0, np.int32(-3), 8)], [Item(1, 0, 2, 8)]]
     for run in _all_schedules(sends):
-        assert [it.token for it in run().recv[0]][:2] == [-3, 2]
+        assert [it.token for it in run().recv[0]] == [-3, 2]
 
 
 def test_coordinated_checks_types_on_equal_replicas():
@@ -291,7 +291,7 @@ def test_byte_counts_stay_exact_up_to_int64():
     flat = flat_all_to_all(big, COST)
     assert flat.volume_bytes == flat.reference_bytes == total
     assert sum(e.nbytes for e in flat.events) == total
-    with pytest.raises(ScheduleError, match="int64|bytes"):
+    with pytest.raises(ScheduleError, match="bytes"):
         hierarchical_all_to_all(big, 1, COST)
     half = [[Item(0, 1, n, 2**60) for n in range(3)] + [Item(0, 0, 3, 2**60 - 1)], []]
     hier = hierarchical_all_to_all(half, 1, COST)

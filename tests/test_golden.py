@@ -36,6 +36,7 @@ CASES = {
     "route-bench": (["route-bench"], None),
     "params": (["params"], None),
     "plan": (["plan", "--preset", "1.3B+MoE-128"], None),
+    "distill": (["distill", "--preset", "1.3B+PR-MoE-64/128"], None),
     "kd-demo": (["kd-demo"], {"options": {"seeds": 2, "steps": 20}}),
 }
 
@@ -48,6 +49,7 @@ GOLDEN = {
     "route-bench": "4b2d69a52127d41a27508f59e66b87cd65713961bea3a50d20891a71665b5c5d",
     "params": "dcc6dd8df2c12c390f9ba9127e11ba03639abd20997749f9343901b3625fe131",
     "plan": "5835e72f88fa40f2f11119aa2e2cb12d1eb26301af3771c6f7c3f241223dac93",
+    "distill": "da42423ffdaedc2b36ebe4dcb98eee25b09949339f51e686832fa66ebac729a0",
     "kd-demo": "7d8b46e0181e6350e2bf08e4cc727cae09aa5dfa2e27d958bbe356ff8dfef886",
 }
 
