@@ -1,7 +1,10 @@
-"""Golden outputs: sha256 of the stdout of fixed small CLI runs.
+"""Golden outputs: sha256 of the stdout of fixed small CLI runs and of the
+routing-stage arrays at one seed.
 
-Each case runs one verb in process on a fixed config and compares the hash
-of everything it printed. A change that moves any output bit (a reordered
+Each CLI case runs one verb in process on a fixed config and compares the
+hash of everything it printed. The routing case hashes the raw bytes of every
+array the four routing stages return, at a size that spans several of their
+row blocks and drops assignments. A change that moves any output bit (a reordered
 float expression, a different event order, another recv order) fails here
 even when every semantic test still passes; such a change says so in
 CHANGES.md and updates the hash in the same commit.
@@ -14,8 +17,10 @@ differently in the last printed digit.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from moekit import gating
 from moekit.cli import main
 
 SMALL_CLUSTER = {"nodes": 4, "gpus_per_node": 4}
@@ -68,3 +73,68 @@ def _stdout_sha256(capsys, tmp_path, argv, config) -> str:
 def test_golden_stdout(name, capsys, tmp_path):
     argv, config = CASES[name]
     assert _stdout_sha256(capsys, tmp_path, argv, config) == GOLDEN[name]
+
+
+# routing at one seed: S tokens of width M on E experts, capacity factor 1.0
+ROUTING_S, ROUTING_E, ROUTING_M = 3000, 64, 128
+
+# k -> array name -> sha256 of its dtype, shape and bytes
+ROUTING_GOLDEN = {
+    1: {
+        "expert_ids": "5d7650543dffb6d0892347a5a5ab1cf168ca8f63aeec50afb6134e1bf05e2dfd",
+        "gate_probs": "772cb67fed54a8be345053d5d6afa2b57248e4731dab89aa362c9342df3d8240",
+        "probs": "79a95b4f33dbb7e088d186b7622d3721f20246bd214949f276093f1574b72b42",
+        "slots": "1ab3c99dbba9da63d700f34042629d99908fe520190bab403a6a1378a207e327",
+        "expert_load": "8d7dad7109d094f8c9e5436e4c9eb109893797a39fd47d27c40acc979277c6a1",
+        "slot_tokens": "47dca1e6e3b0debc8153fc40975b06432c652cde345a5f854f7f8942f2be172b",
+        "scatter": "0cc44c31ffa00ba18ec0028692b7099b98ee6557c0daa8420c5ef8de8383a997",
+        "combine_identity": "9ac24814e31eb8bfa248088631659b166d2c46b28313134c909d0102f923609b",
+        "combine": "0aca7ab912cf55befc7956ecc5444a2badaeae0a08c28b1dfac1675a7762c0e3",
+    },
+    2: {
+        "expert_ids": "9264dc4974d8db45438afc2c581329bff4be132d7ec5f4e1486a457d0b800c68",
+        "gate_probs": "62eba8390dc98c4861a0c51b2c4006f46ef9b119137119cafc8751c098cea3f2",
+        "probs": "79a95b4f33dbb7e088d186b7622d3721f20246bd214949f276093f1574b72b42",
+        "slots": "f9c32b9d004a2af5af174b81dae0c49d428b3c4ee9a022b7123fa9e7d4e26d4e",
+        "expert_load": "f69ef41dda6daf714bf450f3f0550946d4304b2464d88525c491a2e5e99e3950",
+        "slot_tokens": "2e94e0e75235f87ac0f3b6a60d6028c047780e581e7797ee0439436485ccb530",
+        "scatter": "41d5f226e113f871b7ccee7204c3444eb581a23e0b156ea0bc785798456e1972",
+        "combine_identity": "d0ae0a8d318d4609c2c775e2cc5ffd0774d9dcb9ab4e7841f233c47298f7562f",
+        "combine": "28f6fae92725ddab51c3fef43c3985b02a87dea73754b1bb1aab4e575ea443f4",
+    },
+}
+
+
+def _routing_arrays(k: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(8)
+    logits = rng.standard_normal((ROUTING_S, ROUTING_E)) + 0.3 * rng.standard_normal(ROUTING_E)
+    batch = rng.standard_normal((ROUTING_S, ROUTING_M))
+    batch[::11] = -0.0  # signed zeros must come back with their sign bits
+    cfg = gating.GatingConfig(num_experts=ROUTING_E, k=k, capacity_factor=1.0)
+    gate = gating.top_k_gate(logits, cfg)
+    plan = gating.build_dispatch_plan(gate, cfg, ROUTING_S)
+    buffers = gating.scatter_tokens(batch, plan)
+    # experts that also write their unoccupied slots
+    outputs = gating.ExpertBuffers(data=np.sin(buffers.data) * 3.0 + 1.0)
+    return {
+        "expert_ids": gate.expert_ids,
+        "gate_probs": gate.gate_probs,
+        "probs": gate.probs,
+        "slots": plan.slots,
+        "expert_load": plan.expert_load,
+        "slot_tokens": plan.slot_tokens,
+        "scatter": buffers.data,
+        "combine_identity": gating.combine_tokens(buffers, plan),
+        "combine": gating.combine_tokens(outputs, plan),
+    }
+
+
+def _array_sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_golden_routing_arrays(k):
+    arrays = _routing_arrays(k)
+    assert int(arrays["expert_load"].sum()) < ROUTING_S * k  # some assignments drop
+    assert {name: _array_sha256(a) for name, a in arrays.items()} == ROUTING_GOLDEN[k]
