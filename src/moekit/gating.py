@@ -4,20 +4,30 @@ The routing pipeline turns a batch of S token activations into per-expert
 work buffers and back:
 
   1. ``top_k_gate``       - softmax over expert logits, pick k experts/token
-     with one argmax per choice.
+     with one argmax per choice. The returned (S, E) ``probs`` is the only
+     full-size buffer: the logits are copied into it once, the second argmax
+     reads it with the first choice masked to -inf, and the softmax runs in
+     place on it in row blocks.
   2. ``build_dispatch_plan`` - assign each (token, choice) a capacity slot on
      its expert: its rank among that expert's assignments in token-major
      order, from one stable sort by expert id; tokens beyond an expert's
      capacity are dropped (slot = DROPPED). The same sort fills the slot
      table ``slot_tokens``, the one dispatch layout, which ``scatter_tokens``
      and ``arch.forward_layer`` read.
-  3. ``scatter_tokens``   - gather token rows into (E, c, M) expert buffers
-     with one row take of the slot table.
+  3. ``scatter_tokens``   - gather token rows into (E, c, M) expert buffers,
+     one row take of the slot table per expert straight into its buffer;
+     only the slots past the expert's load are zero-filled.
   4. ``combine_tokens``   - return expert outputs to original token order,
-     scaled by the gate probability, with one row take per choice; dropped
-     assignments contribute nothing, so a fully dropped token comes back as
-     the zero row (its residual path elsewhere carries the activation
-     through).
+     scaled by the gate probability, one row block at a time: each block of
+     the output is zeroed, then each choice's rows are taken, scaled and
+     added, so the gathered rows stay in cache and no (S, M) temporary is
+     built. Dropped assignments contribute nothing, so a fully dropped token
+     comes back as the zero row (its residual path elsewhere carries the
+     activation through).
+
+The row blocks are about ``_BLOCK_BYTES`` each, so a block's passes run in
+the per-core cache; every element goes through the same float operations in
+the same order as in one whole-array pass, so the blocking changes no bit.
 
 NaN or inf logits and token rows are rejected with ``NonFiniteError``, a
 ``ShapeError``, instead of being routed.
@@ -61,6 +71,18 @@ __all__ = [
 ]
 
 DROPPED = -1  # slot value for assignments that exceeded expert capacity
+
+# The gate softmax and the combine walk their (S, E) and (S, M) arrays in row
+# blocks of about this many bytes, so each block's passes run in cache. A
+# combine block holds one output block and one block of gathered rows; at
+# M=256 on a core with 2 MiB of L2, 256 KiB blocks beat 64 KiB and 1 MiB ones.
+_BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(num_rows: int, row_bytes: int):
+    """Slices of consecutive rows, about _BLOCK_BYTES each, covering num_rows rows."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return (slice(start, start + step) for start in range(0, num_rows, step))
 
 
 @dataclass(frozen=True)
@@ -163,25 +185,31 @@ def top_k_gate(logits: np.ndarray, cfg: GatingConfig) -> TopKGate:
     E logits evaluated at the selected indices; the top-2 pair is deliberately
     not renormalized. Ties break toward the lower expert index.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ShapeError(f"gate logits must be 2-D, got shape {logits.shape}")
-    if logits.shape[1] != cfg.num_experts:
+    probs = np.array(logits, dtype=np.float64)  # the one (S, E) buffer, softmaxed in place
+    if probs.ndim != 2:
+        raise ShapeError(f"gate logits must be 2-D, got shape {probs.shape}")
+    if probs.shape[1] != cfg.num_experts:
         raise ShapeError(
-            f"gate logits have {logits.shape[1]} columns, config expects {cfg.num_experts}"
+            f"gate logits have {probs.shape[1]} columns, config expects {cfg.num_experts}"
         )
-    if not np.isfinite(logits).all():
+    if not np.isfinite(probs).all():
         raise NonFiniteError("gate logits contain NaN or inf")
+    rows = np.arange(probs.shape[0])
     # argmax returns the first maximum, so equal logits go to the lower index
-    ids = logits.argmax(axis=1, keepdims=True)
+    first = probs.argmax(axis=1)
+    top = probs[rows, first]
     if cfg.k == 2:
-        masked = logits.copy()
-        np.put_along_axis(masked, ids, -np.inf, axis=1)
-        ids = np.hstack([ids, masked.argmax(axis=1, keepdims=True)])
-    probs = logits - np.take_along_axis(logits, ids[:, :1], axis=1)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return TopKGate(expert_ids=ids, gate_probs=np.take_along_axis(probs, ids, axis=1), probs=probs)
+        probs[rows, first] = -np.inf
+        ids = np.stack([first, probs.argmax(axis=1)], axis=1)
+        probs[rows, first] = top
+    else:
+        ids = first[:, None]
+    for b in _row_blocks(probs.shape[0], probs.itemsize * probs.shape[1]):
+        block = probs[b]
+        block -= top[b, None]
+        np.exp(block, out=block)
+        block /= block.sum(axis=1, keepdims=True)
+    return TopKGate(expert_ids=ids, gate_probs=probs[rows[:, None], ids], probs=probs)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +319,11 @@ def scatter_tokens(
         raise ShapeError(f"batch shape {batch.shape} does not match plan S={plan.num_tokens}")
     if not np.isfinite(batch).all():
         raise NonFiniteError("token batch contains NaN or inf")
-    data = batch.take(plan.slot_tokens, axis=0)  # (E, c, M); empty slots read row 0
-    data[np.arange(plan.capacity) >= plan.expert_load[:, None]] = 0.0
+    data = np.empty((plan.num_experts, plan.capacity, batch.shape[1]))
+    for e, load in enumerate(plan.expert_load.tolist()):
+        # slot_tokens holds row numbers below S, so "clip" never clips; it lets take write in place
+        batch.take(plan.slot_tokens[e, :load], axis=0, out=data[e, :load], mode="clip")
+        data[e, load:] = 0.0
     if counter is not None:
         counter.add(plan.num_tokens * plan.capacity * batch.shape[1])
     return ExpertBuffers(data=data)
@@ -319,12 +350,15 @@ def combine_tokens(
     flat = outputs.data.reshape(e_count * cap, m)
     kept = plan.kept_mask()
     idx = np.where(kept, plan.expert_ids * cap + plan.slots, 0)  # dropped ones read row 0
-    combined = np.zeros((plan.num_tokens, m))
-    for j in range(plan.k):
-        t = flat.take(idx[:, j], axis=0)
-        t *= plan.gate_probs[:, j, None]
-        t[~kept[:, j]] = 0.0  # after scaling, so a non-finite row read by a drop adds nothing
-        combined += t
+    combined = np.empty((plan.num_tokens, m))
+    for b in _row_blocks(plan.num_tokens, flat.itemsize * m):
+        out = combined[b]
+        out.fill(0.0)
+        for j in range(plan.k):
+            t = flat.take(idx[b, j], axis=0)
+            t *= plan.gate_probs[b, j, None]
+            t[~kept[b, j]] = 0.0  # after scaling, so a non-finite row read by a drop adds nothing
+            out += t
     if counter is not None:
         counter.add(plan.num_tokens * plan.capacity * m)
     return combined

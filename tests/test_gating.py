@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from moekit import gating
 from moekit.gating import (
     DROPPED,
     DispatchPlan,
@@ -567,5 +568,45 @@ def test_routing_stages_match_earlier_implementations_bitwise(case):
 
     # identity experts, then experts that also write unoccupied slots
     for expert_out in (buffers.data, np.sin(buffers.data) * 3.0 + 1.0):
+        got = combine_tokens(ExpertBuffersLike(expert_out), plan)
+        assert_same_bits(got, add_at_combine(expert_out, plan))
+
+
+# The same comparison at batch sizes around the row blocks of the blocked gate
+# softmax and combine. The expert count and the hidden width are equal, so both
+# stages cut their rows at the same places.
+BLOCK_WIDTH = 128
+BLOCK_ROWS = max(1, gating._BLOCK_BYTES // (8 * BLOCK_WIDTH))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "s", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7]
+)
+def test_routing_stages_match_earlier_implementations_across_row_blocks(s, k):
+    rng = np.random.default_rng([s, k])
+    cfg = GatingConfig(num_experts=BLOCK_WIDTH, k=k, capacity_factor=1.0)
+    logits = rng.standard_normal((s, BLOCK_WIDTH)) + 0.5 * rng.standard_normal(BLOCK_WIDTH)
+    logits[:, 0] = -40.0  # expert 0 stays empty, so the row a dropped assignment reads is unoccupied
+    batch = rng.standard_normal((s, BLOCK_WIDTH))
+    batch[::5] = -0.0
+    batch[rng.random(batch.shape) < 0.05] = -0.0
+
+    gate = top_k_gate(logits, cfg)
+    ids, gate_probs, probs = argsort_gate(logits, cfg)
+    assert_same_bits(gate.expert_ids, ids)
+    assert_same_bits(gate.gate_probs, gate_probs)
+    assert_same_bits(gate.probs, probs)
+
+    plan = build_dispatch_plan(gate, cfg, s)
+    kept = plan.kept_mask()
+    assert kept.any() and not kept.all()
+    buffers = scatter_tokens(batch, plan)
+    data, occupied = zero_fill_scatter(batch, plan)
+    assert_same_bits(buffers.data, data)
+
+    # identity experts, then experts that write inf to every unoccupied slot
+    inf_outside = np.where(occupied[:, :, None], np.sin(buffers.data) * 3.0 + 1.0, np.inf)
+    for expert_out in (buffers.data, inf_outside):
         got = combine_tokens(ExpertBuffersLike(expert_out), plan)
         assert_same_bits(got, add_at_combine(expert_out, plan))
