@@ -21,6 +21,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -562,7 +563,16 @@ def main(argv: list[str] | None = None) -> int:
         model = _build_model(config["model"])
         if args.preset is not None:
             model = _preset_config(args.preset)
-        return fn(args, model, _build_cluster(config["cluster"]), opts)
+        code = fn(args, model, _build_cluster(config["cluster"]), opts)
+        sys.stdout.flush()  # a reader that closed early fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader stopped early (`moekit route-bench | head -1`) and has what it
+        # wanted; send the unwritten rest to devnull so the flush at exit cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

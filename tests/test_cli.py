@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -466,3 +470,21 @@ def test_help_describes_every_verb(capsys):
 
 def test_unknown_verb_exits_nonzero(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_closed_stdout_exits_zero_without_traceback():
+    # `moekit route-bench | head -0`: the reader is gone before the first row is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parents[1] / "src"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "moekit.cli", "route-bench"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
