@@ -587,7 +587,7 @@ def test_routing_stages_match_earlier_implementations_across_row_blocks(s, k):
     rng = np.random.default_rng([s, k])
     cfg = GatingConfig(num_experts=BLOCK_WIDTH, k=k, capacity_factor=1.0)
     logits = rng.standard_normal((s, BLOCK_WIDTH)) + 0.5 * rng.standard_normal(BLOCK_WIDTH)
-    logits[:, 0] = -40.0  # expert 0 stays empty, so the row a dropped assignment reads is unoccupied
+    logits[:, 0] = -40.0  # expert 0 stays empty: the row a dropped assignment reads is unoccupied
     batch = rng.standard_normal((s, BLOCK_WIDTH))
     batch[::5] = -0.0
     batch[rng.random(batch.shape) < 0.05] = -0.0

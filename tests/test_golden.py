@@ -2,12 +2,12 @@
 routing-stage arrays at one seed.
 
 Each CLI case runs one verb in process on a fixed config and compares the
-hash of everything it printed. The routing case hashes the raw bytes of every
-array the four routing stages return, at a size that spans several of their
-row blocks and drops assignments. A change that moves any output bit (a reordered
-float expression, a different event order, another recv order) fails here
-even when every semantic test still passes; such a change says so in
-CHANGES.md and updates the hash in the same commit.
+hash of everything it printed. The routing case hashes the raw bytes of
+every array the four routing stages return, at a size that spans several of
+their row blocks and drops assignments. A change that moves any output bit
+(a reordered float expression, a different event order, another recv order)
+fails here even when every semantic test still passes; such a change says so
+in CHANGES.md and updates the hash in the same commit.
 
 The hashes are tied to the platform they were taken on: numpy 2.4.6 with
 scipy-openblas on x86-64. Another numpy or BLAS may round the float columns
