@@ -127,9 +127,6 @@ class MoeModelConfig:
     def moe_layer_indices(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.layers) if s.kind == "moe")
 
-    def expert_schedule(self) -> tuple[int, ...]:
-        return tuple(s.experts for s in self.layers if s.kind == "moe")
-
 
 @dataclass(frozen=True)
 class ParamCount:
@@ -178,19 +175,13 @@ def build_standard(
     """Uniform expert count on every other feed-forward layer.
 
     Routed layers sit at odd stack positions (1, 3, 5, ...), so an even
-    num_layers L yields L/2 routed layers.
+    num_layers L yields L/2 routed layers. This is ``build_pr_moe`` with a
+    uniform schedule and no residual.
     """
-    if base.num_layers % 2 != 0:
-        raise ValidationError("base stack must have an even layer count")
     if num_experts < 1:
         raise ValidationError("num_experts must be >= 1")
-    layers = tuple(
-        _routed_layer(base, num_experts, False, k, capacity_factor)
-        if i % 2 == 1
-        else LayerSpec(kind="dense", hidden=base.hidden)
-        for i in range(base.num_layers)
-    )
-    return replace(base, layers=layers)
+    schedule = (num_experts,) * (base.num_layers // 2)
+    return build_pr_moe(base, schedule, residual=False, k=k, capacity_factor=capacity_factor)
 
 
 def build_pr_moe(

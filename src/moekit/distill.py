@@ -3,10 +3,10 @@
 Two ideas live here:
 
   * ``derive_student`` shrinks a teacher stack by removing whole blocks.
-    The default policy removes blocks from the shallow end of the stack,
-    starting at the first routed layer, which trims the narrow stages of a
-    pyramid schedule first and always preserves the two deepest routed
-    layers (the widest ones).
+    It removes blocks from the shallow end of the stack, starting at the
+    first routed layer, which trims the narrow stages of a pyramid schedule
+    first and always preserves the two deepest routed layers (the widest
+    ones).
 
   * ``kd_objective`` blends the usual label loss with a teacher-matching
     term:  CE(student, labels) + alpha_eff * KL(teacher || student).
@@ -22,8 +22,7 @@ optimization. It exists so schedule variants can be compared empirically.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +48,6 @@ __all__ = [
     "ToyTrainConfig",
     "StepRecord",
     "train_toy",
-    "write_trajectory_csv",
 ]
 
 
@@ -132,19 +130,13 @@ class StudentPlan:
     removed_layers: tuple[int, ...]  # teacher block indices, ascending
 
 
-def derive_student(
-    teacher: MoeModelConfig,
-    target_depth: int,
-    removal_policy: str | tuple[int, ...] = "shallow-routed-first",
-) -> StudentPlan:
+def derive_student(teacher: MoeModelConfig, target_depth: int) -> StudentPlan:
     """Drop whole blocks from the teacher stack until target_depth remains.
 
-    Policies:
-      * "shallow-routed-first" (default): remove consecutive blocks starting
-        at the first routed layer (index 1), so the shallowest routed layers
-        and their dense neighbours go first. The two deepest routed layers
-        are never eligible.
-      * an explicit tuple of block indices to remove.
+    Blocks are removed in stack order from the first routed layer (index 1),
+    skipping the two deepest routed layers, so the shallowest routed layers
+    and their dense neighbours go first. A target depth that would need a
+    skipped layer removed raises ValidationError.
     """
     depth = teacher.num_layers
     if not (0 < target_depth < depth):
@@ -152,24 +144,11 @@ def derive_student(
             f"target depth {target_depth} must be positive and below teacher depth {depth}"
         )
     removal = depth - target_depth
-
-    if isinstance(removal_policy, tuple):
-        removed = tuple(sorted(removal_policy))
-        if len(removed) != removal or len(set(removed)) != removal:
-            raise ValidationError(
-                f"explicit removal set needs {removal} distinct indices, got {removed}"
-            )
-        if any(i < 0 or i >= depth for i in removed):
-            raise ValidationError("removal index out of range")
-    elif removal_policy == "shallow-routed-first":
-        moe_idx = teacher.moe_layer_indices
-        protected = set(moe_idx[-2:])  # keep the widest (deepest) routed layers
-        candidates = [i for i in range(1, depth) if i not in protected]
-        if removal > len(candidates):
-            raise ValidationError("target depth removes protected layers")
-        removed = tuple(candidates[:removal])
-    else:
-        raise ValidationError(f"unknown removal policy {removal_policy!r}")
+    protected = set(teacher.moe_layer_indices[-2:])  # keep the widest (deepest) routed layers
+    candidates = [i for i in range(1, depth) if i not in protected]
+    if removal > len(candidates):
+        raise ValidationError("target depth removes protected layers")
+    removed = tuple(candidates[:removal])
 
     kept = tuple(spec for i, spec in enumerate(teacher.layers) if i not in set(removed))
     student = replace(teacher, num_layers=len(kept), layers=kept)
@@ -230,24 +209,21 @@ class ToyModel:
         hidden: int,
         vocab: int,
         experts: int = 4,
-        depth: int = 1,
         seed: int = 0,
-        k: int = 1,
         capacity_factor: float = 2.0,
     ) -> "ToyModel":
+        """One top-1 routed layer plus the head (``specs`` and ``layer_params``
+        hold one entry each; ``logits`` walks them as a stack)."""
         rng = np.random.default_rng(seed)
-        specs = tuple(
-            LayerSpec(
-                kind="moe",
-                hidden=hidden,
-                experts=experts,
-                gating=GatingConfig(num_experts=experts, k=k, capacity_factor=capacity_factor),
-            )
-            for _ in range(depth)
+        spec = LayerSpec(
+            kind="moe",
+            hidden=hidden,
+            experts=experts,
+            gating=GatingConfig(num_experts=experts, k=1, capacity_factor=capacity_factor),
         )
-        params = [init_layer_params(s, rng, scale=0.3) for s in specs]
+        params = [init_layer_params(spec, rng, scale=0.3)]
         head = Tensor(rng.standard_normal((hidden, vocab)) * 0.3)
-        return cls(specs=specs, layer_params=params, head=head)
+        return cls(specs=(spec,), layer_params=params, head=head)
 
     def leaves(self) -> list[Tensor]:
         out: list[Tensor] = []
@@ -338,11 +314,3 @@ def train_toy(
             StepRecord(step=step, ce=ce_val, kd=kd_val, total=total, heldout_ce=heldout)
         )
     return KDTrainResult(records=records)
-
-
-def write_trajectory_csv(records: list[StepRecord], fileobj) -> None:
-    """Emit the loss trajectory as CSV columns (step, ce, kd, total)."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["step", "ce", "kd", "total"])
-    for r in records:
-        writer.writerow([r.step, f"{r.ce:.10g}", f"{r.kd:.10g}", f"{r.total:.10g}"])

@@ -192,8 +192,6 @@ def top_k_gate(logits: np.ndarray, cfg: GatingConfig) -> TopKGate:
         raise ShapeError(
             f"gate logits have {probs.shape[1]} columns, config expects {cfg.num_experts}"
         )
-    if not np.isfinite(probs).all():
-        raise NonFiniteError("gate logits contain NaN or inf")
     rows = np.arange(probs.shape[0])
     # argmax returns the first maximum, so equal logits go to the lower index
     first = probs.argmax(axis=1)
@@ -206,6 +204,10 @@ def top_k_gate(logits: np.ndarray, cfg: GatingConfig) -> TopKGate:
         ids = first[:, None]
     for b in _row_blocks(probs.shape[0], probs.itemsize * probs.shape[1]):
         block = probs[b]
+        # checked per block, so no (S, E) mask is built; the argmaxes above
+        # read non-finite entries without error or warning
+        if not np.isfinite(block).all():
+            raise NonFiniteError("gate logits contain NaN or inf")
         block -= top[b, None]
         np.exp(block, out=block)
         block /= block.sum(axis=1, keepdims=True)

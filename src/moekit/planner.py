@@ -19,7 +19,6 @@ turns a plan into a per-device weight footprint.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 from .arch import MoeModelConfig, count_params, count_params_per_layer
@@ -111,65 +110,11 @@ class ParallelPlan:
     tensor_slice: int
     placements: tuple[LayerPlacement, ...]
 
-    @property
-    def data_parallel(self) -> int:
-        """Replication degree of the non-expert weights."""
-        return self.world_size // self.tensor_slice
-
     def placement_for(self, layer_index: int) -> LayerPlacement:
         for p in self.placements:
             if p.layer_index == layer_index:
                 return p
         raise PlanError(f"no placement for layer {layer_index}")
-
-    def to_dict(self) -> dict:
-        return {
-            "world_size": self.world_size,
-            "gpus_per_node": self.gpus_per_node,
-            "tensor_slice": self.tensor_slice,
-            "placements": [
-                {
-                    "layer_index": p.layer_index,
-                    "num_experts": p.num_experts,
-                    "ep_degree": p.ep_degree,
-                    "expert_dp": p.expert_dp,
-                    "expert_slice": p.expert_slice,
-                }
-                for p in self.placements
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ParallelPlan":
-        """Inverse of ``to_dict``; raises PlanError on a malformed field."""
-        sizes = ("world_size", "gpus_per_node", "tensor_slice")
-        _check_keys(data, {*sizes, "placements"}, set(), "plan")
-        if not isinstance(data["placements"], list):
-            raise PlanError(f"plan placements must be a list, got {data['placements']!r}")
-        required = {"layer_index", "num_experts", "ep_degree", "expert_dp"}
-        placements = []
-        for entry in data["placements"]:
-            _check_keys(entry, required, {"expert_slice"}, "placement")
-            placements.append(LayerPlacement(**{k: _int(entry, k, "placement") for k in entry}))
-        return cls(**{k: _int(data, k, "plan") for k in sizes}, placements=tuple(placements))
-
-
-def _check_keys(entry, required: set[str], optional: set[str], where: str) -> None:
-    if not isinstance(entry, dict):
-        raise PlanError(f"{where} must be an object, got {entry!r}")
-    unknown = set(entry) - required - optional
-    if unknown:
-        raise PlanError(f"unknown {where} keys: {sorted(unknown)}")
-    missing = required - set(entry)
-    if missing:
-        raise PlanError(f"missing {where} keys: {sorted(missing)}")
-
-
-def _int(entry: dict, key: str, where: str) -> int:
-    value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise PlanError(f"{where} {key} must be an int, got {value!r}")
-    return value
 
 
 def plan(

@@ -1,9 +1,9 @@
 """Named model configurations mirroring the published GPT-family sizes.
 
-Each preset bundles a model description with its customary tensor-slicing
-degree so planning and simulation commands can run without extra flags.
-Expert variants put experts on every other feed-forward layer; pyramid
-variants use more experts in the two deepest routed layers.
+Each preset names a model description that the CLI's ``model.preset`` key
+and the accounting tests look up. Expert variants put experts on every other
+feed-forward layer; pyramid variants use more experts in the two deepest
+routed layers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = ["ModelPreset", "PRESETS", "get_preset", "preset_names"]
 @dataclass(frozen=True)
 class ModelPreset:
     config: MoeModelConfig
-    tensor_slice: int = 1
 
 
 def _pyramid(schedule_low: int, schedule_high: int, routed: int) -> tuple[int, ...]:
@@ -34,7 +33,7 @@ def _build() -> dict[str, ModelPreset]:
     presets: dict[str, ModelPreset] = {
         "dense-350M": ModelPreset(d350),
         "dense-1.3B": ModelPreset(d1_3),
-        "dense-6.7B": ModelPreset(d6_7, tensor_slice=8),
+        "dense-6.7B": ModelPreset(d6_7),
         "350M+MoE-128": ModelPreset(build_standard(d350, 128)),
         "1.3B+MoE-128": ModelPreset(build_standard(d1_3, 128)),
         "350M+PR-MoE-32/64": ModelPreset(build_pr_moe(d350, _pyramid(32, 64, 12))),
@@ -46,16 +45,13 @@ def _build() -> dict[str, ModelPreset]:
         build_standard(dense_config(num_layers=16, hidden=3584, heads=28), 128)
     )
     presets["8B+MoE-128"] = ModelPreset(
-        build_standard(dense_config(num_layers=30, hidden=4096, heads=32), 128),
-        tensor_slice=4,
+        build_standard(dense_config(num_layers=30, hidden=4096, heads=32), 128)
     )
     presets["24B+MoE-128"] = ModelPreset(
-        build_standard(dense_config(num_layers=40, hidden=8192, heads=64), 128),
-        tensor_slice=8,
+        build_standard(dense_config(num_layers=40, hidden=8192, heads=64), 128)
     )
     presets["47B+MoE-128"] = ModelPreset(
-        build_standard(dense_config(num_layers=58, hidden=8192, heads=64), 128),
-        tensor_slice=8,
+        build_standard(dense_config(num_layers=58, hidden=8192, heads=64), 128)
     )
     return presets
 

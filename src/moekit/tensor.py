@@ -42,8 +42,6 @@ __all__ = [
     "take_elems",
     "gather_rows",
     "scatter_rows",
-    "sum_all",
-    "mean_all",
     "cross_entropy",
     "kl_divergence",
     "reset_grads",
@@ -156,8 +154,8 @@ def reset_grads(tensors: Sequence[Tensor]) -> None:
         t.grad = None
 
 
-def _as_tensor(x, tape: GradTape | None = None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64), tape)
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _tape_of(*tensors: Tensor) -> GradTape | None:
@@ -362,26 +360,6 @@ def scatter_rows(src: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
     out = Tensor._wrap(acc, src.tape)
     if src.tape is not None:
         src.tape.record(out, (src,), lambda g: (g[rows],))
-    return out
-
-
-def sum_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor._wrap(np.array([[a.value.sum()]]), a.tape)
-    if a.tape is not None:
-        shape = a.shape
-        a.tape.record(out, (a,), lambda g: (np.full(shape, g[0, 0]),))
-    return out
-
-
-def mean_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.value.size == 0:
-        raise ShapeError("mean_all of an empty tensor")
-    out = Tensor._wrap(np.array([[a.value.mean()]]), a.tape)
-    if a.tape is not None:
-        shape, n = a.shape, a.value.size
-        a.tape.record(out, (a,), lambda g: (np.full(shape, g[0, 0] / n),))
     return out
 
 

@@ -1,7 +1,5 @@
 """Tests for student derivation and the staged distillation objective."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from moekit.distill import (
     derive_student,
     kd_objective,
     train_toy,
-    write_trajectory_csv,
 )
 from moekit.presets import get_preset
 from moekit.tensor import GradTape, Tensor
@@ -100,24 +97,6 @@ def test_protected_layers_block_extreme_shrink():
         derive_student(teacher, 2)
 
 
-def test_explicit_removal_matches_default():
-    teacher = get_preset("350M+PR-MoE-32/64").config
-    by_policy = derive_student(teacher, 21)
-    by_tuple = derive_student(teacher, 21, removal_policy=(1, 2, 3))
-    assert by_tuple.student == by_policy.student
-    assert by_tuple.removed_layers == (1, 2, 3)
-
-
-def test_explicit_removal_validation():
-    teacher = get_preset("350M+PR-MoE-32/64").config
-    with pytest.raises(ValidationError):
-        derive_student(teacher, 21, removal_policy=(1, 2))  # wrong count
-    with pytest.raises(ValidationError):
-        derive_student(teacher, 21, removal_policy=(1, 1, 2))  # duplicate
-    with pytest.raises(ValidationError):
-        derive_student(teacher, 21, removal_policy=(1, 2, 99))  # out of range
-
-
 def test_target_depth_bounds():
     teacher = get_preset("350M+PR-MoE-32/64").config
     with pytest.raises(ValidationError):
@@ -126,12 +105,6 @@ def test_target_depth_bounds():
         derive_student(teacher, 24)
     with pytest.raises(ValidationError):
         derive_student(teacher, 30)
-
-
-def test_unknown_policy_rejected():
-    teacher = get_preset("350M+PR-MoE-32/64").config
-    with pytest.raises(ValidationError):
-        derive_student(teacher, 21, removal_policy="deepest-first")
 
 
 def test_student_keeps_teacher_dims():
@@ -392,18 +365,6 @@ def test_non_finite_teacher_logits_raise_with_step():
 def test_train_config_needs_a_step():
     with pytest.raises(ValidationError, match="steps"):
         ToyTrainConfig(kd=KDConfig(), steps=0)
-
-
-def test_trajectory_csv_round_trip():
-    res = _toy_run(4, boundary=5, steps=12)
-    buf = io.StringIO()
-    write_trajectory_csv(res.records, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "step,ce,kd,total"
-    assert len(lines) == 13
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[3]) == pytest.approx(res.records[0].total, rel=1e-9)
 
 
 def test_staged_schedule_beats_constant_blend(kd_final_ces):

@@ -117,6 +117,12 @@ class TestTopKGate:
         logits[2, 1] = bad
         with pytest.raises(ShapeError):
             top_k_gate(logits, GatingConfig(num_experts=3, k=2))
+        # several row blocks (512 rows each at E=64), the bad entry in the last one
+        logits = np.zeros((3000, 64))
+        logits[-1, 7] = bad
+        for k in (1, 2):
+            with pytest.raises(NonFiniteError, match="gate logits contain NaN or inf"):
+                top_k_gate(logits, GatingConfig(num_experts=64, k=k))
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

@@ -81,7 +81,6 @@ def test_throughput_mode_replicates_when_world_exceeds_experts():
 def test_dense_model_plans_with_no_placements():
     built = plan(dense_config(24, 2048, 16), CLUSTER_128, tensor_slice=8)
     assert built.placements == ()
-    assert built.data_parallel == 16
 
 
 # ---------------------------------------------------------------------------
@@ -196,80 +195,6 @@ def test_expert_block_is_contiguous():
     assert [b[0] for b in blocks] == list(range(0, 128, 4))
     with pytest.raises(PlanError):
         p.expert_block(32)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_plan_round_trips_through_dict():
-    built = plan(_moe_cfg(64), CLUSTER_128, tensor_slice=4)
-    again = ParallelPlan.from_dict(built.to_dict())
-    assert again == built
-
-
-def test_from_dict_rejects_unknown_keys():
-    data = plan(_moe_cfg(64), CLUSTER_128).to_dict()
-    data["pipeline"] = 2
-    with pytest.raises(PlanError, match="unknown plan keys"):
-        ParallelPlan.from_dict(data)
-    data.pop("pipeline")
-    data["placements"][0]["colour"] = "red"
-    with pytest.raises(PlanError, match="unknown placement keys"):
-        ParallelPlan.from_dict(data)
-
-
-def test_from_dict_rejects_missing_keys():
-    data = plan(_moe_cfg(64), CLUSTER_128).to_dict()
-    data.pop("tensor_slice")
-    with pytest.raises(PlanError, match="missing plan keys"):
-        ParallelPlan.from_dict(data)
-
-
-def _corrupt_plan_dict(where, key, value):
-    data = plan(_moe_cfg(64), CLUSTER_128).to_dict()
-    target = data if where == "plan" else data["placements"][0]
-    if value is None:
-        del target[key]
-    else:
-        target[key] = value
-    return data
-
-
-@pytest.mark.parametrize(
-    "where, key, value, message",
-    [
-        ("placement", "num_experts", None, "missing placement keys"),
-        ("placement", "ep_degree", None, "missing placement keys"),
-        ("placement", "expert_dp", None, "missing placement keys"),
-        ("placement", "ep_degree", "8", "placement ep_degree must be an int"),
-        ("placement", "expert_slice", 1.0, "placement expert_slice must be an int"),
-        ("placement", "layer_index", True, "placement layer_index must be an int"),
-        ("plan", "world_size", "8", "plan world_size must be an int"),
-        ("plan", "tensor_slice", False, "plan tensor_slice must be an int"),
-        ("plan", "placements", {"layer_index": 1}, "placements must be a list"),
-    ],
-)
-def test_from_dict_rejects_malformed_fields(where, key, value, message):
-    with pytest.raises(PlanError, match=message):
-        ParallelPlan.from_dict(_corrupt_plan_dict(where, key, value))
-
-
-def test_from_dict_rejects_non_object_entries():
-    data = plan(_moe_cfg(64), CLUSTER_128).to_dict()
-    data["placements"][0] = [1, 64, 64, 2, 1]
-    with pytest.raises(PlanError, match="placement must be an object"):
-        ParallelPlan.from_dict(data)
-    with pytest.raises(PlanError, match="plan must be an object"):
-        ParallelPlan.from_dict([data])
-
-
-def test_from_dict_expert_slice_is_optional():
-    data = plan(_moe_cfg(64), CLUSTER_128).to_dict()
-    for entry in data["placements"]:
-        del entry["expert_slice"]
-    assert ParallelPlan.from_dict(data) == plan(_moe_cfg(64), CLUSTER_128)
 
 
 # ---------------------------------------------------------------------------
