@@ -29,6 +29,16 @@ The row blocks are about ``_BLOCK_BYTES`` each, so a block's passes run in
 the per-core cache; every element goes through the same float operations in
 the same order as in one whole-array pass, so the blocking changes no bit.
 
+The gate, the scatter and the combine split a large call into one part per
+usable CPU (``os.sched_getaffinity``), run on a thread pool private to this
+module: the gate and the combine into contiguous row ranges cut at row-block
+boundaries, the scatter into row ranges for its finiteness check and expert
+ranges of about equal kept load for its fill. A call splits only when every
+part gets at least ``_MIN_PART_BYTES`` (2 MiB) of the stage's array, so small
+batches run on the calling thread and never create the pool. A part does the
+same float operations as the whole-array pass, so the outputs are bitwise
+equal to one worker's. ``build_dispatch_plan`` (one stable sort) stays serial.
+
 NaN or inf logits and token rows are rejected with ``NonFiniteError``, a
 ``ShapeError``, instead of being routed.
 
@@ -47,6 +57,8 @@ per transform. The ratio of the two is the expert count E.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +95,56 @@ def _row_blocks(num_rows: int, row_bytes: int):
     """Slices of consecutive rows, about _BLOCK_BYTES each, covering num_rows rows."""
     step = max(1, _BLOCK_BYTES // row_bytes)
     return (slice(start, start + step) for start in range(0, num_rows, step))
+
+
+# The gate, the scatter and the combine split a large call into one part per
+# usable CPU. A part must hold at least _MIN_PART_BYTES of the stage's array:
+# on a 2-CPU VM, handing a smaller part to a pool thread saved less than it
+# cost. So the small batches of training and of the exchange set-up stay on
+# the calling thread and never create the pool.
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
+_MIN_PART_BYTES = 1 << 21
+# The scatter makes two numpy calls per expert, and between them its parts
+# trade the interpreter lock. Below about this many bytes of slots per expert
+# the trading cost more than the second thread saved, so the scatter also
+# needs it to split.
+_MIN_EXPERT_BYTES = 1 << 17
+
+
+@functools.cache
+def _pool():
+    """The threads that run every part but the first, made on the first split call."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="moekit-gating")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads, so it makes its own pool
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _row_ranges(num_rows: int, parts: int) -> list[slice]:
+    """parts contiguous ranges of about equal length covering num_rows rows."""
+    cuts = [num_rows * i // parts for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_parts(fn, parts: list, *args) -> list:
+    """fn(*args, part) for every part, the first on this thread and the rest on
+    the pool. Waits for every part, then returns their results in order or
+    raises a part's exception. Worker code calls no public moekit function,
+    because a tracer that wraps those functions keeps one span stack for the
+    whole process."""
+    futures = [_pool().submit(fn, *args, part) for part in parts[1:]]
+    try:
+        first = fn(*args, parts[0])
+    finally:
+        rest = [future.result() for future in futures]
+    return [first, *rest]
 
 
 @dataclass(frozen=True)
@@ -185,25 +247,49 @@ def top_k_gate(logits: np.ndarray, cfg: GatingConfig) -> TopKGate:
     E logits evaluated at the selected indices; the top-2 pair is deliberately
     not renormalized. Ties break toward the lower expert index.
     """
-    probs = np.array(logits, dtype=np.float64)  # the one (S, E) buffer, softmaxed in place
-    if probs.ndim != 2:
-        raise ShapeError(f"gate logits must be 2-D, got shape {probs.shape}")
-    if probs.shape[1] != cfg.num_experts:
-        raise ShapeError(
-            f"gate logits have {probs.shape[1]} columns, config expects {cfg.num_experts}"
-        )
-    rows = np.arange(probs.shape[0])
+    logits = np.asarray(logits)
+    if logits.ndim != 2:
+        raise ShapeError(f"gate logits must be 2-D, got shape {logits.shape}")
+    num_tokens, width = logits.shape
+    if width != cfg.num_experts:
+        raise ShapeError(f"gate logits have {width} columns, config expects {cfg.num_experts}")
+    parts = min(_WORKERS, 8 * num_tokens * width // _MIN_PART_BYTES)
+    if parts < 2:
+        probs = np.array(logits, dtype=np.float64)  # the one (S, E) buffer, softmaxed in place
+        ids, gate_probs = _gate_rows(probs, cfg.k)
+    else:
+        probs = np.empty((num_tokens, width))
+        ranges = _row_ranges(num_tokens, parts)
+        done = _run_parts(_gate_part, ranges, logits, probs, cfg.k)
+        ids = np.concatenate([part_ids for part_ids, _ in done])
+        gate_probs = np.concatenate([part_probs for _, part_probs in done])
+    return TopKGate(expert_ids=ids, gate_probs=gate_probs, probs=probs)
+
+
+def _gate_part(logits, probs, k: int, r: slice):
+    """Copy logits rows r into probs, then gate them in place."""
+    p = probs[r]
+    p[...] = logits[r]
+    return _gate_rows(p, k)
+
+
+def _gate_rows(p: np.ndarray, k: int):
+    """Gate the float64 logits rows p in place: argmaxes, finiteness check and
+    blocked softmax. Returns the rows' expert ids and gate probabilities."""
+    rows = np.arange(p.shape[0])
     # argmax returns the first maximum, so equal logits go to the lower index
-    first = probs.argmax(axis=1)
-    top = probs[rows, first]
-    if cfg.k == 2:
-        probs[rows, first] = -np.inf
-        ids = np.stack([first, probs.argmax(axis=1)], axis=1)
-        probs[rows, first] = top
+    first = p.argmax(axis=1)
+    top = p[rows, first]
+    if k == 2:
+        ids = np.empty((p.shape[0], 2), dtype=first.dtype)
+        ids[:, 0] = first
+        p[rows, first] = -np.inf
+        ids[:, 1] = p.argmax(axis=1)
+        p[rows, first] = top
     else:
         ids = first[:, None]
-    for b in _row_blocks(probs.shape[0], probs.itemsize * probs.shape[1]):
-        block = probs[b]
+    for b in _row_blocks(p.shape[0], p.itemsize * p.shape[1]):
+        block = p[b]
         # checked per block, so no (S, E) mask is built; the argmaxes above
         # read non-finite entries without error or warning
         if not np.isfinite(block).all():
@@ -211,7 +297,7 @@ def top_k_gate(logits: np.ndarray, cfg: GatingConfig) -> TopKGate:
         block -= top[b, None]
         np.exp(block, out=block)
         block /= block.sum(axis=1, keepdims=True)
-    return TopKGate(expert_ids=ids, gate_probs=probs[rows[:, None], ids], probs=probs)
+    return ids, p[rows[:, None], ids]
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +405,36 @@ def scatter_tokens(
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[0] != plan.num_tokens:
         raise ShapeError(f"batch shape {batch.shape} does not match plan S={plan.num_tokens}")
-    if not np.isfinite(batch).all():
-        raise NonFiniteError("token batch contains NaN or inf")
     data = np.empty((plan.num_experts, plan.capacity, batch.shape[1]))
-    for e, load in enumerate(plan.expert_load.tolist()):
-        # slot_tokens holds row numbers below S, so "clip" never clips; it lets take write in place
-        batch.take(plan.slot_tokens[e, :load], axis=0, out=data[e, :load], mode="clip")
-        data[e, load:] = 0.0
+    if data[0].nbytes < _MIN_EXPERT_BYTES:
+        parts = 1
+    else:
+        parts = max(1, min(_WORKERS, data.nbytes // _MIN_PART_BYTES))
+    # hot experts take more rows, so the experts are cut at even shares of the kept load
+    cum = np.cumsum(plan.expert_load)
+    shares = np.searchsorted(cum, cum[-1] * np.arange(1, parts) / parts) + 1
+    cuts = [0, *shares.tolist(), plan.num_experts]
+    experts = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    ranges = list(zip(_row_ranges(plan.num_tokens, parts), experts))
+    _run_parts(_scatter_part, ranges, batch, plan.slot_tokens, plan.expert_load.tolist(), data)
     if counter is not None:
         counter.add(plan.num_tokens * plan.capacity * batch.shape[1])
     return ExpertBuffers(data=data)
+
+
+def _scatter_part(batch, slot_tokens, loads, data, part: tuple[slice, range]) -> None:
+    """scatter_tokens' finiteness check on one row range and fill of one expert range."""
+    r, experts = part
+    rows = batch[r]
+    for b in _row_blocks(rows.shape[0], rows.itemsize * rows.shape[1]):
+        # checked per block, so no (S, M) mask is built
+        if not np.isfinite(rows[b]).all():
+            raise NonFiniteError("token batch contains NaN or inf")
+    for e in experts:
+        load = loads[e]
+        # slot_tokens holds row numbers below S, so "clip" never clips; it lets take write in place
+        batch.take(slot_tokens[e, :load], axis=0, out=data[e, :load], mode="clip")
+        data[e, load:] = 0.0
 
 
 def combine_tokens(
@@ -350,20 +456,29 @@ def combine_tokens(
             f"(E={plan.num_experts}, c={plan.capacity})"
         )
     flat = outputs.data.reshape(e_count * cap, m)
-    kept = plan.kept_mask()
-    idx = np.where(kept, plan.expert_ids * cap + plan.slots, 0)  # dropped ones read row 0
     combined = np.empty((plan.num_tokens, m))
-    for b in _row_blocks(plan.num_tokens, flat.itemsize * m):
-        out = combined[b]
-        out.fill(0.0)
-        for j in range(plan.k):
-            t = flat.take(idx[b, j], axis=0)
-            t *= plan.gate_probs[b, j, None]
-            t[~kept[b, j]] = 0.0  # after scaling, so a non-finite row read by a drop adds nothing
-            out += t
+    parts = max(1, min(_WORKERS, combined.nbytes // _MIN_PART_BYTES))
+    ranges = _row_ranges(plan.num_tokens, parts)
+    _run_parts(_combine_rows, ranges, flat, plan, combined)
     if counter is not None:
         counter.add(plan.num_tokens * plan.capacity * m)
     return combined
+
+
+def _combine_rows(flat, plan: DispatchPlan, combined, r: slice) -> None:
+    """combine_tokens on output rows r, one row block at a time."""
+    slots = plan.slots[r]
+    kept = slots != DROPPED
+    idx = np.where(kept, plan.expert_ids[r] * plan.capacity + slots, 0)  # dropped ones read row 0
+    gate_probs = plan.gate_probs[r]
+    for b in _row_blocks(slots.shape[0], combined.itemsize * combined.shape[1]):
+        out = combined[r][b]
+        out.fill(0.0)
+        for j in range(plan.k):
+            t = flat.take(idx[b, j], axis=0)
+            t *= gate_probs[b, j, None]
+            t[~kept[b, j]] = 0.0  # after scaling, so a non-finite row read by a drop adds nothing
+            out += t
 
 
 # ---------------------------------------------------------------------------

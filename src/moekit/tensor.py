@@ -32,7 +32,6 @@ __all__ = [
     "NonFiniteError",
     "GradTape",
     "Tensor",
-    "softmax",
     "matmul",
     "add",
     "mul",
@@ -259,16 +258,6 @@ def gelu(a: Tensor) -> Tensor:
     if a.tape is not None:
         a.tape.record(out, (a,), lambda g: (g * d,))
     return out
-
-
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a 1-D vector (max subtraction)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"softmax needs a non-empty 1-D vector, got shape {v.shape}")
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()
 
 
 def _row_softmax_value(x: np.ndarray) -> np.ndarray:

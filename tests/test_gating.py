@@ -14,6 +14,11 @@ Oracles used here:
 
 from __future__ import annotations
 
+import multiprocessing
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +40,12 @@ from moekit.gating import (
     sparse_dispatch_oracle,
     top_k_gate,
 )
-from moekit.tensor import ShapeError, softmax
+from moekit.tensor import ShapeError
+
+
+def reference_softmax(v: np.ndarray) -> np.ndarray:
+    e = np.exp(v - v.max())
+    return e / e.sum()
 
 
 def sequential_exclusive_scan(values: np.ndarray) -> np.ndarray:
@@ -77,7 +87,7 @@ class TestTopKGate:
         logits = np.array([[1.0, 3.0, 2.0]])
         gate = top_k_gate(logits, cfg)
         assert gate.expert_ids[0, 0] == 1
-        assert abs(gate.gate_probs[0, 0] - softmax(logits[0])[1]) <= 1e-15
+        assert abs(gate.gate_probs[0, 0] - reference_softmax(logits[0])[1]) <= 1e-15
 
     def test_top2_descending_order(self):
         cfg = GatingConfig(num_experts=3, k=2)
@@ -96,7 +106,7 @@ class TestTopKGate:
         cfg = GatingConfig(num_experts=4, k=2)
         logits = np.array([[0.4, 2.0, -1.0, 1.5]])
         gate = top_k_gate(logits, cfg)
-        full = softmax(logits[0])
+        full = reference_softmax(logits[0])
         assert np.allclose(gate.gate_probs[0], [full[1], full[3]], atol=1e-15)
         assert gate.gate_probs[0].sum() < 1.0  # mass on unselected experts remains
 
@@ -616,3 +626,112 @@ def test_routing_stages_match_earlier_implementations_across_row_blocks(s, k):
     for expert_out in (buffers.data, inf_outside):
         got = combine_tokens(ExpertBuffersLike(expert_out), plan)
         assert_same_bits(got, add_at_combine(expert_out, plan))
+
+
+# ---------------------------------------------------------------------------
+# large calls split across worker threads
+# ---------------------------------------------------------------------------
+
+# Every stage's array is over 2 * gating._MIN_PART_BYTES and an expert's slots
+# over gating._MIN_EXPERT_BYTES, so with two or more workers the gate, the
+# scatter and the combine all split.
+SPLIT_S, SPLIT_E, SPLIT_M = 20000, 64, 64
+
+
+def split_inputs(k: int):
+    rng = np.random.default_rng([20, k])
+    logits = rng.standard_normal((SPLIT_S, SPLIT_E)) + 0.3 * rng.standard_normal(SPLIT_E)
+    batch = rng.standard_normal((SPLIT_S, SPLIT_M))
+    batch[::7] = -0.0
+    return logits, batch, GatingConfig(num_experts=SPLIT_E, k=k, capacity_factor=1.0)
+
+
+def route_split_batch(k: int) -> dict[str, np.ndarray]:
+    logits, batch, cfg = split_inputs(k)
+    gate = top_k_gate(logits, cfg)
+    plan = build_dispatch_plan(gate, cfg, SPLIT_S)
+    buffers = scatter_tokens(batch, plan)
+    return {
+        "expert_ids": gate.expert_ids,
+        "gate_probs": gate.gate_probs,
+        "probs": gate.probs,
+        "slots": plan.slots,
+        "slot_tokens": plan.slot_tokens,
+        "expert_load": plan.expert_load,
+        "scatter": buffers.data,
+        "combine_identity": combine_tokens(buffers, plan),
+        "combine": combine_tokens(ExpertBuffersLike(np.sin(buffers.data) * 3.0 + 1.0), plan),
+    }
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_split_stages_bitwise_equal_one_worker(k, workers, monkeypatch):
+    split_calls = []
+    run_parts = gating._run_parts
+
+    def counting_run_parts(fn, parts, *args):
+        split_calls.append((fn.__name__, len(parts)))
+        return run_parts(fn, parts, *args)
+
+    monkeypatch.setattr(gating, "_run_parts", counting_run_parts)
+    monkeypatch.setattr(gating, "_WORKERS", 1)
+    one = route_split_batch(k)
+    assert split_calls == [("_scatter_part", 1), ("_combine_rows", 1), ("_combine_rows", 1)]
+    assert 0 < int(one["expert_load"].sum()) < SPLIT_S * k  # some assignments drop
+
+    split_calls.clear()
+    monkeypatch.setattr(gating, "_WORKERS", workers)
+    split = route_split_batch(k)
+    stages = ["_gate_part", "_scatter_part", "_combine_rows", "_combine_rows"]
+    assert split_calls == [(stage, workers) for stage in stages]
+    for name, want in one.items():
+        assert_same_bits(split[name], want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_split_stages_reject_non_finite_in_last_part(bad, monkeypatch):
+    monkeypatch.setattr(gating, "_WORKERS", 2)
+    logits, batch, cfg = split_inputs(2)
+    plan = build_dispatch_plan(top_k_gate(logits, cfg), cfg, SPLIT_S)
+    logits[-1, -1] = bad
+    with pytest.raises(NonFiniteError, match="gate logits contain NaN or inf"):
+        top_k_gate(logits, cfg)
+    batch[-1, -1] = bad
+    with pytest.raises(NonFiniteError, match="token batch contains NaN or inf"):
+        scatter_tokens(batch, plan)
+
+
+def test_small_routing_starts_no_thread():
+    # a fresh interpreter, because this one may already hold the pool
+    code = """
+import threading
+import numpy as np
+from moekit import gating
+rng = np.random.default_rng(0)
+for s in (32, 128):
+    cfg = gating.GatingConfig(num_experts=4, k=1)
+    plan = gating.build_dispatch_plan(gating.top_k_gate(rng.standard_normal((s, 4)), cfg), cfg, s)
+    gating.combine_tokens(gating.scatter_tokens(rng.standard_normal((s, 16)), plan), plan)
+assert threading.active_count() == 1, threading.enumerate()
+assert gating._pool.cache_info().currsize == 0
+"""
+    src = str(Path(gating.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], cwd=src, check=True, timeout=60)
+
+
+def _route_split_batch_and_exit() -> None:
+    route_split_batch(1)
+
+
+def test_forked_child_routes_after_split(monkeypatch):
+    monkeypatch.setattr(gating, "_WORKERS", 2)
+    route_split_batch(1)  # the pool now has a live thread, which a fork does not copy
+    child = multiprocessing.get_context("fork").Process(target=_route_split_batch_and_exit)
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join(timeout=10)
+    assert not hung and child.exitcode == 0

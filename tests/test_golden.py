@@ -105,14 +105,46 @@ ROUTING_GOLDEN = {
 }
 
 
-def _routing_arrays(k: int) -> dict[str, np.ndarray]:
+# A larger size at which the gate, the scatter and the combine each split their
+# rows across workers: every stage's array is over 2 * gating._MIN_PART_BYTES
+# and an expert's slots over gating._MIN_EXPERT_BYTES. Its hashes were taken
+# before the stages were split.
+SPLIT_S, SPLIT_E, SPLIT_M = 20000, 64, 64
+
+SPLIT_ROUTING_GOLDEN = {
+    1: {
+        "expert_ids": "15d7419305dcb849dce63e460c6cf42c84a8dc5993674042fa74c4f9aa4237eb",
+        "gate_probs": "2f4e776d9c6c9367a12016ff6e4ae8311f03a7579d89bc70788dd3fca0e79941",
+        "probs": "56de42eece42b65d6a06d293f766c0fea8aa4d2c0469e746a47d2c8987e457f6",
+        "slots": "a9d01c189138fdd125e5355077c8642cd55774229a03514bd175914ba74f46b7",
+        "expert_load": "a9e5b9d099b6a0809f82607afc7457d6169a8910fffff9cb60e7818c803554c7",
+        "slot_tokens": "c807baaf596c1fbc810225dc7ea3262b30e900d03f61f17a86d3163eea086f57",
+        "scatter": "73889753f0707a7910d923db7a7c8093c0dcf7506af0ac2850e9c70e9f1a1655",
+        "combine_identity": "91bb98cb31418442804f235c0cd9a17f4d9caa3b479dd05897d930d42d3e38df",
+        "combine": "56bf6fe6902d3c913b187310b01f598f980af65ee2246f03fb720e8a24b617ae",
+    },
+    2: {
+        "expert_ids": "140a8c3468d59c6023ff5870e8556aa89d0fb7c11f620b46dc62ba30ae7d2f0f",
+        "gate_probs": "ac07580fa921bb8898a7432c167137142adb4823437b3425b40a76638b3d4fde",
+        "probs": "56de42eece42b65d6a06d293f766c0fea8aa4d2c0469e746a47d2c8987e457f6",
+        "slots": "68359b1865659bc6ec10e418fa638b380991c2a92316e41b30bbf9d94dd1aca5",
+        "expert_load": "a2e277a267fadda38f9311f435d925bf042f65cec8754f9072f407ec270dda42",
+        "slot_tokens": "405f46a107cbfb42346e24712baf6af6bdda0424d1dca1289fe49b7e5e4d76e9",
+        "scatter": "7aab4c2b17153cc7b3303d163c7ffdbbb87ddc48423185f1b1fa26705aa55d59",
+        "combine_identity": "2c6e136305a4d49cd8468452b9b578f0a8066f0d07ba20be4c477066fe559eb7",
+        "combine": "fdc2ed9dc58500c65682a376ddece6274af89537c854a1e36d54924f0d326c13",
+    },
+}
+
+
+def _routing_arrays(k: int, s=ROUTING_S, e=ROUTING_E, m=ROUTING_M) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(8)
-    logits = rng.standard_normal((ROUTING_S, ROUTING_E)) + 0.3 * rng.standard_normal(ROUTING_E)
-    batch = rng.standard_normal((ROUTING_S, ROUTING_M))
+    logits = rng.standard_normal((s, e)) + 0.3 * rng.standard_normal(e)
+    batch = rng.standard_normal((s, m))
     batch[::11] = -0.0  # signed zeros must come back with their sign bits
-    cfg = gating.GatingConfig(num_experts=ROUTING_E, k=k, capacity_factor=1.0)
+    cfg = gating.GatingConfig(num_experts=e, k=k, capacity_factor=1.0)
     gate = gating.top_k_gate(logits, cfg)
-    plan = gating.build_dispatch_plan(gate, cfg, ROUTING_S)
+    plan = gating.build_dispatch_plan(gate, cfg, s)
     buffers = gating.scatter_tokens(batch, plan)
     # experts that also write their unoccupied slots
     outputs = gating.ExpertBuffers(data=np.sin(buffers.data) * 3.0 + 1.0)
@@ -138,3 +170,13 @@ def test_golden_routing_arrays(k):
     arrays = _routing_arrays(k)
     assert int(arrays["expert_load"].sum()) < ROUTING_S * k  # some assignments drop
     assert {name: _array_sha256(a) for name, a in arrays.items()} == ROUTING_GOLDEN[k]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_golden_routing_arrays_split(k):
+    arrays = _routing_arrays(k, SPLIT_S, SPLIT_E, SPLIT_M)
+    assert int(arrays["expert_load"].sum()) < SPLIT_S * k  # some assignments drop
+    for name in ("probs", "scatter", "combine"):
+        assert arrays[name].nbytes >= 2 * gating._MIN_PART_BYTES
+    assert arrays["scatter"][0].nbytes >= gating._MIN_EXPERT_BYTES
+    assert {name: _array_sha256(a) for name, a in arrays.items()} == SPLIT_ROUTING_GOLDEN[k]
