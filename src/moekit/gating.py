@@ -31,13 +31,14 @@ the same order as in one whole-array pass, so the blocking changes no bit.
 
 The gate, the scatter and the combine split a large call into one part per
 usable CPU (``os.sched_getaffinity``), run on a thread pool private to this
-module: the gate and the combine into contiguous row ranges cut at row-block
-boundaries, the scatter into row ranges for its finiteness check and expert
-ranges of about equal kept load for its fill. A call splits only when every
-part gets at least ``_MIN_PART_BYTES`` (2 MiB) of the stage's array, so small
-batches run on the calling thread and never create the pool. A part does the
-same float operations as the whole-array pass, so the outputs are bitwise
-equal to one worker's. ``build_dispatch_plan`` (one stable sort) stays serial.
+module: the gate and the combine into contiguous row ranges, the scatter into
+row ranges for its finiteness check and expert ranges of about equal kept
+load for its fill. A call splits only when every part gets at least
+``_MIN_PART_BYTES`` (2 MiB) of the stage's array, so small batches run on the
+calling thread and never create the pool. Every row goes through the same
+float operations in a part as in the whole-array pass, so the outputs are
+bitwise equal to one worker's. ``build_dispatch_plan`` (one stable sort)
+stays serial.
 
 NaN or inf logits and token rows are rejected with ``NonFiniteError``, a
 ``ShapeError``, instead of being routed.
@@ -115,16 +116,13 @@ _MIN_EXPERT_BYTES = 1 << 17
 
 
 @functools.cache
-def _pool():
-    """The threads that run every part but the first, made on the first split call."""
+def _pool(pid: int):
+    """The threads that run every part but the first, made on a process's first
+    split call. Keyed by process id because a forked child has none of its
+    parent's threads."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="moekit-gating")
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of the pool's threads, so it makes its own pool
-    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _row_ranges(num_rows: int, parts: int) -> list[slice]:
@@ -139,12 +137,13 @@ def _run_parts(fn, parts: list, *args) -> list:
     raises a part's exception. Worker code calls no public moekit function,
     because a tracer that wraps those functions keeps one span stack for the
     whole process."""
-    futures = [_pool().submit(fn, *args, part) for part in parts[1:]]
+    futures = [_pool(os.getpid()).submit(fn, *args, part) for part in parts[1:]]
     try:
-        first = fn(*args, parts[0])
+        results = [fn(*args, parts[0])]
     finally:
-        rest = [future.result() for future in futures]
-    return [first, *rest]
+        for future in futures:
+            future.exception()  # waits, so no part still runs once this returns or raises
+    return results + [future.result() for future in futures]
 
 
 @dataclass(frozen=True)

@@ -689,9 +689,10 @@ def test_split_stages_bitwise_equal_one_worker(k, workers, monkeypatch):
         assert_same_bits(split[name], want)
 
 
+@pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_split_stages_reject_non_finite_in_last_part(bad, monkeypatch):
-    monkeypatch.setattr(gating, "_WORKERS", 2)
+def test_split_stages_reject_non_finite_in_last_part(bad, workers, monkeypatch):
+    monkeypatch.setattr(gating, "_WORKERS", workers)
     logits, batch, cfg = split_inputs(2)
     plan = build_dispatch_plan(top_k_gate(logits, cfg), cfg, SPLIT_S)
     logits[-1, -1] = bad
