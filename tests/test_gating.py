@@ -682,7 +682,12 @@ def test_split_stages_bitwise_equal_one_worker(k, workers, monkeypatch):
 
     split_calls.clear()
     monkeypatch.setattr(gating, "_WORKERS", workers)
-    split = route_split_batch(k)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter lock as often as they can
+    try:
+        split = route_split_batch(k)
+    finally:
+        sys.setswitchinterval(interval)
     stages = ["_gate_part", "_scatter_part", "_combine_rows", "_combine_rows"]
     assert split_calls == [(stage, workers) for stage in stages]
     for name, want in one.items():
@@ -721,14 +726,10 @@ assert gating._pool.cache_info().currsize == 0
     subprocess.run([sys.executable, "-c", code], cwd=src, check=True, timeout=60)
 
 
-def _route_split_batch_and_exit() -> None:
-    route_split_batch(1)
-
-
 def test_forked_child_routes_after_split(monkeypatch):
     monkeypatch.setattr(gating, "_WORKERS", 2)
     route_split_batch(1)  # the pool now has a live thread, which a fork does not copy
-    child = multiprocessing.get_context("fork").Process(target=_route_split_batch_and_exit)
+    child = multiprocessing.get_context("fork").Process(target=route_split_batch, args=(1,))
     child.start()
     child.join(timeout=60)
     hung = child.is_alive()
