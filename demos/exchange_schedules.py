@@ -66,5 +66,5 @@ print("p=128 hierarchical, G=8:  ", f"{hier128.modeled_latency_s:.6f}", "(24 rou
 
 # every event is available for inspection or CSV export
 print("\nfirst hierarchical events:")
-for e in hier128.events[:3]:
-    print(f"  step {e.step} {e.kind:>16} {e.src:>3} -> {e.dst:>3} {e.nbytes} bytes")
+for step, kind, src, dst, nbytes in hier128.events[["step", "kind", "src", "dst", "nbytes"]][:3].tolist():
+    print(f"  step {step} {kind:>16} {src:>3} -> {dst:>3} {nbytes} bytes")

@@ -23,8 +23,9 @@ in which rank each message goes to and in which round, so every exchange
 phase runs through one helper, ``_exchange``: it maps each item to its
 receiving rank and round, groups the items of each message with one argsort
 of an int64 (round, source) key, sums each message's bytes over its segment
-and emits the phase's events in (round, source) order. Every byte count a
-schedule reports must fit int64; a larger payload raises ScheduleError.
+and emits the phase's events, one structured-array row per message, in
+(round, source) order. Every byte count a schedule reports must fit int64;
+a larger payload raises ScheduleError.
 
 All schedules deliver bit-identical receive lists (sorted by source rank and
 token id, equal pairs in arrival order), which the tests rely on; each is
@@ -46,7 +47,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, is_
-from typing import Literal
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .planner import ClusterTopology
 
 __all__ = [
     "Item",
-    "CommEvent",
     "CommTrace",
     "CostModel",
     "ScheduleError",
@@ -86,19 +85,6 @@ class Item:
     nbytes: int
 
 
-EventKind = Literal["p2p", "layout-transform", "a2a-phase", "allgather"]
-
-
-@dataclass(frozen=True)
-class CommEvent:
-    step: int
-    kind: EventKind
-    src: int
-    dst: int
-    nbytes: int
-    latency_s: float
-
-
 @dataclass(frozen=True)
 class CostModel:
     """Normalized schedule cost: c1 per round, c2 per full payload volume."""
@@ -107,13 +93,18 @@ class CostModel:
     c2: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.c1 < 0 or self.c2 < 0:
-            raise ScheduleError("cost constants must be >= 0")
+        if not (0 <= self.c1 < np.inf and 0 <= self.c2 < np.inf):
+            raise ScheduleError("cost constants must be finite and >= 0")
 
 
 @dataclass(frozen=True)
 class CommTrace:
-    """Full record of one simulated schedule."""
+    """Full record of one simulated schedule.
+
+    ``events`` is a read-only structured array, one row per message in
+    schedule order, with fields step, kind ("layout-transform", "a2a-phase"
+    or "allgather"), src, dst, nbytes and latency_s; read them by name.
+    """
 
     schedule: str
     world_size: int
@@ -123,8 +114,11 @@ class CommTrace:
     a2a_volume_bytes: int
     reference_bytes: int
     cost: CostModel
-    events: tuple[CommEvent, ...]
+    events: np.ndarray
     recv: tuple[tuple[Item, ...], ...]
+
+    def __post_init__(self) -> None:
+        self.events.flags.writeable = False
 
     @property
     def rounds(self) -> int:
@@ -146,9 +140,10 @@ class CommTrace:
 
     def to_csv(self, fileobj) -> None:
         writer = csv.writer(fileobj)
-        writer.writerow(["step", "kind", "src", "dst", "nbytes", "latency_s"])
-        for e in self.events:
-            writer.writerow([e.step, e.kind, e.src, e.dst, e.nbytes, f"{e.latency_s:.10g}"])
+        writer.writerow(_EVENT.names)
+        columns = [self.events[name].tolist() for name in _EVENT.names]
+        columns[-1] = [f"{latency:.10g}" for latency in columns[-1]]
+        writer.writerows(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +152,8 @@ class CommTrace:
 
 _FIELDS = (("src", np.int32), ("dst", np.int32), ("token", np.int64), ("nbytes", np.int64))
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_EVENT = np.dtype([("step", np.int64), ("kind", "U16"), ("src", np.int64), ("dst", np.int64),
+                   ("nbytes", np.int64), ("latency_s", np.float64)])
 
 
 def _is_int(value) -> bool:
@@ -221,12 +218,17 @@ def _check_divisor(name: str, value, world: int) -> None:
         raise ScheduleError(f"{name} {value!r} must be an int that divides world {world}")
 
 
-def _msg_latency(nbytes: int, src: int, dst: int, cost: CostModel, reference: int) -> float:
-    # informational per-message cost under the normalized model; the trace
-    # totals come from the round/volume formula, not from summing these
-    if src == dst or reference == 0:
-        return 0.0
-    return cost.c2 * nbytes / reference
+def _events(step, kind: str, src, dst, nbytes, cost: CostModel, reference: int) -> np.ndarray:
+    """Event rows of ``kind`` messages. latency_s is a non-self message's
+    informational cost c2 * nbytes / reference under the normalized model;
+    the trace totals come from the round/volume formula, not from these."""
+    rows = np.empty(len(src), _EVENT)
+    for name, column in zip(_EVENT.names, (step, kind, src, dst, nbytes)):
+        rows[name] = column
+    # c2 as a float, so an int one cannot overflow int64; an empty payload
+    # (reference 0) has only 0-byte messages, priced 0
+    rows["latency_s"] = np.where(src == dst, 0.0, float(cost.c2) * rows["nbytes"] / (reference or np.inf))
+    return rows
 
 
 def _rank_bytes(ranks: np.ndarray, nbytes: np.ndarray, world: int) -> np.ndarray:
@@ -238,7 +240,7 @@ def _rank_bytes(ranks: np.ndarray, nbytes: np.ndarray, world: int) -> np.ndarray
 def _exchange(
     at: np.ndarray, dst: np.ndarray, nbytes: np.ndarray, dest, round_of,
     world: int, step: int, cost: CostModel, reference: int,
-) -> tuple[list[CommEvent], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One all-to-all phase over items held at ranks ``at`` and bound for ``dst``.
 
     Rank s sends its items addressed to ``dst`` to rank ``dest(s, dst)``;
@@ -257,18 +259,14 @@ def _exchange(
     sizes = np.add.reduceat(nbytes[order], first)
     rounds, srcs = np.divmod(key[first], world)
     dsts = d[order[first]]
-    events = [
-        CommEvent(step + r, "a2a-phase", s, t, b, _msg_latency(b, s, t, cost, reference))
-        for r, s, t, b in zip(rounds.tolist(), srcs.tolist(), dsts.tolist(), sizes.tolist())
-    ]
+    events = _events(step + rounds, "a2a-phase", srcs, dsts, sizes, cost, reference)
     return events, d, _rank_bytes(dsts, sizes, world)
 
 
-def _layout_transform(held: np.ndarray, step: int) -> list[CommEvent]:
+def _layout_transform(held: np.ndarray, step: int, cost: CostModel, reference: int) -> np.ndarray:
     """Each rank's local regrouping of the ``held[rank]`` bytes it holds."""
-    return [
-        CommEvent(step, "layout-transform", s, s, b, 0.0) for s, b in enumerate(held.tolist()) if b
-    ]
+    ranks = np.flatnonzero(held)
+    return _events(step, "layout-transform", ranks, ranks, held[ranks], cost, reference)
 
 
 def _deliver(items: np.ndarray, keys: tuple, dst: np.ndarray, ranks: int) -> list[tuple[Item, ...]]:
@@ -317,7 +315,7 @@ def flat_all_to_all(sends: list[list[Item]], cost: CostModel | None = None) -> C
         a2a_volume_bytes=reference,
         reference_bytes=reference,
         cost=cost,
-        events=tuple(events),
+        events=events,
         recv=tuple(_deliver(items, (token, src, dst), dst, world)),
     )
 
@@ -349,12 +347,12 @@ def hierarchical_all_to_all(
         held, dst, nbytes, lambda s, dst: (dst // g) * g + s % g, lambda s, d: d // g,
         world, g + 2, cost, reference,
     )
-    events = [
-        *_layout_transform(_rank_bytes(src, nbytes, world), 0),
-        *intra,
-        *_layout_transform(held_bytes, g + 1),
-        *inter,
-    ]
+    events = np.concatenate([
+        _layout_transform(_rank_bytes(src, nbytes, world), 0, cost, reference),
+        intra,
+        _layout_transform(held_bytes, g + 1, cost, reference),
+        inter,
+    ])
 
     return CommTrace(
         schedule="hierarchical",
@@ -365,7 +363,7 @@ def hierarchical_all_to_all(
         a2a_volume_bytes=2 * reference,
         reference_bytes=reference,
         cost=cost,
-        events=tuple(events),
+        events=events,
         recv=tuple(_deliver(items, (token, src, dst), dst, world)),
     )
 
@@ -409,23 +407,19 @@ def coordinated_all_to_all(
     share = (np.arange(len(items)) - first_row) % slice_
 
     # stride-L sub-exchange, all slices in parallel each round
-    events, _, held = _exchange(
+    a2a, _, held = _exchange(
         src * slice_ + share, dst, nbytes,
         lambda s, dst: dst * slice_ + s % slice_,
         lambda s, d: (d // slice_ - s // slice_) % groups,
         world, 0, cost, reference,
     )
 
-    # allgather: round t broadcasts replica t's share to its group peers
-    held = held.tolist()
-    for t in range(slice_):
-        for s in range(t, world, slice_):
-            size = held[s]
-            for d in range(s - t, s - t + slice_):
-                if size and d != s:
-                    events.append(
-                        CommEvent(groups + t, "allgather", s, d, size, _msg_latency(size, s, d, cost, reference))
-                    )
+    # allgather: round t broadcasts replica t's share (if any) from rank
+    # s = group * L + t to its group peers d = group * L + j, in (t, s, d) order
+    t, group, j = np.indices((slice_, groups, slice_)).reshape(3, -1)
+    s, d = group * slice_ + t, group * slice_ + j
+    send = (j != t) & (held[s] > 0)
+    gather = _events(groups + t[send], "allgather", s[send], d[send], held[s[send]], cost, reference)
 
     # replica t receives its own share first, then the others in replica order
     by_replica = [
@@ -442,7 +436,7 @@ def coordinated_all_to_all(
         a2a_volume_bytes=reference,
         reference_bytes=reference,
         cost=cost,
-        events=tuple(events),
+        events=np.concatenate([a2a, gather]),
         recv=tuple(by_replica[t][grp] for grp in range(groups) for t in range(slice_)),
     )
 
@@ -459,11 +453,12 @@ def estimate_latency(trace: CommTrace, topology: ClusterTopology) -> float:
     intra-node link when both ranks share a node (rank // gpus_per_node),
     the inter-node link otherwise. A source's messages in one round cost the
     largest of their link latencies plus each message's bytes over its
-    link's bandwidth; a round costs its busiest source. Rounds that move
-    nothing are free, and so are self-deliveries and local layout
-    transforms. With intra_link == inter_link every message is priced at one
-    link, which is the pessimistic worst-case-locality figure. A trace over
-    more ranks than the topology has raises ScheduleError.
+    link's bandwidth; a round costs its busiest source, and the rounds add
+    up in round order. A 0-byte message still pays its link's latency.
+    Self-deliveries, local layout transforms among them, are free. With
+    intra_link == inter_link every message is priced at one link, which is
+    the pessimistic worst-case-locality figure. A trace over more ranks than
+    the topology has raises ScheduleError.
     """
     if trace.world_size > topology.world_size:
         raise ScheduleError(
@@ -471,31 +466,30 @@ def estimate_latency(trace: CommTrace, topology: ClusterTopology) -> float:
             f"{topology.world_size}-rank topology"
         )
     g = topology.gpus_per_node
-    links = (topology.intra_link, topology.inter_link)
-    split = links[0] != links[1]  # equal links price as one: a source's bytes sum before dividing
-    # per round: bytes by source, one dict per link
-    per_round: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    for e in trace.events:
-        if e.kind != "layout-transform" and e.src != e.dst:
-            sent = per_round.setdefault(e.step, ({}, {}))[split and e.src // g != e.dst // g]
-            sent[e.src] = sent.get(e.src, 0) + e.nbytes
+    near, far = topology.intra_link, topology.inter_link
+    moved = trace.events[trace.events["src"] != trace.events["dst"]]
+    # one segment per (round, source), in round order
+    key = moved["step"] * trace.world_size + moved["src"]
+    order = np.argsort(key)
+    moved, key = moved[order], key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    # equal links price as one: a source's bytes sum before dividing
+    cross = (moved["src"] // g != moved["dst"] // g) & (near != far)
+    near_bytes = np.add.reduceat(np.where(cross, 0, moved["nbytes"]), first)
+    far_bytes = np.add.reduceat(np.where(cross, moved["nbytes"], 0), first)
+    uses_far = np.logical_or.reduceat(cross, first)
+    uses_both = uses_far & ~np.logical_and.reduceat(cross, first)
+    near_s = near_bytes / near.bandwidth_bytes_per_s
+    far_s = far_bytes / far.bandwidth_bytes_per_s
+    costs = np.where(uses_far, far.latency_s + far_s, near.latency_s + near_s)
+    # a source using both links pays the larger latency plus both transfer
+    # times, which is never below either link's cost alone
+    costs = np.where(uses_both, max(near.latency_s, far.latency_s) + near_s + far_s, costs)
+    steps = key[first] // trace.world_size
     total = 0.0
-    for _, by_link in sorted(per_round.items()):
-        # on one link the heaviest source is slowest; a source using both
-        # links pays the larger latency plus both transfer times
-        costs = [
-            link.latency_s + max(sent.values()) / link.bandwidth_bytes_per_s
-            for link, sent in zip(links, by_link)
-            if sent
-        ]
-        near, far = by_link
-        costs += [
-            max(link.latency_s for link in links)
-            + near[src] / links[0].bandwidth_bytes_per_s
-            + far[src] / links[1].bandwidth_bytes_per_s
-            for src in near.keys() & far.keys()
-        ]
-        total += max(costs)
+    # one round at a time: np.sum adds pairwise, which moves the last bits
+    for cost in np.maximum.reduceat(costs, np.flatnonzero(np.diff(steps, prepend=-1))).tolist():
+        total += cost
     return total
 
 

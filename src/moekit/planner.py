@@ -19,6 +19,7 @@ turns a plan into a per-device weight footprint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .arch import MoeModelConfig, count_params, count_params_per_layer
@@ -48,10 +49,10 @@ class LinkSpec:
     bandwidth_bytes_per_s: float
 
     def __post_init__(self) -> None:
-        if self.latency_s < 0:
-            raise PlanError("link latency must be >= 0")
-        if self.bandwidth_bytes_per_s <= 0:
-            raise PlanError("link bandwidth must be positive")
+        if not 0 <= self.latency_s < math.inf:
+            raise PlanError("link latency must be finite and >= 0")
+        if not 0 < self.bandwidth_bytes_per_s < math.inf:
+            raise PlanError("link bandwidth must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,24 @@ def test_simulate_trace_output(tmp_path, capsys):
     assert out.splitlines()[0] == "step,kind,src,dst,nbytes,latency_s"
 
 
+def test_simulate_zero_byte_messages_pay_link_latency(tmp_path, capsys):
+    # every busy round of 0-byte messages costs its slowest link's latency:
+    # flat has 3 busy rounds at the inter-node 5e-6 s
+    cfg = write_config(
+        tmp_path,
+        {"cluster": {"nodes": 2, "gpus_per_node": 2}, "options": {"nbytes": 0, "tensor_slice": 2}},
+    )
+    code, out, _ = run(capsys, "simulate", "--config", cfg)
+    assert code == 0
+    rows = {r["schedule"]: r for r in rows_of(out)}
+    assert {name: r["volume_bytes"] for name, r in rows.items()} == dict.fromkeys(rows, "0")
+    assert {name: r["estimated_latency_s"] for name, r in rows.items()} == {
+        "flat": "1.5e-05",
+        "hierarchical": "1.2e-05",
+        "coordinated": "5e-06",
+    }
+
+
 def test_simulate_trace_needs_single_schedule(tmp_path, capsys):
     cfg = write_config(tmp_path, {"options": {"emit": "trace"}})
     code, _, err = run(capsys, "simulate", "--config", cfg)

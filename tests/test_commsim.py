@@ -1,5 +1,6 @@
 """Tests for the all-to-all schedule simulator."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -122,10 +123,11 @@ def test_hierarchical_beats_flat_once_world_is_large():
 def test_hierarchical_records_layout_transforms():
     sends = synthetic_sends(16, 3, nbytes=64, seed=6)
     hier = hierarchical_all_to_all(sends, 4, COST)
-    kinds = {e.kind for e in hier.events}
+    kinds = set(hier.events["kind"].tolist())
     assert kinds == {"layout-transform", "a2a-phase"}
-    transforms = [e for e in hier.events if e.kind == "layout-transform"]
-    assert all(e.src == e.dst and e.latency_s == 0.0 for e in transforms)
+    transforms = hier.events[hier.events["kind"] == "layout-transform"]
+    assert len(transforms) > 0
+    assert (transforms["src"] == transforms["dst"]).all() and (transforms["latency_s"] == 0.0).all()
 
 
 def test_hierarchical_requires_even_split():
@@ -225,10 +227,18 @@ def test_coordinated_conserves_logical_payload():
     assert payload_multiset(leaders) == payload_multiset(logical)
 
 
+def assert_same_trace(a, b):
+    for field in dataclasses.fields(CommTrace):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert np.array_equal(x, y) if field.name == "events" else x == y, field.name
+
+
 def test_schedules_are_deterministic():
     sends = synthetic_sends(16, 4, seed=14)
-    assert flat_all_to_all(sends, COST) == flat_all_to_all(sends, COST)
-    assert hierarchical_all_to_all(sends, 4, COST) == hierarchical_all_to_all(sends, 4, COST)
+    assert_same_trace(flat_all_to_all(sends, COST), flat_all_to_all(sends, COST))
+    assert_same_trace(hierarchical_all_to_all(sends, 4, COST), hierarchical_all_to_all(sends, 4, COST))
+    replicated = replicate(synthetic_sends(4, 4, seed=14), 4)
+    assert_same_trace(coordinated_all_to_all(replicated, 4, COST), coordinated_all_to_all(replicated, 4, COST))
 
 
 def test_empty_payload_moves_nothing():
@@ -290,7 +300,7 @@ def test_byte_counts_stay_exact_up_to_int64():
     assert total == INT64_MAX
     flat = flat_all_to_all(big, COST)
     assert flat.volume_bytes == flat.reference_bytes == total
-    assert sum(e.nbytes for e in flat.events) == total
+    assert sum(flat.events["nbytes"].tolist()) == total
     with pytest.raises(ScheduleError, match="bytes"):
         hierarchical_all_to_all(big, 1, COST)
     half = [[Item(0, 1, n, 2**60) for n in range(3)] + [Item(0, 0, 3, 2**60 - 1)], []]
@@ -344,6 +354,10 @@ def test_synthetic_sends_rejects_bad_sizes(world, per_rank, nbytes):
 def test_cost_model_validation():
     with pytest.raises(ScheduleError):
         CostModel(c1=-1.0, c2=0.0)
+    # a NaN or infinite constant would turn every latency into nan or inf
+    for c1, c2 in ((np.nan, 1e-3), (1e-4, np.nan), (np.inf, 1e-3), (1e-4, np.inf), (0.0, -np.inf)):
+        with pytest.raises(ScheduleError, match="finite"):
+            CostModel(c1=c1, c2=c2)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +387,7 @@ PINNED_GROUP_SENDS = [
 
 
 def _event_tuples(trace):
-    return [(e.step, e.kind, e.src, e.dst, e.nbytes) for e in trace.events]
+    return trace.events[["step", "kind", "src", "dst", "nbytes"]].tolist()
 
 
 def test_flat_pinned_event_sequence():
@@ -470,11 +484,11 @@ ONE_GPU_NODES = ClusterTopology(
 def _inter_link_estimate(trace, link):
     """Reference: every non-self message priced at one link."""
     per_round = {}
-    for e in trace.events:
-        if e.kind == "layout-transform" or e.src == e.dst:
+    for step, kind, src, dst, nbytes in _event_tuples(trace):
+        if kind == "layout-transform" or src == dst:
             continue
-        by_src = per_round.setdefault(e.step, {})
-        by_src[e.src] = by_src.get(e.src, 0) + e.nbytes
+        by_src = per_round.setdefault(step, {})
+        by_src[src] = by_src.get(src, 0) + nbytes
     total = 0.0
     for _, by_src in sorted(per_round.items()):
         total += link.latency_s + max(by_src.values()) / link.bandwidth_bytes_per_s
@@ -496,13 +510,24 @@ def test_estimate_ignores_self_messages():
     assert estimate_latency(trace, TOPO) == 0.0
 
 
+def test_estimate_charges_latency_for_zero_byte_messages():
+    # each rank sends a 0-byte item to the next rank over 2 nodes of 2 GPUs:
+    # one busy round in which ranks 1 and 3 cross nodes
+    topo = ClusterTopology(
+        nodes=2, gpus_per_node=2, intra_link=TOPO.intra_link, inter_link=TOPO.inter_link
+    )
+    sends = [[Item(s, (s + 1) % 4, s, 0)] for s in range(4)]
+    assert estimate_latency(flat_all_to_all(sends, COST), topo) == TOPO.inter_link.latency_s
+
+
 def test_estimate_scales_linearly_in_bytes():
     small = synthetic_sends(16, 4, nbytes=512, seed=15)
     big = [[Item(it.src, it.dst, it.token, 2 * it.nbytes) for it in items] for items in small]
     t_small = flat_all_to_all(small, COST)
     t_big = flat_all_to_all(big, COST)
     alpha = ONE_GPU_NODES.inter_link.latency_s
-    busy = len({e.step for e in t_small.events if e.src != e.dst})
+    events = t_small.events
+    busy = len(set(events["step"][events["src"] != events["dst"]].tolist()))
     est_small = estimate_latency(t_small, ONE_GPU_NODES)
     est_big = estimate_latency(t_big, ONE_GPU_NODES)
     assert est_big - est_small == pytest.approx(est_small - busy * alpha, rel=1e-9)
@@ -572,3 +597,13 @@ def test_trace_csv_has_header_and_rows():
     assert lines[0] == "step,kind,src,dst,nbytes,latency_s"
     assert len(lines) == len(trace.events) + 1
 
+
+def test_trace_events_are_read_only():
+    sends = synthetic_sends(4, 2, seed=16)
+    for trace in (
+        flat_all_to_all(sends, COST),
+        hierarchical_all_to_all(sends, 2, COST),
+        coordinated_all_to_all(replicate(synthetic_sends(2, 2, seed=16), 2), 2, COST),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            trace.events["nbytes"][0] = 1

@@ -1,6 +1,6 @@
 """Property tests for the all-to-all schedules on random worlds and payloads."""
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import replace
 from operator import attrgetter
 
@@ -10,17 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moekit.commsim import (
-    CommEvent,
-    CommTrace,
     CostModel,
     Item,
     ReplicaMismatchError,
     ScheduleError,
     coordinated_all_to_all,
+    estimate_latency,
     flat_all_to_all,
     hierarchical_all_to_all,
     payload_multiset,
 )
+from moekit.planner import ClusterTopology, LinkSpec
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -158,7 +158,15 @@ def test_schedules_reject_bad_divisors(case, kind):
 # ---------------------------------------------------------------------------
 # The schedules before they ran on numpy columns: every item passes through
 # Python, messages are built per rank with dict buckets and each rank's recv
-# is a stable sort by (src, token). Kept verbatim as the oracle.
+# is a stable sort by (src, token). Kept verbatim as the oracle, with one
+# tuple per event and per trace.
+
+OracleEvent = namedtuple("OracleEvent", "step kind src dst nbytes latency_s")
+OracleTrace = namedtuple(
+    "OracleTrace",
+    "schedule world_size a2a_rounds allgather_rounds volume_bytes a2a_volume_bytes"
+    " reference_bytes cost events recv",
+)
 
 
 def _is_int(value) -> bool:
@@ -220,7 +228,7 @@ def oracle_exchange(held, dest, round_of, step, cost, reference, events):
         nbytes = sum(map(_nbytes, payload))
         moved += nbytes
         events.append(
-            CommEvent(step + r, "a2a-phase", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
+            OracleEvent(step + r, "a2a-phase", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
         )
         recv[d].extend(payload)
     return recv, moved
@@ -230,7 +238,7 @@ def oracle_layout_transform(held, step, events):
     for s, items in enumerate(held):
         total = sum(map(_nbytes, items))
         if total:
-            events.append(CommEvent(step, "layout-transform", s, s, total, 0.0))
+            events.append(OracleEvent(step, "layout-transform", s, s, total, 0.0))
 
 
 def oracle_flat(sends, cost):
@@ -240,7 +248,7 @@ def oracle_flat(sends, cost):
     recv, volume = oracle_exchange(
         sends, lambda s, dst: dst, lambda s, d: (d - s) % world, 0, cost, reference, events
     )
-    return CommTrace(
+    return OracleTrace(
         "flat", world, world, 0, volume, volume, reference, cost, tuple(events),
         tuple(_sorted_recv(r) for r in recv),
     )
@@ -259,7 +267,7 @@ def oracle_hierarchical(sends, g, cost):
         held, lambda s, dst: (dst // g) * g + s % g, lambda s, d: d // g, g + 2, cost, reference, events
     )
     volume = intra_volume + inter_volume
-    return CommTrace(
+    return OracleTrace(
         "hierarchical", world, g + world // g, 0, volume, volume, reference, cost, tuple(events),
         tuple(_sorted_recv(r) for r in recv),
     )
@@ -293,10 +301,10 @@ def oracle_coordinated(sends, slice_, cost):
                 if nbytes:
                     volume += nbytes
                     events.append(
-                        CommEvent(groups + t, "allgather", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
+                        OracleEvent(groups + t, "allgather", s, d, nbytes, _msg_latency(nbytes, s, d, cost, reference))
                     )
                 recv[d].extend(share)
-    return CommTrace(
+    return OracleTrace(
         "coordinated", world, groups, slice_, volume, a2a_volume, reference, cost, tuple(events),
         tuple(_sorted_recv(r) for r in recv),
     )
@@ -308,7 +316,7 @@ SIZES = (0, 0, 1, 7, 4096)
 
 
 @st.composite
-def oracle_payloads(draw, ranks, ndst):
+def oracle_payloads(draw, ranks, ndst, sizes=SIZES):
     """Per-rank items with duplicate (src, token) pairs, empty ranks, 0-byte
     items and numpy-integer fields (one type code per item, a digit per field)."""
     sends = []
@@ -318,7 +326,7 @@ def oracle_payloads(draw, ranks, ndst):
                 st.tuples(
                     st.integers(0, ndst - 1),
                     st.integers(0, 3),  # few tokens: duplicates are common
-                    st.integers(0, len(SIZES) - 1),
+                    st.integers(0, len(sizes) - 1),
                     st.integers(0, len(INT_TYPES) ** 4 - 1),
                 ),
                 max_size=8,
@@ -327,7 +335,7 @@ def oracle_payloads(draw, ranks, ndst):
         items = []
         for dst, token, size, code in rows:
             fields = []
-            for value in (src, dst, token, SIZES[size]):
+            for value in (src, dst, token, sizes[size]):
                 code, digit = divmod(code, len(INT_TYPES))
                 fields.append(INT_TYPES[digit](value))
             items.append(Item(*fields))
@@ -341,10 +349,12 @@ COSTS = st.sampled_from([CostModel(), CostModel(c1=0, c2=1), CostModel(c1=2e-4, 
 def assert_traces_identical(got, want):
     """Every event field (latency bit for bit), recv item for item by
     identity, and every volume."""
-    assert len(got.events) == len(want.events)
-    for e, w in zip(got.events, want.events):
-        assert (e.step, e.kind, e.src, e.dst, e.nbytes) == (w.step, w.kind, w.src, w.dst, w.nbytes)
-        assert float(e.latency_s).hex() == float(w.latency_s).hex()
+    assert got.events.dtype.names == OracleEvent._fields
+    rows = got.events.tolist()
+    assert len(rows) == len(want.events)
+    for e, w in zip(rows, want.events):
+        assert e[:-1] == w[:-1]
+        assert float(e[-1]).hex() == float(w[-1]).hex()
     assert [list(map(id, r)) for r in got.recv] == [list(map(id, r)) for r in want.recv]
     for field in ("schedule", "world_size", "a2a_rounds", "allgather_rounds", "cost"):
         assert getattr(got, field) == getattr(want, field)
@@ -372,3 +382,75 @@ def test_coordinated_matches_the_item_oracle(data, groups, slice_, cost):
     assert_traces_identical(
         coordinated_all_to_all(sends, slice_, cost), oracle_coordinated(sends, slice_, cost)
     )
+
+
+def oracle_estimate_latency(events, topology):
+    """estimate_latency as it walked the (step, kind, src, dst, nbytes,
+    latency_s) events one at a time into per-round dicts, kept verbatim."""
+    g = topology.gpus_per_node
+    links = (topology.intra_link, topology.inter_link)
+    split = links[0] != links[1]  # equal links price as one: a source's bytes sum before dividing
+    # per round: bytes by source, one dict per link
+    per_round = {}
+    for step, kind, src, dst, nbytes, _ in events:
+        if kind != "layout-transform" and src != dst:
+            sent = per_round.setdefault(step, ({}, {}))[split and src // g != dst // g]
+            sent[src] = sent.get(src, 0) + nbytes
+    total = 0.0
+    for _, by_link in sorted(per_round.items()):
+        # on one link the heaviest source is slowest; a source using both
+        # links pays the larger latency plus both transfer times
+        costs = [
+            link.latency_s + max(sent.values()) / link.bandwidth_bytes_per_s
+            for link, sent in zip(links, by_link)
+            if sent
+        ]
+        near, far = by_link
+        costs += [
+            max(link.latency_s for link in links)
+            + near[src] / links[0].bandwidth_bytes_per_s
+            + far[src] / links[1].bandwidth_bytes_per_s
+            for src in near.keys() & far.keys()
+        ]
+        total += max(costs)
+    return total
+
+
+# sizes up to 3 MB, so transfer times are not lost beside the latencies
+PRICED_SIZES = (0, 0, 1, 7, 4096, 10**6 + 3, 3 * 10**6)
+LINK_CHOICES = [LinkSpec(lat, bw) for lat in (0.0, 1e-6, 3e-6, 5e-6) for bw in (7.0, 3e3, 50e9, 300e9)]
+
+
+@st.composite
+def priced_traces(draw):
+    """(trace, topology): any schedule on up to 16 ranks, priced on a
+    topology of 1-4 GPUs per node with equal or distinct links. A
+    coordinated group is wider than the topology's nodes, so allgather
+    sources reach peers over both links in one round."""
+    schedule = draw(st.sampled_from(["flat", "hierarchical", "coordinated"]))
+    cost = draw(COSTS)
+    if schedule == "coordinated":
+        groups, slice_ = draw(st.integers(1, 4)), draw(st.sampled_from([4, 3, 2, 1]))
+        world, node = groups * slice_, draw(st.integers(1, max(1, slice_ - 1)))
+        logical = draw(oracle_payloads(groups, groups, PRICED_SIZES))
+        trace = coordinated_all_to_all(_replicate(logical, slice_), slice_, cost)
+    else:
+        gpus = draw(st.sampled_from([1, 2, 3, 4]))
+        world, node = draw(st.integers(1, 4)) * gpus, draw(st.sampled_from([1, 2, 3, 4]))
+        sends = draw(oracle_payloads(world, world, PRICED_SIZES))
+        if schedule == "flat":
+            trace = flat_all_to_all(sends, cost)
+        else:
+            trace = hierarchical_all_to_all(sends, gpus, cost)
+    intra = draw(st.sampled_from(LINK_CHOICES))
+    inter = draw(st.sampled_from([intra, *(link for link in LINK_CHOICES if link != intra)]))
+    return trace, ClusterTopology(-(-world // node), node, intra, inter)
+
+
+@settings(max_examples=300, deadline=None)
+@given(priced_traces())
+def test_estimate_latency_matches_the_per_event_oracle(case):
+    trace, topology = case
+    got = estimate_latency(trace, topology)
+    assert type(got) is float
+    assert got.hex() == oracle_estimate_latency(trace.events.tolist(), topology).hex()

@@ -1,5 +1,7 @@
 """Tests for the cluster placement planner."""
 
+import math
+
 import pytest
 
 from moekit.arch import build_pr_moe, build_standard, count_params, dense_config
@@ -124,6 +126,10 @@ def test_cluster_validation():
         LinkSpec(latency_s=-1.0, bandwidth_bytes_per_s=1e9)
     with pytest.raises(PlanError):
         LinkSpec(latency_s=1e-6, bandwidth_bytes_per_s=0.0)
+    # a NaN or infinite link would turn estimate_latency into nan or inf
+    for latency, bandwidth in ((math.nan, 1e9), (math.inf, 1e9), (1e-6, math.nan), (1e-6, math.inf)):
+        with pytest.raises(PlanError, match="finite"):
+            LinkSpec(latency_s=latency, bandwidth_bytes_per_s=bandwidth)
 
 
 # ---------------------------------------------------------------------------
