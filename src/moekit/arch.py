@@ -105,9 +105,8 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class MoeModelConfig:
-    """Immutable model description; layers length must equal num_layers."""
+    """Immutable model description: one LayerSpec per block of the stack."""
 
-    num_layers: int
     hidden: int
     heads: int
     vocab: int
@@ -115,13 +114,13 @@ class MoeModelConfig:
     layers: tuple[LayerSpec, ...]
 
     def __post_init__(self) -> None:
-        if len(self.layers) != self.num_layers:
-            raise ValidationError(
-                f"layers tuple has {len(self.layers)} entries, num_layers={self.num_layers}"
-            )
         for spec in self.layers:
             if spec.hidden != self.hidden:
                 raise ValidationError("per-layer hidden width must match the model width")
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.layers)
 
     @property
     def moe_layer_indices(self) -> tuple[int, ...]:
@@ -150,10 +149,7 @@ def dense_config(
 ) -> MoeModelConfig:
     """All-dense transformer stack (the starting point for MoE variants)."""
     layers = tuple(LayerSpec(kind="dense", hidden=hidden) for _ in range(num_layers))
-    return MoeModelConfig(
-        num_layers=num_layers, hidden=hidden, heads=heads, vocab=vocab,
-        context=context, layers=layers,
-    )
+    return MoeModelConfig(hidden=hidden, heads=heads, vocab=vocab, context=context, layers=layers)
 
 
 def _routed_layer(base: MoeModelConfig, experts: int, residual: bool, k: int, cf: float) -> LayerSpec:
@@ -394,7 +390,8 @@ def _combine_experts(x: Tensor, probs: Tensor, plan, params: MoeLayerParams) -> 
 
     Expert e owns rows ends[e] - load[e] : ends[e] of the slot-table gather.
     The vjp is bitwise that of the per-expert chain gather_rows -> forward_ffn
-    -> take_elems -> mul -> scatter_rows -> add: it hands back one ``x``
+    -> take_elems -> mul -> scatter_rows -> add, built from the test-only ops
+    of ``tests/tape_oracle.py``: it hands back one ``x``
     contribution per loaded expert, last expert first (the order that chain's
     sweep met them, which fixes how k=2 sums associate), and passes a load-1
     expert's bias gradient through unsummed, as ``tk.add`` does.

@@ -92,7 +92,7 @@ class KDConfig:
 
 def kd_objective(
     student_logits: Tensor,
-    teacher_logits: np.ndarray | Tensor,
+    teacher_logits: np.ndarray,
     labels: np.ndarray,
     cfg: KDConfig,
     step: int,
@@ -107,7 +107,7 @@ def kd_objective(
     alpha = cfg.effective_alpha(step)
     if alpha == 0.0:
         return ce, ce.item(), 0.0
-    t_vals = teacher_logits.value if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits)
+    t_vals = np.asarray(teacher_logits)
     t = cfg.temperature
     if t != 1.0:
         kl = tk.kl_divergence(Tensor(t_vals / t), tk.scale(student_logits, 1.0 / t))
@@ -151,7 +151,7 @@ def derive_student(teacher: MoeModelConfig, target_depth: int) -> StudentPlan:
     removed = tuple(candidates[:removal])
 
     kept = tuple(spec for i, spec in enumerate(teacher.layers) if i not in set(removed))
-    student = replace(teacher, num_layers=len(kept), layers=kept)
+    student = replace(teacher, layers=kept)
     return StudentPlan(teacher=teacher, student=student, removed_layers=removed)
 
 

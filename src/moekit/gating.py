@@ -40,8 +40,8 @@ float operations in a part as in the whole-array pass, so the outputs are
 bitwise equal to one worker's. ``build_dispatch_plan`` (one stable sort)
 stays serial.
 
-NaN or inf logits and token rows are rejected with ``NonFiniteError``, a
-``ShapeError``, instead of being routed.
+NaN or inf logits, gate probabilities and token rows are rejected with
+``NonFiniteError``, a ``ShapeError``, instead of being routed.
 
 ``sparse_dispatch_oracle`` / ``sparse_combine_oracle`` implement the same
 semantics as literal one-hot tensor contractions of shape (S, E, c). They are
@@ -195,7 +195,8 @@ class TopKGate:
 class DispatchPlan:
     """Dense token-to-expert mapping table plus capacity bookkeeping.
 
-    expert_ids / gate_probs mirror the gate output; slots[(s, j)] is the
+    expert_ids / gate_probs are the gate's own arrays, not copies, so they
+    must not be changed while the plan is in use; slots[(s, j)] is the
     capacity slot of token s's j-th choice on its expert, or DROPPED.
     expert_load counts kept (non-dropped) assignments per expert.
     slot_tokens is the same table seen from the experts: slot_tokens[e, i] is
@@ -355,9 +356,13 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
     Assignments landing at slot >= capacity are DROPPED. The kept part of the
     sorted order, written by (expert, rank), is the slot table slot_tokens.
     """
-    ids = gates.expert_ids
+    ids, gate_probs = gates.expert_ids, gates.gate_probs
     if ids.shape != (num_tokens, cfg.k):
         raise ShapeError(f"gate table shape {ids.shape} does not match ({num_tokens}, {cfg.k})")
+    if gate_probs.shape != ids.shape:
+        raise ShapeError(f"gate_probs shape {gate_probs.shape} does not match {ids.shape}")
+    if not np.isfinite(gate_probs).all():
+        raise NonFiniteError("gate_probs contain NaN or inf")
     flat_ids = ids.reshape(-1)  # token-major
     if flat_ids.size and not (0 <= flat_ids.min() and flat_ids.max() < cfg.num_experts):
         raise ShapeError(f"gate table names experts outside [0, {cfg.num_experts})")
@@ -379,8 +384,8 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
         num_experts=cfg.num_experts,
         k=cfg.k,
         capacity=cap,
-        expert_ids=gates.expert_ids.copy(),
-        gate_probs=gates.gate_probs.copy(),
+        expert_ids=ids,
+        gate_probs=gate_probs,
         slots=slots.reshape(num_tokens, cfg.k),
         expert_load=np.minimum(counts, cap),
         slot_tokens=slot_tokens,
@@ -448,12 +453,12 @@ def combine_tokens(
     row; tokens with every assignment dropped come back as zero rows. Same
     counter convention as scatter.
     """
-    e_count, cap, m = outputs.data.shape
-    if e_count != plan.num_experts or cap != plan.capacity:
+    if outputs.data.ndim != 3 or outputs.data.shape[:2] != (plan.num_experts, plan.capacity):
         raise ShapeError(
             f"buffer shape {outputs.data.shape} does not match plan "
-            f"(E={plan.num_experts}, c={plan.capacity})"
+            f"(E={plan.num_experts}, c={plan.capacity}, M)"
         )
+    e_count, cap, m = outputs.data.shape
     flat = outputs.data.reshape(e_count * cap, m)
     combined = np.empty((plan.num_tokens, m))
     parts = max(1, min(_WORKERS, combined.nbytes // _MIN_PART_BYTES))

@@ -1,10 +1,9 @@
 """Dense float64 matrices with a minimal reverse-mode gradient tape.
 
 Everything in this package that needs gradients runs through the small op set
-below: matrix product, broadcast add/multiply, a smooth GELU, row softmax,
-row gather/scatter, elementwise selection, and the two loss kernels
-(cross-entropy and KL divergence). That is deliberately the whole surface;
-this is not a general autodiff system.
+below: matrix product, row-broadcast add, scalar scale, a smooth GELU, and the
+two loss kernels (cross-entropy and KL divergence). That is deliberately the
+whole surface; this is not a general autodiff system.
 
 Conventions:
   * A ``Tensor`` is always a 2-D float64 array. Scalars are ``(1, 1)``.
@@ -15,8 +14,9 @@ Conventions:
   * ``GradTape.backward`` walks records in reverse creation order,
     accumulates gradients additively into ``Tensor.grad``, and releases each
     record once its vjp has run; ``len(tape)`` still counts the ops recorded.
-  * ``arch`` records one fused node for all experts of a routed layer; it
-    shares ``_gelu`` and ``_softmax_node`` so each formula lives here once.
+  * ``arch`` records the gate softmax through ``_softmax_node`` and one
+    fused node for all experts of a routed layer; it shares ``_gelu`` so each
+    formula lives here once.
   * ``Tensor(...)`` rejects NaN or inf entries with ``NonFiniteError``; op
     results skip that check.
 """
@@ -34,13 +34,8 @@ __all__ = [
     "Tensor",
     "matmul",
     "add",
-    "mul",
     "scale",
     "gelu",
-    "row_softmax",
-    "take_elems",
-    "gather_rows",
-    "scatter_rows",
     "cross_entropy",
     "kl_divergence",
     "reset_grads",
@@ -209,25 +204,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product. ``b`` may be (n, 1) and broadcasts across columns."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape and not (b.cols == 1 and b.rows == a.rows):
-        raise ShapeError(f"mul mismatch: {a.shape} * {b.shape}")
-    tape = _tape_of(a, b)
-    out = Tensor._wrap(a.value * b.value, tape)
-    if tape is not None:
-        col_broadcast = b.shape != a.shape
-        av, bv = a.value, b.value
-
-        def vjp(g: np.ndarray):
-            gb = (g * av).sum(axis=1, keepdims=True) if col_broadcast else g * av
-            return g * bv, gb
-
-        tape.record(out, (a, b), vjp)
-    return out
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     a = _as_tensor(a)
     tape = a.tape
@@ -260,20 +236,6 @@ def gelu(a: Tensor) -> Tensor:
     return out
 
 
-def _row_softmax_value(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def row_softmax(a: Tensor) -> Tensor:
-    """Softmax along each row, with max subtraction per row."""
-    a = _as_tensor(a)
-    if a.cols == 0:
-        raise ShapeError("row_softmax needs at least one column")
-    return _softmax_node(a, _row_softmax_value(a.value))
-
-
 def _softmax_node(a: Tensor, s: np.ndarray) -> Tensor:
     """Tape node for ``s``, the row softmax of ``a`` already computed by the
     caller (``arch.forward_layer`` passes ``top_k_gate``'s bitwise-equal probs)."""
@@ -285,70 +247,6 @@ def _softmax_node(a: Tensor, s: np.ndarray) -> Tensor:
             return (s * (g - dot),)
 
         a.tape.record(out, (a,), vjp)
-    return out
-
-
-def take_elems(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Pick ``a[rows[i], cols[i]]`` into a column vector of shape (len(rows), 1)."""
-    a = _as_tensor(a)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if rows.shape != cols.shape or rows.ndim != 1:
-        raise ShapeError("take_elems needs matching 1-D index arrays")
-    if rows.size and (rows.min() < 0 or rows.max() >= a.rows):
-        raise IndexError("row index out of range")
-    if cols.size and (cols.min() < 0 or cols.max() >= a.cols):
-        raise IndexError("column index out of range")
-    out = Tensor._wrap(a.value[rows, cols][:, None], a.tape)
-    if a.tape is not None:
-        shape = a.shape
-
-        def vjp(g: np.ndarray):
-            ga = np.zeros(shape)
-            np.add.at(ga, (rows, cols), g[:, 0])
-            return (ga,)
-
-        a.tape.record(out, (a,), vjp)
-    return out
-
-
-def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """Select rows of ``a`` in the given order. Duplicates allowed."""
-    a = _as_tensor(a)
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1:
-        raise ShapeError("gather_rows needs a 1-D index array")
-    if rows.size and (rows.min() < 0 or rows.max() >= a.rows):
-        raise IndexError("row index out of range")
-    out = Tensor._wrap(a.value[rows], a.tape)
-    if a.tape is not None:
-        shape = a.shape
-
-        def vjp(g: np.ndarray):
-            ga = np.zeros(shape)
-            np.add.at(ga, rows, g)
-            return (ga,)
-
-        a.tape.record(out, (a,), vjp)
-    return out
-
-
-def scatter_rows(src: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
-    """Build a (num_rows, src.cols) tensor with ``out[rows[i]] += src[i]``.
-
-    Rows not referenced stay zero; duplicate indices accumulate.
-    """
-    src = _as_tensor(src)
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1 or rows.shape[0] != src.rows:
-        raise ShapeError("scatter_rows needs one row index per source row")
-    if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
-        raise IndexError("row index out of range")
-    acc = np.zeros((num_rows, src.cols))
-    np.add.at(acc, rows, src.value)
-    out = Tensor._wrap(acc, src.tape)
-    if src.tape is not None:
-        src.tape.record(out, (src,), lambda g: (g[rows],))
     return out
 
 

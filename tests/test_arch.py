@@ -33,6 +33,8 @@ from moekit.gating import GatingConfig, build_dispatch_plan, top_k_gate
 from moekit.presets import PRESETS
 from moekit.tensor import GradTape, Tensor
 
+import tape_oracle as oracle
+
 
 def sum_loss(a: Tensor) -> Tensor:
     """The sum of ``a``'s entries as a (1, 1) tape loss: a ones row times ``a``
@@ -97,17 +99,10 @@ class TestBuilders:
         with pytest.raises(ValidationError):
             LayerSpec(kind="funky", hidden=64)
 
-    def test_config_length_validation(self):
-        with pytest.raises(ValidationError):
-            MoeModelConfig(
-                num_layers=3, hidden=8, heads=2, vocab=100, context=16,
-                layers=(LayerSpec(kind="dense", hidden=8),),
-            )
-
 
 def _odd_base():
     return MoeModelConfig(
-        num_layers=23, hidden=1024, heads=16, vocab=50257, context=2048,
+        hidden=1024, heads=16, vocab=50257, context=2048,
         layers=tuple(LayerSpec(kind="dense", hidden=1024) for _ in range(23)),
     )
 
@@ -319,7 +314,7 @@ class TestForward:
             tape = GradTape()
             out = forward_layer(Tensor(rng.standard_normal((8, 6)), tape), spec, params)
             # the mul vjp captures out.value
-            tape.backward(sum_loss(tk.mul(out, Tensor(rng.standard_normal(out.shape)))))
+            tape.backward(sum_loss(oracle.mul(out, Tensor(rng.standard_normal(out.shape)))))
             return weakref.ref(out.value)
 
         was_enabled = gc.isenabled()
@@ -348,10 +343,10 @@ def mask_argsort_combine(x: Tensor, probs: Tensor, plan, params) -> Tensor:
             continue
         order = np.argsort(plan.slots[sel], kind="stable")
         tokens = np.nonzero(sel)[0][order]
-        rows = tk.gather_rows(x, tokens)
+        rows = oracle.gather_rows(x, tokens)
         y = forward_ffn(rows, params.experts[e])
-        weight = tk.take_elems(probs, tokens, np.full(tokens.shape, e, dtype=np.int64))
-        contrib = tk.scatter_rows(tk.mul(y, weight), tokens, x.rows)
+        weight = oracle.take_elems(probs, tokens, np.full(tokens.shape, e, dtype=np.int64))
+        contrib = oracle.scatter_rows(oracle.mul(y, weight), tokens, x.rows)
         acc = contrib if acc is None else tk.add(acc, contrib)
     if acc is None:
         acc = Tensor._wrap(np.zeros(x.shape), x.tape)
@@ -365,7 +360,7 @@ def _layer_value_and_grads(spec, seed, s):
     tape = GradTape()
     x = Tensor(rng.standard_normal((s, spec.hidden)), tape)
     out = forward_layer(x, spec, params)
-    tape.backward(sum_loss(tk.mul(out, Tensor(rng.standard_normal(out.shape)))))
+    tape.backward(sum_loss(oracle.mul(out, Tensor(rng.standard_normal(out.shape)))))
     return out.value, [leaf.grad for leaf in [x, *params.leaves()]]
 
 
@@ -408,4 +403,4 @@ def test_top_k_gate_probs_equal_row_softmax_bitwise(s, experts, k, scale, half_i
     if half_integer:
         logits = np.round(2 * logits) / 2  # many exact ties
     gate = top_k_gate(logits, GatingConfig(num_experts=experts, k=min(k, experts)))
-    assert gate.probs.tobytes() == tk.row_softmax(Tensor(logits)).value.tobytes()
+    assert gate.probs.tobytes() == oracle.row_softmax(Tensor(logits)).value.tobytes()

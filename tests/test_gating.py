@@ -29,9 +29,11 @@ from moekit import gating
 from moekit.gating import (
     DROPPED,
     DispatchPlan,
+    ExpertBuffers,
     GatingConfig,
     NonFiniteError,
     OpCounter,
+    TopKGate,
     build_dispatch_plan,
     combine_tokens,
     exclusive_scan_blelloch,
@@ -303,6 +305,21 @@ class TestDispatchPlan:
             with pytest.raises(ShapeError):
                 build_dispatch_plan(gates, cfg, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gate_probs_rejected(self, bad):
+        cfg = GatingConfig(num_experts=3, k=2)
+        gates = top_k_gate(np.zeros((4, 3)), cfg)
+        gates.gate_probs[1, 1] = bad
+        with pytest.raises(NonFiniteError, match="gate_probs contain NaN or inf"):
+            build_dispatch_plan(gates, cfg, 4)
+
+    def test_gate_probs_shape_must_match_expert_ids(self):
+        cfg = GatingConfig(num_experts=3, k=2)
+        gates = top_k_gate(np.zeros((4, 3)), cfg)
+        one_column = TopKGate(gates.expert_ids, gates.gate_probs[:, :1], gates.probs)
+        with pytest.raises(ShapeError, match=r"gate_probs shape \(4, 1\)"):
+            build_dispatch_plan(one_column, cfg, 4)
+
     def test_determinism(self):
         rng = np.random.default_rng(6)
         logits = rng.standard_normal((40, 4))
@@ -377,6 +394,13 @@ class TestScatterCombine:
         batch[3, 2] = bad
         with pytest.raises(ShapeError):
             scatter_tokens(batch, plan)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 4, 3, 1)])
+    def test_combine_rejects_buffer_not_3d(self, shape):
+        cfg = GatingConfig(num_experts=2, k=1, capacity_factor=2.0)
+        plan = build_dispatch_plan(top_k_gate(np.zeros((4, 2)), cfg), cfg, 4)
+        with pytest.raises(ShapeError, match="buffer shape"):
+            combine_tokens(ExpertBuffers(data=np.zeros(shape)), plan)
 
     def test_scatter_bitwise_equals_oracle(self):
         rng = np.random.default_rng(8)
