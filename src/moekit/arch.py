@@ -9,12 +9,12 @@ A model is a flat stack of transformer blocks. Every block carries attention
                   (a shared feed-forward runs beside the experts; the expert
                   contribution acts as a correction term on top of it)
 
-A routed layer evaluates all of its experts as one grouped tape node: the
-kept rows are gathered once in slot-table order, each loaded expert runs one
-GEMM pair on its own rows only (no capacity padding), one GELU covers every
-row, and one scatter-add combines the gate-scaled rows per token. Its
-hand-written vjp is bitwise equal to the per-expert chain of tape ops it
-replaces. Expert weights stay per-expert 2-D leaves.
+A routed layer builds no dispatch plan: it takes the kept assignments from the
+plan's checks and sort, and evaluates all of its experts as one grouped tape
+node. The kept rows are gathered once in (expert, slot) order, each loaded
+expert runs one GEMM pair on its own rows only (no capacity padding), one GELU
+covers every row, and one scatter-add combines the gate-scaled rows per token.
+Its vjp is bitwise equal to the per-expert tape chain; expert weights stay 2-D leaves.
 
 Builders:
   * ``build_standard``  - experts on every other feed-forward layer, uniform
@@ -37,16 +37,13 @@ Accounting conventions (per block, hidden width M, feed-forward factor 4):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as tk
-from .gating import (
-    GatingConfig,
-    build_dispatch_plan,
-    top_k_gate,
-)
+from .gating import GatingConfig, _kept_assignments, top_k_gate
 from .tensor import Tensor
 
 __all__ = [
@@ -375,20 +372,27 @@ def forward_layer(x: Tensor, spec: LayerSpec, params) -> Tensor:
         return tk.add(x, forward_ffn(x, params))
 
     gate_logits = tk.matmul(x, params.gate_w)  # (S, E)
-    gates = top_k_gate(gate_logits.value, spec.gating)
-    plan = build_dispatch_plan(gates, spec.gating, x.rows)
+    cfg = spec.gating
+    gates = top_k_gate(gate_logits.value, cfg)
+    counts, cap, assignment, _ = _kept_assignments(gates.expert_ids, gates.gate_probs, cfg, x.rows)
     probs = tk._softmax_node(gate_logits, gates.probs)
 
-    out = tk.add(x, _combine_experts(x, probs, plan, params))
+    tok, eid = assignment // cfg.k, gates.expert_ids.reshape(-1)[assignment]
+    loads = np.minimum(counts, cap).tolist()
+    out = tk.add(x, _combine_experts(x, probs, tok, eid, loads, cfg.k, params))
     if spec.residual:
         out = tk.add(out, forward_ffn(x, params.shared))
     return out
 
 
-def _combine_experts(x: Tensor, probs: Tensor, plan, params: MoeLayerParams) -> Tensor:
+def _combine_experts(
+    x: Tensor, probs: Tensor, tok, eid, loads: list[int], k: int, params: MoeLayerParams
+) -> Tensor:
     """Sum over experts of prob * expert(rows), scattered back by token: one tape node.
 
-    Expert e owns rows ends[e] - load[e] : ends[e] of the slot-table gather.
+    tok and eid give each kept assignment's token and expert in the shared (expert,
+    slot) kept order of ``gating._kept_assignments``; expert e owns the next loads[e]
+    rows of the gather ``x[tok]``. k=2 combines with ``np.add.at``, in expert order.
     The vjp is bitwise that of the per-expert chain gather_rows -> forward_ffn
     -> take_elems -> mul -> scatter_rows -> add, built from the test-only ops
     of ``tests/tape_oracle.py``: it hands back one ``x``
@@ -396,14 +400,11 @@ def _combine_experts(x: Tensor, probs: Tensor, plan, params: MoeLayerParams) -> 
     sweep met them, which fixes how k=2 sums associate), and passes a load-1
     expert's bias gradient through unsummed, as ``tk.add`` does.
     """
-    load = plan.expert_load
-    live = np.flatnonzero(load)
-    if live.size == 0:
+    live = [e for e, n in enumerate(loads) if n]
+    if not live:
         return Tensor._wrap(np.zeros(x.shape), x.tape)
-    tok = plan.slot_tokens[np.arange(plan.capacity) < load[:, None]]
-    eid = np.repeat(np.arange(plan.num_experts), load)
-    ends = np.cumsum(load)
-    segs = [slice(ends[e] - load[e], ends[e]) for e in live]
+    ends = list(itertools.accumulate(loads))
+    segs = [slice(ends[e] - loads[e], ends[e]) for e in live]
     ffns = [params.experts[e] for e in live]
     leaves = [leaf for p in ffns for leaf in p.leaves()]
     weights = [[leaf.value for leaf in p.leaves()] for p in ffns]  # w1, b1, w2, b2
@@ -419,7 +420,11 @@ def _combine_experts(x: Tensor, probs: Tensor, plan, params: MoeLayerParams) -> 
         y[seg] = z[seg] @ w2 + b2
     gate = probs.value[tok, eid][:, None]
     acc = np.zeros(x.shape)
-    np.add.at(acc, tok, y * gate)
+    # where each index is unique, a fancy += adds 0.0 + v per entry, the same bits as np.add.at
+    if k == 1:
+        acc[tok] += y * gate
+    else:
+        np.add.at(acc, tok, y * gate)
     out = Tensor._wrap(acc, tape)
     if tape is None:
         return out
@@ -430,7 +435,7 @@ def _combine_experts(x: Tensor, probs: Tensor, plan, params: MoeLayerParams) -> 
         gy = gtok * gate
         ggate = gtok * y if y.shape[1] == 1 else (gtok * y).sum(axis=1, keepdims=True)
         gprobs = np.zeros(probs_shape)
-        np.add.at(gprobs, (tok, eid), ggate[:, 0])
+        gprobs[tok, eid] += ggate[:, 0]  # each (token, expert) pair once
         gz = np.empty(z.shape)
         for seg, (_, _, w2, _) in zip(segs, weights):
             gz[seg] = gy[seg] @ w2.T
@@ -438,7 +443,7 @@ def _combine_experts(x: Tensor, probs: Tensor, plan, params: MoeLayerParams) -> 
         gxs, gleaves = [], []
         for seg, (w1, _, _, _) in zip(segs, weights):
             gx = np.zeros(x_shape)
-            np.add.at(gx, tok[seg], gh[seg] @ w1.T)
+            gx[tok[seg]] += gh[seg] @ w1.T  # a token sits once per expert
             gxs.append(gx)
             gleaves += [
                 xs[seg].T @ gh[seg], _bias_grad(gh[seg]), z[seg].T @ gy[seg], _bias_grad(gy[seg])

@@ -12,8 +12,8 @@ work buffers and back:
      its expert: its rank among that expert's assignments in token-major
      order, from one stable sort by expert id; tokens beyond an expert's
      capacity are dropped (slot = DROPPED). The same sort fills the slot
-     table ``slot_tokens``, the one dispatch layout, which ``scatter_tokens``
-     and ``arch.forward_layer`` read.
+     table ``slot_tokens``, which ``scatter_tokens`` reads; ``arch.forward_layer``
+     runs the same checks and sort (``_kept_assignments``) and builds no plan.
   3. ``scatter_tokens``   - gather token rows into (E, c, M) expert buffers,
      one row take of the slot table per expert straight into its buffer;
      only the slots past the expert's load are zero-filled.
@@ -40,8 +40,8 @@ float operations in a part as in the whole-array pass, so the outputs are
 bitwise equal to one worker's. ``build_dispatch_plan`` (one stable sort)
 stays serial.
 
-NaN or inf logits, gate probabilities and token rows are rejected with
-``NonFiniteError``, a ``ShapeError``, instead of being routed.
+NaN or inf logits, gate probabilities, token rows and kept expert outputs are
+rejected with ``NonFiniteError``, a ``ShapeError``, instead of being routed.
 
 ``sparse_dispatch_oracle`` / ``sparse_combine_oracle`` implement the same
 semantics as literal one-hot tensor contractions of shape (S, E, c). They are
@@ -357,25 +357,9 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
     sorted order, written by (expert, rank), is the slot table slot_tokens.
     """
     ids, gate_probs = gates.expert_ids, gates.gate_probs
-    if ids.shape != (num_tokens, cfg.k):
-        raise ShapeError(f"gate table shape {ids.shape} does not match ({num_tokens}, {cfg.k})")
-    if gate_probs.shape != ids.shape:
-        raise ShapeError(f"gate_probs shape {gate_probs.shape} does not match {ids.shape}")
-    if not np.isfinite(gate_probs).all():
-        raise NonFiniteError("gate_probs contain NaN or inf")
+    counts, cap, assignment, slot = _kept_assignments(ids, gate_probs, cfg, num_tokens)
     flat_ids = ids.reshape(-1)  # token-major
-    if flat_ids.size and not (0 <= flat_ids.min() and flat_ids.max() < cfg.num_experts):
-        raise ShapeError(f"gate table names experts outside [0, {cfg.num_experts})")
-    if cfg.k == 2 and np.any(ids[:, 0] == ids[:, 1]):
-        raise ShapeError("gate table sends a token to the same expert twice")
-    cap = cfg.capacity(num_tokens)
-    n = flat_ids.shape[0]
-    order = np.argsort(flat_ids, kind="stable")
-    counts = np.bincount(flat_ids, minlength=cfg.num_experts)
-    sorted_rank = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-    kept = sorted_rank < cap
-    assignment, slot = order[kept], sorted_rank[kept]  # kept ones, by (expert, slot)
-    slots = np.full(n, DROPPED, dtype=np.int64)
+    slots = np.full(flat_ids.shape[0], DROPPED, dtype=np.int64)
     slots[assignment] = slot
     slot_tokens = np.zeros((cfg.num_experts, cap), dtype=np.int64)
     slot_tokens[flat_ids[assignment], slot] = assignment // cfg.k
@@ -390,6 +374,31 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
         expert_load=np.minimum(counts, cap),
         slot_tokens=slot_tokens,
     )
+
+
+def _kept_assignments(ids: np.ndarray, gate_probs: np.ndarray, cfg: GatingConfig, num_tokens: int):
+    """``build_dispatch_plan``'s input checks and stable sort. Returns the per-expert
+    counts (before drops), the capacity, and the kept token-major assignments with
+    their slots, in (expert, slot) order; ``arch.forward_layer`` routes with these."""
+    if ids.shape != (num_tokens, cfg.k):
+        raise ShapeError(f"gate table shape {ids.shape} does not match ({num_tokens}, {cfg.k})")
+    if ids.dtype.kind not in "iu":
+        raise ShapeError(f"gate table expert ids must be integers, got dtype {ids.dtype}")
+    if gate_probs.shape != ids.shape:
+        raise ShapeError(f"gate_probs shape {gate_probs.shape} does not match {ids.shape}")
+    if not np.isfinite(gate_probs).all():
+        raise NonFiniteError("gate_probs contain NaN or inf")
+    flat_ids = ids.reshape(-1)  # token-major
+    if flat_ids.size and not (0 <= flat_ids.min() and flat_ids.max() < cfg.num_experts):
+        raise ShapeError(f"gate table names experts outside [0, {cfg.num_experts})")
+    if cfg.k == 2 and np.any(ids[:, 0] == ids[:, 1]):
+        raise ShapeError("gate table sends a token to the same expert twice")
+    cap = cfg.capacity(num_tokens)
+    order = np.argsort(flat_ids, kind="stable")
+    counts = np.bincount(flat_ids, minlength=cfg.num_experts)
+    sorted_rank = np.arange(flat_ids.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    kept = sorted_rank < cap
+    return counts, cap, order[kept], sorted_rank[kept]
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +459,8 @@ def combine_tokens(
 
     Each token row is the sum over its kept assignments of
     gate_prob * expert_output[expert, slot], added in choice order to a zero
-    row; tokens with every assignment dropped come back as zero rows. Same
-    counter convention as scatter.
+    row; tokens with every assignment dropped come back as zero rows. A NaN or
+    inf in a kept slot raises NonFiniteError. Same counter convention as scatter.
     """
     if outputs.data.ndim != 3 or outputs.data.shape[:2] != (plan.num_experts, plan.capacity):
         raise ShapeError(
@@ -483,6 +492,9 @@ def _combine_rows(flat, plan: DispatchPlan, combined, r: slice) -> None:
             t *= gate_probs[b, j, None]
             t[~kept[b, j]] = 0.0  # after scaling, so a non-finite row read by a drop adds nothing
             out += t
+        # checked per block while it is in cache, so no (S, M) mask is built
+        if not np.isfinite(out).all():
+            raise NonFiniteError("expert outputs contain NaN or inf")
 
 
 # ---------------------------------------------------------------------------

@@ -217,13 +217,28 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def _gelu(x: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Smooth GELU (tanh form) of ``x`` and, when ``slope`` is set, its derivative."""
-    th = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    out = 0.5 * x * (1.0 + th)
+    """Smooth GELU (tanh form) of ``x`` and, when ``slope`` is set, its derivative.
+    In-place temporaries that share x * x, 0.5 * x and 1 + th, with the same roundings
+    as the one-expression formulas of ``tests/tape_oracle.py``."""
+    x2 = x * x
+    th = x2 * x
+    th *= 0.044715
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    half_x = 0.5 * x
+    one_th = th + 1.0
+    out = half_x * one_th
     if not slope:
         return out, None
-    sech2 = 1.0 - th**2
-    return out, 0.5 * (1.0 + th) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    half_x *= np.subtract(1.0, np.square(th, out=th), out=th)  # sech^2
+    half_x *= _GELU_C
+    x2 *= 3 * 0.044715
+    x2 += 1.0
+    half_x *= x2
+    one_th *= 0.5
+    one_th += half_x
+    return out, one_th
 
 
 def gelu(a: Tensor) -> Tensor:

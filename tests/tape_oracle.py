@@ -4,6 +4,8 @@
 node, and ``arch.forward_layer`` takes the gate softmax from ``top_k_gate``.
 The tests check both bitwise against the chain these ops build: row softmax,
 gather rows, pick one entry per row, scale by a column, scatter rows back.
+``gelu_reference`` is the written formula that ``tensor._gelu`` evaluates
+with in-place temporaries.
 
 The ops trust their callers: indices come from a dispatch plan, so nothing
 here checks shapes or ranges, and every operand is already a ``Tensor``.
@@ -15,6 +17,14 @@ import numpy as np
 
 from moekit import tensor as tk
 from moekit.tensor import Tensor
+
+
+def gelu_reference(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth GELU (tanh form) of ``x`` and its derivative, one expression each."""
+    th = np.tanh(tk._GELU_C * (x + 0.044715 * (x * x * x)))
+    out = 0.5 * x * (1.0 + th)
+    sech2 = 1.0 - th**2
+    return out, 0.5 * (1.0 + th) + 0.5 * x * sech2 * tk._GELU_C * (1.0 + 3 * 0.044715 * x**2)
 
 
 def row_softmax(a: Tensor) -> Tensor:

@@ -353,6 +353,19 @@ def mask_argsort_combine(x: Tensor, probs: Tensor, plan, params) -> Tensor:
     return acc
 
 
+def oracle_combine(spec):
+    """``mask_argsort_combine`` in place of ``_combine_experts``: it plans the
+    layer's routing again with ``build_dispatch_plan`` from the gate logits, so
+    of the routed inputs it reads only x, probs and params."""
+
+    def combine(x, probs, tok, eid, loads, k, params):
+        gates = top_k_gate(x.value @ params.gate_w.value, spec.gating)
+        plan = build_dispatch_plan(gates, spec.gating, x.rows)
+        return mask_argsort_combine(x, probs, plan, params)
+
+    return combine
+
+
 def _layer_value_and_grads(spec, seed, s):
     """forward_layer on a seeded batch; returns the output and every leaf gradient."""
     rng = np.random.default_rng(seed)
@@ -379,7 +392,7 @@ def test_forward_layer_matches_mask_argsort_combine_bitwise(
 ):
     spec = _moe_spec(hidden=hidden, experts=experts, residual=residual, k=min(k, experts), cf=cf)
     got, got_grads = _layer_value_and_grads(spec, seed, s)
-    with mock.patch.object(arch, "_combine_experts", mask_argsort_combine):
+    with mock.patch.object(arch, "_combine_experts", oracle_combine(spec)):
         want, want_grads = _layer_value_and_grads(spec, seed, s)
     assert got.tobytes() == want.tobytes()
     for g, w in zip(got_grads, want_grads):

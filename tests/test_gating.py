@@ -313,6 +313,14 @@ class TestDispatchPlan:
         with pytest.raises(NonFiniteError, match="gate_probs contain NaN or inf"):
             build_dispatch_plan(gates, cfg, 4)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_non_integer_expert_ids_rejected(self, dtype):
+        cfg = GatingConfig(num_experts=2, k=1)
+        gates = top_k_gate(np.zeros((3, 2)), cfg)
+        bad = TopKGate(gates.expert_ids.astype(dtype), gates.gate_probs, gates.probs)
+        with pytest.raises(ShapeError, match="expert ids must be integers"):
+            build_dispatch_plan(bad, cfg, 3)
+
     def test_gate_probs_shape_must_match_expert_ids(self):
         cfg = GatingConfig(num_experts=3, k=2)
         gates = top_k_gate(np.zeros((4, 3)), cfg)
@@ -401,6 +409,25 @@ class TestScatterCombine:
         plan = build_dispatch_plan(top_k_gate(np.zeros((4, 2)), cfg), cfg, 4)
         with pytest.raises(ShapeError, match="buffer shape"):
             combine_tokens(ExpertBuffers(data=np.zeros(shape)), plan)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_combine_rejects_non_finite_kept_output(self, bad):
+        cfg = GatingConfig(num_experts=2, k=2, capacity_factor=1.0)
+        plan = build_dispatch_plan(top_k_gate(np.zeros((4, 2)), cfg), cfg, 4)
+        data = np.ones((2, plan.capacity, 3))
+        data[1, 3, 2] = bad  # token 3's second choice
+        with pytest.raises(NonFiniteError, match="expert outputs contain NaN or inf"):
+            combine_tokens(ExpertBuffers(data=data), plan)
+
+    def test_combine_ignores_nan_in_empty_slot_read_by_drop(self):
+        cfg = GatingConfig(num_experts=2, k=1, capacity_factor=0.5)
+        logits = np.tile([[0.0, 1.0]], (4, 1))  # all to expert 1, capacity 1
+        plan = build_dispatch_plan(top_k_gate(logits, cfg), cfg, 4)
+        data = np.ones((2, 1, 3))
+        data[0] = np.nan  # expert 0's empty slot: the row the three drops read
+        out = combine_tokens(ExpertBuffers(data=data), plan)
+        assert np.array_equal(out[0], np.full(3, plan.gate_probs[0, 0]))
+        assert not np.any(out[1:])
 
     def test_scatter_bitwise_equals_oracle(self):
         rng = np.random.default_rng(8)
@@ -724,6 +751,12 @@ def test_split_stages_reject_non_finite_in_last_part(bad, workers, monkeypatch):
     monkeypatch.setattr(gating, "_WORKERS", workers)
     logits, batch, cfg = split_inputs(2)
     plan = build_dispatch_plan(top_k_gate(logits, cfg), cfg, SPLIT_S)
+    buffers = scatter_tokens(batch, plan)
+    token, choice = np.argwhere(plan.kept_mask())[-1]
+    assert token >= SPLIT_S * (workers - 1) // workers  # in the combine's last part
+    buffers.data[plan.expert_ids[token, choice], plan.slots[token, choice], -1] = bad
+    with pytest.raises(NonFiniteError, match="expert outputs contain NaN or inf"):
+        combine_tokens(buffers, plan)
     logits[-1, -1] = bad
     with pytest.raises(NonFiniteError, match="gate logits contain NaN or inf"):
         top_k_gate(logits, cfg)

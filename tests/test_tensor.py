@@ -20,7 +20,7 @@ from moekit.tensor import (
     kl_divergence,
     matmul,
 )
-from tape_oracle import gather_rows, mul, row_softmax, scatter_rows, take_elems
+from tape_oracle import gather_rows, gelu_reference, mul, row_softmax, scatter_rows, take_elems
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +401,18 @@ class TestBackward:
         tape.backward(loss)
         with pytest.raises(RuntimeError, match="already swept"):
             tape.backward(loss)
+
+
+def test_gelu_value_and_slope_equal_the_written_formula_bitwise():
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    edges = [0.0, tiny, 1e-310, 1e-3, 1.0, 30.0, 1e3]
+    x = np.array(edges + [-v for v in edges])
+    x = np.concatenate([x, np.random.default_rng(40).standard_normal(4000) * np.logspace(-3, 1.5, 4000)])
+    want_value, want_slope = gelu_reference(x)
+    for slope in (False, True):
+        value, d = tk._gelu(x, slope)
+        assert value.tobytes() == want_value.tobytes()
+        assert d is None if not slope else d.tobytes() == want_slope.tobytes()
 
 
 class TestTensorBasics:
