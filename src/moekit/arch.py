@@ -413,11 +413,11 @@ def _combine_experts(
     xs = x.value[tok]
     h = np.empty((tok.size, weights[0][0].shape[1]))
     for seg, (w1, b1, _, _) in zip(segs, weights):
-        h[seg] = xs[seg] @ w1 + b1
+        np.add(xs[seg] @ w1, b1, out=h[seg])
     z, gelu_slope = tk._gelu(h, tape is not None)
     y = np.empty(xs.shape)
     for seg, (_, _, w2, b2) in zip(segs, weights):
-        y[seg] = z[seg] @ w2 + b2
+        np.add(z[seg] @ w2, b2, out=y[seg])
     gate = probs.value[tok, eid][:, None]
     acc = np.zeros(x.shape)
     # where each index is unique, a fancy += adds 0.0 + v per entry, the same bits as np.add.at
@@ -438,8 +438,8 @@ def _combine_experts(
         gprobs[tok, eid] += ggate[:, 0]  # each (token, expert) pair once
         gz = np.empty(z.shape)
         for seg, (_, _, w2, _) in zip(segs, weights):
-            gz[seg] = gy[seg] @ w2.T
-        gh = gz * gelu_slope
+            np.matmul(gy[seg], w2.T, out=gz[seg])
+        gh = np.multiply(gz, gelu_slope, out=gz)
         gxs, gleaves = [], []
         for seg, (w1, _, _, _) in zip(segs, weights):
             gx = np.zeros(x_shape)
