@@ -9,12 +9,11 @@ A model is a flat stack of transformer blocks. Every block carries attention
                   (a shared feed-forward runs beside the experts; the expert
                   contribution acts as a correction term on top of it)
 
-A routed layer builds no dispatch plan: it takes the kept assignments from the
-plan's checks and sort, and evaluates all of its experts as one grouped tape
-node. The kept rows are gathered once in (expert, slot) order, each loaded
-expert runs one GEMM pair on its own rows only (no capacity padding), one GELU
-covers every row, and one scatter-add combines the gate-scaled rows per token.
-Its vjp is bitwise equal to the per-expert tape chain; expert weights stay 2-D leaves.
+A routed layer is one tape node: gate, experts, combine and skip add. It builds
+no dispatch plan but routes from the plan's checks and sort, gathers the kept rows
+once in (expert, slot) order, runs one GEMM pair per loaded expert on its own rows
+(no capacity padding) and one GELU over every row, and scatter-adds the gate-scaled
+rows per token. Its vjp is bitwise equal to the per-op tape chain.
 
 Builders:
   * ``build_standard``  - experts on every other feed-forward layer, uniform
@@ -289,7 +288,7 @@ def load_balance_loss(plan, probs: np.ndarray) -> float:
 
     Equals 1.0 under perfectly uniform routing and E when a single expert
     absorbs everything with probability one. Assignment fractions are taken
-    before capacity drops.
+    before capacity drops. NaN or inf in ``probs`` raises NonFiniteError.
     """
     probs = np.asarray(probs, dtype=np.float64)
     e = plan.num_experts
@@ -300,6 +299,8 @@ def load_balance_loss(plan, probs: np.ndarray) -> float:
     counts = np.bincount(plan.expert_ids.reshape(-1), minlength=e)
     fractions = counts / (plan.num_tokens * plan.k)
     mean_probs = probs.mean(axis=0)
+    if not np.isfinite(mean_probs).all():  # NaN or inf in a column carries into its mean
+        raise tk.NonFiniteError("probs contain NaN or inf")
     return float(e * np.sum(fractions * mean_probs))
 
 
@@ -371,44 +372,40 @@ def forward_layer(x: Tensor, spec: LayerSpec, params) -> Tensor:
     if spec.kind == "dense":
         return tk.add(x, forward_ffn(x, params))
 
-    gate_logits = tk.matmul(x, params.gate_w)  # (S, E)
-    cfg = spec.gating
-    gates = top_k_gate(gate_logits.value, cfg)
-    counts, cap, assignment, _ = _kept_assignments(gates.expert_ids, gates.gate_probs, cfg, x.rows)
-    probs = tk._softmax_node(gate_logits, gates.probs)
-
-    tok, eid = assignment // cfg.k, gates.expert_ids.reshape(-1)[assignment]
-    loads = np.minimum(counts, cap).tolist()
-    out = tk.add(x, _combine_experts(x, probs, tok, eid, loads, cfg.k, params))
+    out = _routed_skip(x, spec.gating, params)
     if spec.residual:
         out = tk.add(out, forward_ffn(x, params.shared))
     return out
 
 
-def _combine_experts(
-    x: Tensor, probs: Tensor, tok, eid, loads: list[int], k: int, params: MoeLayerParams
-) -> Tensor:
-    """Sum over experts of prob * expert(rows), scattered back by token: one tape node.
+def _routed_skip(x: Tensor, cfg: GatingConfig, params: MoeLayerParams) -> Tensor:
+    """x + sum over experts of gate prob * expert(x[tok]), scattered back by token: one tape node.
 
-    tok and eid give each kept assignment's token and expert in the shared (expert,
-    slot) kept order of ``gating._kept_assignments``; expert e owns the next loads[e]
-    rows of the gather ``x[tok]``. k=2 combines with ``np.add.at``, in expert order.
-    The vjp is bitwise that of the per-expert chain gather_rows -> forward_ffn
-    -> take_elems -> mul -> scatter_rows -> add, built from the test-only ops
-    of ``tests/tape_oracle.py``: it hands back one ``x``
-    contribution per loaded expert, last expert first (the order that chain's
-    sweep met them, which fixes how k=2 sums associate), and passes a load-1
-    expert's bias gradient through unsummed, as ``tk.add`` does.
+    Kept assignments come in ``gating._kept_assignments``' (expert, slot) order; expert e
+    owns the next loads[e] rows of ``x[tok]``. The vjp is bitwise that of the per-op chain
+    matmul -> row_softmax -> gather_rows -> forward_ffn -> take_elems -> mul -> scatter_rows
+    -> add of ``tests/tape_oracle.py``. It hands back x's gradients in that chain's sweep
+    order (which fixes how they sum): the skip, each loaded expert's, last expert first,
+    then the gate's; a load-1 bias gradient passes unsummed, as in ``tk.add``.
     """
-    live = [e for e, n in enumerate(loads) if n]
-    if not live:
-        return Tensor._wrap(np.zeros(x.shape), x.tape)
-    ends = list(itertools.accumulate(loads))
-    segs = [slice(ends[e] - loads[e], ends[e]) for e in live]
-    ffns = [params.experts[e] for e in live]
+    gate_w = params.gate_w
+    if x.cols != gate_w.rows:
+        raise tk.ShapeError(f"gate_w shape {gate_w.shape} does not match batch width {x.cols}")
+    gates = top_k_gate(x.value @ gate_w.value, cfg)
+    counts, cap, assignment, _ = _kept_assignments(gates.expert_ids, gates.gate_probs, cfg, x.rows)
+    tok, eid = assignment // cfg.k, gates.expert_ids.reshape(-1)[assignment]
+    loads = np.minimum(counts, cap).tolist()
+    segs = [slice(end - n, end) for n, end in zip(loads, itertools.accumulate(loads)) if n]
+    ffns = [p for p, n in zip(params.experts, loads) if n]
     leaves = [leaf for p in ffns for leaf in p.leaves()]
     weights = [[leaf.value for leaf in p.leaves()] for p in ffns]  # w1, b1, w2, b2
-    tape = tk._tape_of(x, probs, *leaves)
+    tape = tk._tape_of(x, gate_w, *leaves)
+    acc = np.zeros(x.shape)
+    if not ffns:  # S=0: the skip alone, so gate_w gets no gradient
+        out = Tensor._wrap(acc, tape)
+        if tape is not None:
+            tape.record(out, (x,), lambda g: (g,))
+        return out
 
     xs = x.value[tok]
     h = np.empty((tok.size, weights[0][0].shape[1]))
@@ -418,39 +415,41 @@ def _combine_experts(
     y = np.empty(xs.shape)
     for seg, (_, _, w2, b2) in zip(segs, weights):
         np.add(z[seg] @ w2, b2, out=y[seg])
-    gate = probs.value[tok, eid][:, None]
-    acc = np.zeros(x.shape)
+    s = gates.probs
+    gate = s[tok, eid][:, None]
     # where each index is unique, a fancy += adds 0.0 + v per entry, the same bits as np.add.at
-    if k == 1:
+    if cfg.k == 1:
         acc[tok] += y * gate
     else:
         np.add.at(acc, tok, y * gate)
+    acc += x.value  # the skip add: x + acc and acc + x round alike
     out = Tensor._wrap(acc, tape)
     if tape is None:
         return out
-    x_shape, probs_shape = x.shape, probs.shape
+    xv, gw = x.value, gate_w.value
 
     def vjp(g: np.ndarray):
         gtok = g[tok]
         gy = gtok * gate
         ggate = gtok * y if y.shape[1] == 1 else (gtok * y).sum(axis=1, keepdims=True)
-        gprobs = np.zeros(probs_shape)
+        gprobs = np.zeros(s.shape)
         gprobs[tok, eid] += ggate[:, 0]  # each (token, expert) pair once
+        glogits = s * (gprobs - (gprobs * s).sum(axis=1, keepdims=True))
         gz = np.empty(z.shape)
         for seg, (_, _, w2, _) in zip(segs, weights):
             np.matmul(gy[seg], w2.T, out=gz[seg])
         gh = np.multiply(gz, gelu_slope, out=gz)
         gxs, gleaves = [], []
         for seg, (w1, _, _, _) in zip(segs, weights):
-            gx = np.zeros(x_shape)
+            gx = np.zeros(xv.shape)
             gx[tok[seg]] += gh[seg] @ w1.T  # a token sits once per expert
             gxs.append(gx)
             gleaves += [
                 xs[seg].T @ gh[seg], _bias_grad(gh[seg]), z[seg].T @ gy[seg], _bias_grad(gy[seg])
             ]
-        return [*reversed(gxs), gprobs, *gleaves]
+        return [g, *reversed(gxs), glogits @ gw.T, xv.T @ glogits, *gleaves]
 
-    tape.record(out, (x,) * len(segs) + (probs, *leaves), vjp)
+    tape.record(out, (x,) * (len(segs) + 2) + (gate_w, *leaves), vjp)
     return out
 
 

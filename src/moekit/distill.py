@@ -271,6 +271,8 @@ class ToyTrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
+        if not (self.lr > 0 and np.isfinite(self.lr)):
+            raise ValidationError(f"lr must be positive and finite, got {self.lr}")
 
 
 def train_toy(

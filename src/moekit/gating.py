@@ -248,6 +248,8 @@ def top_k_gate(logits: np.ndarray, cfg: GatingConfig) -> TopKGate:
     not renormalized. Ties break toward the lower expert index.
     """
     logits = np.asarray(logits)
+    if logits.dtype.kind not in "biuf":  # complex would drop its imaginary part
+        raise ShapeError(f"gate logits must be real numbers, got dtype {logits.dtype}")
     if logits.ndim != 2:
         raise ShapeError(f"gate logits must be 2-D, got shape {logits.shape}")
     num_tokens, width = logits.shape
@@ -415,7 +417,10 @@ def scatter_tokens(
     accounting: the table resolves each of the S*k assignments against its
     expert's c slots, M lanes wide -> S*c*M per transform (no factor of E).
     """
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = np.asarray(batch)
+    if batch.dtype.kind not in "biuf":  # complex would drop its imaginary part
+        raise ShapeError(f"token batch must be real numbers, got dtype {batch.dtype}")
+    batch = batch.astype(np.float64, copy=False)
     if batch.ndim != 2 or batch.shape[0] != plan.num_tokens:
         raise ShapeError(f"batch shape {batch.shape} does not match plan S={plan.num_tokens}")
     data = np.empty((plan.num_experts, plan.capacity, batch.shape[1]))

@@ -14,9 +14,8 @@ Conventions:
   * ``GradTape.backward`` walks records in reverse creation order,
     accumulates gradients additively into ``Tensor.grad``, and releases each
     record once its vjp has run; ``len(tape)`` still counts the ops recorded.
-  * ``arch`` records the gate softmax through ``_softmax_node`` and one
-    fused node for all experts of a routed layer; it shares ``_gelu`` so each
-    formula lives here once.
+  * ``arch`` records a routed layer (gate, experts, combine and skip add) as
+    one node of its own; it shares ``_gelu`` so the formula lives here once.
   * ``Tensor(...)`` rejects NaN or inf entries with ``NonFiniteError``; op
     results skip that check.
 """
@@ -251,20 +250,6 @@ def gelu(a: Tensor) -> Tensor:
     return out
 
 
-def _softmax_node(a: Tensor, s: np.ndarray) -> Tensor:
-    """Tape node for ``s``, the row softmax of ``a`` already computed by the
-    caller (``arch.forward_layer`` passes ``top_k_gate``'s bitwise-equal probs)."""
-    out = Tensor._wrap(s, a.tape)
-    if a.tape is not None:
-
-        def vjp(g: np.ndarray):
-            dot = (g * s).sum(axis=1, keepdims=True)
-            return (s * (g - dot),)
-
-        a.tape.record(out, (a,), vjp)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # loss kernels
 # ---------------------------------------------------------------------------
@@ -278,10 +263,12 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer ``labels`` under row softmax.
 
-    logits: (n, C); labels: (n,) ints in [0, C). Non-negative by construction.
+    logits: (n, C); labels: (n,) of an integer dtype, in [0, C). Non-negative by construction.
     """
     logits = _as_tensor(logits)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ShapeError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.ndim != 1 or labels.shape[0] != logits.rows:
         raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
     if logits.rows == 0:

@@ -1,9 +1,10 @@
 """Per-op tape primitives that only tests use, as oracles for the fused nodes.
 
-``arch._combine_experts`` records all experts of a routed layer as one tape
-node, and ``arch.forward_layer`` takes the gate softmax from ``top_k_gate``.
-The tests check both bitwise against the chain these ops build: row softmax,
-gather rows, pick one entry per row, scale by a column, scatter rows back.
+``arch._routed_skip`` records a routed layer (gate, experts, combine and skip
+add) as one tape node, and takes the gate softmax from ``top_k_gate``. The
+tests check its output and every gradient bitwise against the chain these ops
+build with ``tensor``'s matmul, add and gelu: row softmax, gather rows, pick
+one entry per row, scale by a column, scatter rows back.
 ``gelu_reference`` is the written formula that ``tensor._gelu`` evaluates
 with in-place temporaries.
 
@@ -31,7 +32,16 @@ def row_softmax(a: Tensor) -> Tensor:
     """Softmax along each row, with max subtraction per row."""
     shifted = a.value - a.value.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return tk._softmax_node(a, e / e.sum(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
+    out = Tensor._wrap(s, a.tape)
+    if a.tape is not None:
+
+        def vjp(g: np.ndarray):
+            dot = (g * s).sum(axis=1, keepdims=True)
+            return (s * (g - dot),)
+
+        a.tape.record(out, (a,), vjp)
+    return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

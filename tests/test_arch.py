@@ -219,6 +219,13 @@ class TestLoadBalance:
         plan, probs = self._plan(np.zeros((0, 4)))
         assert load_balance_loss(plan, probs) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probs_rejected(self, bad):
+        plan, probs = self._plan(np.random.default_rng(18).standard_normal((6, 3)))
+        probs[4, 1] = bad
+        with pytest.raises(tk.NonFiniteError, match="probs contain NaN or inf"):
+            load_balance_loss(plan, probs)
+
 
 def _moe_spec(hidden=8, experts=3, residual=False, k=1, cf=8.0):
     return LayerSpec(
@@ -301,9 +308,30 @@ class TestForward:
         rng = np.random.default_rng(26)
         spec = _moe_spec(hidden=6, experts=4, k=2, cf=4.0)
         params = init_layer_params(spec, rng)
-        tape = GradTape()
-        forward_layer(Tensor(rng.standard_normal((10, 6)), tape), spec, params)
-        assert len(tape) == 4  # gate matmul, gate softmax, experts, skip add
+        for s in (10, 0):
+            x_val = rng.standard_normal((s, 6))
+            tape = GradTape()
+            forward_layer(Tensor(x_val, tape), spec, params)
+            assert len(tape) == 1  # gate, experts, combine and skip add
+            with mock.patch.object(GradTape, "record") as record:
+                out = forward_layer(Tensor(x_val), spec, params)
+            assert record.call_count == 0 and out.tape is None
+
+    def test_mis_sized_gate_rejected(self):
+        rng = np.random.default_rng(28)
+        spec = _moe_spec(hidden=6, experts=4)
+        params = init_layer_params(spec, rng)
+        params.gate_w = Tensor(rng.standard_normal((5, 4)))
+        with pytest.raises(tk.ShapeError):
+            forward_layer(Tensor(rng.standard_normal((3, 6))), spec, params)
+
+    def test_layer_operands_on_different_tapes_rejected(self):
+        rng = np.random.default_rng(29)
+        spec = _moe_spec(hidden=6, experts=4)
+        params = init_layer_params(spec, rng)
+        params.gate_w.tape = GradTape()
+        with pytest.raises(ValueError, match="different tapes"):
+            forward_layer(Tensor(rng.standard_normal((3, 6)), GradTape()), spec, params)
 
     def test_layer_step_is_freed_without_cyclic_gc(self):
         rng = np.random.default_rng(27)
@@ -333,7 +361,7 @@ class TestForward:
 
 
 def mask_argsort_combine(x: Tensor, probs: Tensor, plan, params) -> Tensor:
-    """The earlier ``_combine_experts``: each expert's tokens from a kept mask,
+    """The earlier expert combine: each expert's tokens from a kept mask,
     ordered by a stable argsort of their slots."""
     kept = plan.kept_mask()
     acc = None
@@ -353,17 +381,14 @@ def mask_argsort_combine(x: Tensor, probs: Tensor, plan, params) -> Tensor:
     return acc
 
 
-def oracle_combine(spec):
-    """``mask_argsort_combine`` in place of ``_combine_experts``: it plans the
-    layer's routing again with ``build_dispatch_plan`` from the gate logits, so
-    of the routed inputs it reads only x, probs and params."""
-
-    def combine(x, probs, tok, eid, loads, k, params):
-        gates = top_k_gate(x.value @ params.gate_w.value, spec.gating)
-        plan = build_dispatch_plan(gates, spec.gating, x.rows)
-        return mask_argsort_combine(x, probs, plan, params)
-
-    return combine
+def oracle_routed_skip(x, cfg, params):
+    """The per-op chain in place of ``_routed_skip``: the ``tk.matmul`` gate, then
+    ``row_softmax``, then ``mask_argsort_combine`` on the layer's routing planned
+    again with ``build_dispatch_plan``, then the ``tk.add`` skip."""
+    logits = tk.matmul(x, params.gate_w)
+    probs = oracle.row_softmax(logits)
+    plan = build_dispatch_plan(top_k_gate(logits.value, cfg), cfg, x.rows)
+    return tk.add(x, mask_argsort_combine(x, probs, plan, params))
 
 
 def _layer_value_and_grads(spec, seed, s):
@@ -392,7 +417,7 @@ def test_forward_layer_matches_mask_argsort_combine_bitwise(
 ):
     spec = _moe_spec(hidden=hidden, experts=experts, residual=residual, k=min(k, experts), cf=cf)
     got, got_grads = _layer_value_and_grads(spec, seed, s)
-    with mock.patch.object(arch, "_combine_experts", oracle_combine(spec)):
+    with mock.patch.object(arch, "_routed_skip", oracle_routed_skip):
         want, want_grads = _layer_value_and_grads(spec, seed, s)
     assert got.tobytes() == want.tobytes()
     for g, w in zip(got_grads, want_grads):

@@ -367,6 +367,12 @@ def test_train_config_needs_a_step():
         ToyTrainConfig(kd=KDConfig(), steps=0)
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.05, float("nan"), float("inf"), float("-inf")])
+def test_train_config_needs_a_positive_finite_lr(lr):
+    with pytest.raises(ValidationError, match="lr"):
+        ToyTrainConfig(kd=KDConfig(), lr=lr)
+
+
 def test_staged_schedule_beats_constant_blend(kd_final_ces):
     # the fixture trains _toy_run(seed, TOY_BOUNDARY) and _toy_run(seed, None), seeds 0-9
     wins = sum(staged < constant for staged, constant in kd_final_ces)

@@ -136,6 +136,11 @@ class TestTopKGate:
             with pytest.raises(NonFiniteError, match="gate logits contain NaN or inf"):
                 top_k_gate(logits, GatingConfig(num_experts=64, k=k))
 
+    @pytest.mark.parametrize("logits", [np.zeros((4, 3), dtype=complex), np.full((4, 3), "a")])
+    def test_non_real_logits_rejected(self, logits):
+        with pytest.raises(ShapeError, match="gate logits must be real numbers"):
+            top_k_gate(logits, GatingConfig(num_experts=3, k=2))
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             GatingConfig(num_experts=8, k=3)
@@ -401,6 +406,13 @@ class TestScatterCombine:
         batch = np.ones((4, 3))
         batch[3, 2] = bad
         with pytest.raises(ShapeError):
+            scatter_tokens(batch, plan)
+
+    @pytest.mark.parametrize("batch", [np.ones((4, 3), dtype=complex), np.full((4, 3), "a")])
+    def test_scatter_rejects_non_real_batch(self, batch):
+        cfg = GatingConfig(num_experts=2, k=1, capacity_factor=2.0)
+        plan = build_dispatch_plan(top_k_gate(np.zeros((4, 2)), cfg), cfg, 4)
+        with pytest.raises(ShapeError, match="token batch must be real numbers"):
             scatter_tokens(batch, plan)
 
     @pytest.mark.parametrize("shape", [(2, 4), (2, 4, 3, 1)])

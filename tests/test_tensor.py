@@ -223,6 +223,12 @@ class TestCrossEntropy:
         with pytest.raises(IndexError):
             cross_entropy(Tensor(np.zeros((2, 3))), np.array([-1, 0]))
 
+    @pytest.mark.parametrize("labels", [[0.5, 2.9], np.array([0.0, 1.0]), [True, False]])
+    def test_non_integer_labels_rejected(self, labels):
+        # a cast would truncate 0.5 -> 0 and 2.9 -> 2, or read bools as 1 and 0
+        with pytest.raises(ShapeError, match="labels must be integers"):
+            cross_entropy(Tensor(np.zeros((2, 3))), labels)
+
 
 # ---------------------------------------------------------------------------
 # KL divergence
