@@ -38,15 +38,7 @@ from .arch import (
     load_balance_loss,
 )
 from .commsim import CostModel, ScheduleError
-from .distill import (
-    KDConfig,
-    SyntheticStream,
-    ToyModel,
-    ToyTrainConfig,
-    TrainingError,
-    derive_student,
-    train_toy,
-)
+from .distill import TrainingError, derive_student, staged_vs_constant
 from .planner import ClusterTopology, LinkSpec, PlanError, memory_per_device, plan
 from .presets import PRESETS, get_preset, preset_names
 
@@ -488,30 +480,19 @@ KD_TABLE = {
 
 def _cmd_kd_demo(args, model, cluster, opts) -> int:
     """staged vs constant teacher-blend comparison on the toy task"""
-    rows = []
-    for seed in range(args.seed, args.seed + opts["seeds"]):
-        results = {}
-        for label, bound in (("staged", opts["boundary"]), ("constant", None)):
-            stream = SyntheticStream(
-                hidden=16, vocab=16, batch=32, seed=seed, teacher_noise=opts["teacher_noise"]
-            )
-            model = ToyModel.create(
-                hidden=16, vocab=16, experts=4, seed=seed, capacity_factor=2.0
-            )
-            cfg = ToyTrainConfig(
-                kd=KDConfig(alpha=opts["alpha"], stage_boundary=bound),
-                steps=opts["steps"],
-                lr=opts["lr"],
-            )
-            results[label] = train_toy(model, stream, cfg).final_heldout_ce
-        rows.append(
-            [
-                seed,
-                results["staged"],
-                results["constant"],
-                int(results["staged"] < results["constant"]),
-            ]
-        )
+    seeds = range(args.seed, args.seed + opts["seeds"])
+    finals = staged_vs_constant(
+        seeds,
+        steps=opts["steps"],
+        alpha=opts["alpha"],
+        boundary=opts["boundary"],
+        teacher_noise=opts["teacher_noise"],
+        lr=opts["lr"],
+    )
+    rows = [
+        [seed, staged, constant, int(staged < constant)]
+        for seed, (staged, constant) in zip(seeds, finals)
+    ]
     _emit(KD_HEADER, rows, args.out)
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line verbs, run in process."""
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -430,6 +431,58 @@ def test_kd_demo_teacher_overflow_is_numeric_failure(tmp_path, capsys):
         code, _, err = run(capsys, "kd-demo", "--config", cfg)
     assert code == 4
     assert "numerical failure: step 0" in err
+
+
+def test_kd_demo_defaults_are_staged_vs_constant_defaults():
+    from moekit.cli import KD_TABLE, _section
+    from moekit.distill import staged_vs_constant
+
+    # the kd_final_ces fixture and the staged-distillation demo rely on these matching
+    defaults = _section({}, KD_TABLE, "kd-demo options")
+    del defaults["seeds"]
+    params = inspect.signature(staged_vs_constant).parameters
+    assert defaults == {name: params[name].default for name in defaults}
+
+
+def test_kd_demo_error_in_a_later_part_matches_one_process(
+    tmp_path, capsys, monkeypatch, forks, fail_in_training
+):
+    from moekit import distill, gating
+
+    def fail(seed):
+        if seed >= 1:
+            raise distill.TrainingError(7, f"forced failure of seed {seed}")
+
+    fail_in_training(fail)
+    cfg = write_config(tmp_path, {"options": {"seeds": 3, "steps": distill._MIN_PART_STEPS}})
+    results = []
+    for workers in (1, 3):  # one process, then one seed per process
+        monkeypatch.setattr(gating, "_WORKERS", workers)
+        results.append(run(capsys, "kd-demo", "--config", cfg, "--seed", "0"))
+    assert forks == [2, 2]
+    want = (4, "", "numerical failure: step 7: forced failure of seed 1\n")
+    assert results == [want, want]
+
+
+def test_kd_demo_lost_training_process_is_invalid_request(
+    tmp_path, capsys, monkeypatch, forks, fail_in_training
+):
+    from moekit import distill, gating
+
+    parent = os.getpid()
+
+    def fail(seed):
+        if os.getpid() != parent:
+            os._exit(1)
+
+    fail_in_training(fail)
+    monkeypatch.setattr(gating, "_WORKERS", 2)
+    cfg = write_config(tmp_path, {"options": {"seeds": 2, "steps": distill._MIN_PART_STEPS}})
+    code, out, err = run(capsys, "kd-demo", "--config", cfg, "--seed", "0")
+    assert forks == [2]
+    assert (code, out) == (3, "")
+    assert err.startswith("invalid request: out of memory: training process ")
+    assert err.endswith(" exited with status 1 before sending its results\n")
 
 
 def test_float_overflow_is_numeric_failure(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# staged_distillation trains 20 toy runs (about 18 s) and is left out
+# staged_distillation trains 22 toy runs (about 4 s on 2 CPUs) and is left out
 FAST_DEMOS = ["exchange_schedules", "cluster_planning", "model_sizing", "routing_pipeline"]
 
 # lines a demo prints when its own cross-check holds

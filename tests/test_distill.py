@@ -1,8 +1,15 @@
 """Tests for student derivation and the staged distillation objective."""
 
+import contextlib
+import os
+import pickle
+import signal
+import time
+
 import numpy as np
 import pytest
 
+from moekit import distill, gating
 from moekit import tensor as tk
 from moekit.arch import ValidationError, count_params
 from moekit.distill import (
@@ -13,6 +20,7 @@ from moekit.distill import (
     TrainingError,
     derive_student,
     kd_objective,
+    staged_vs_constant,
     train_toy,
 )
 from moekit.presets import get_preset
@@ -367,13 +375,163 @@ def test_train_config_needs_a_step():
         ToyTrainConfig(kd=KDConfig(), steps=0)
 
 
-@pytest.mark.parametrize("lr", [0.0, -0.05, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("steps", [2.5, True, "3", None])
+def test_train_config_needs_an_int_step_count(steps):
+    with pytest.raises(ValidationError, match="steps"):
+        ToyTrainConfig(kd=KDConfig(), steps=steps)
+
+
+@pytest.mark.parametrize(
+    "lr",
+    [
+        0.0,
+        -0.05,
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        "0.05",
+        True,
+        pytest.param(10**400, id="int-past-float"),
+    ],
+)
 def test_train_config_needs_a_positive_finite_lr(lr):
     with pytest.raises(ValidationError, match="lr"):
         ToyTrainConfig(kd=KDConfig(), lr=lr)
+
+
+def test_training_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(TrainingError(3, "non-finite loss nan")))
+    assert type(err) is TrainingError
+    assert (err.step, err.message) == (3, "non-finite loss nan")
+    assert str(err) == "step 3: non-finite loss nan"
 
 
 def test_staged_schedule_beats_constant_blend(kd_final_ces):
     # the fixture trains _toy_run(seed, TOY_BOUNDARY) and _toy_run(seed, None), seeds 0-9
     wins = sum(staged < constant for staged, constant in kd_final_ces)
     assert wins >= 6
+
+
+# ---------------------------------------------------------------------------
+# staged vs constant, split across forked processes
+# ---------------------------------------------------------------------------
+
+SPLIT_STEPS = distill._MIN_PART_STEPS  # the shortest runs that split one per part
+
+
+def finals_bits(finals):
+    return [(staged.hex(), constant.hex()) for staged, constant in finals]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_one_part_matches_separate_runs(monkeypatch):
+    monkeypatch.setattr(gating, "_WORKERS", 1)
+    finals = staged_vs_constant(range(2), steps=SPLIT_STEPS, boundary=SPLIT_STEPS // 2)
+    want = [
+        (
+            _toy_run(seed, SPLIT_STEPS // 2, steps=SPLIT_STEPS).final_heldout_ce,
+            _toy_run(seed, None, steps=SPLIT_STEPS).final_heldout_ce,
+        )
+        for seed in range(2)
+    ]
+    assert finals_bits(finals) == finals_bits(want)
+
+
+# 3 seeds are 6 runs: 4 parts hold 1, 2, 1 and 2 of them, 6 parts one each
+@pytest.mark.parametrize("workers,children", [(2, [3]), (4, [2, 1, 2]), (6, [1] * 5)])
+def test_split_runs_bitwise_equal_one_part(workers, children, forks, monkeypatch):
+    monkeypatch.setattr(gating, "_WORKERS", 1)
+    one = staged_vs_constant(range(3), steps=SPLIT_STEPS, boundary=5)
+    assert forks == []
+    monkeypatch.setattr(gating, "_WORKERS", workers)
+    with deadline(60):
+        split = staged_vs_constant(range(3), steps=SPLIT_STEPS, boundary=5)
+    assert forks == children
+    assert finals_bits(split) == finals_bits(one)
+    assert_no_child_left()
+
+
+def test_split_needs_min_part_steps_in_every_part(forks, monkeypatch):
+    monkeypatch.setattr(gating, "_WORKERS", 2)
+    staged_vs_constant(range(1), steps=SPLIT_STEPS - 1)
+    assert forks == []
+    with deadline(60):
+        staged_vs_constant(range(1), steps=SPLIT_STEPS)
+    assert forks == [1]
+
+
+def test_earliest_failing_run_is_raised(forks, fail_in_training, monkeypatch):
+    def fail(seed):
+        if seed > 0:
+            raise TrainingError(seed, f"forced failure of seed {seed}")
+
+    fail_in_training(fail)
+    monkeypatch.setattr(gating, "_WORKERS", 3)  # one seed per part; parts 2 and 3 fail
+    want = "step 1: forced failure of seed 1"
+    with deadline(60), pytest.raises(TrainingError, match=want) as exc:
+        staged_vs_constant(range(3), steps=SPLIT_STEPS)
+    assert forks == [2, 2]
+    assert exc.value.step == 1
+    assert_no_child_left()
+
+
+def test_failure_in_the_first_part_kills_the_others(forks, fail_in_training, monkeypatch):
+    def fail(seed):
+        if seed == 0:
+            raise TrainingError(0, "forced failure of seed 0")
+        time.sleep(120)  # a child still training; killed, not waited out
+
+    fail_in_training(fail)
+    monkeypatch.setattr(gating, "_WORKERS", 3)
+    start = time.perf_counter()
+    with deadline(60), pytest.raises(TrainingError, match="seed 0"):
+        staged_vs_constant(range(3), steps=SPLIT_STEPS)
+    assert time.perf_counter() - start < 30
+    assert forks == [2, 2]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "end,ended",
+    [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ],
+    ids=["exit", "killed"],
+)
+def test_child_that_ends_without_results_raises_memory_error(
+    end, ended, forks, fail_in_training, monkeypatch
+):
+    parent = os.getpid()
+
+    def die(seed):
+        if seed == 1:
+            assert os.getpid() != parent  # seed 1 trains in the second part's child
+            end()
+
+    fail_in_training(die)
+    monkeypatch.setattr(gating, "_WORKERS", 2)
+    with deadline(60), pytest.raises(MemoryError, match=f"{ended} before sending its results"):
+        staged_vs_constant(range(2), steps=SPLIT_STEPS)
+    assert forks == [2]
+    assert_no_child_left()

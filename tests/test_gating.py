@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from moekit import gating
+from moekit import distill, gating
 from moekit.gating import (
     DROPPED,
     DispatchPlan,
@@ -806,3 +806,9 @@ def test_forked_child_routes_after_split(monkeypatch):
         child.kill()
         child.join(timeout=10)
     assert not hung and child.exitcode == 0
+
+    # kd-demo's runs fork a child per part with the pool thread still alive
+    steps = distill._MIN_PART_STEPS
+    split = distill.staged_vs_constant(range(2), steps=steps, boundary=steps // 2)
+    monkeypatch.setattr(gating, "_WORKERS", 1)
+    assert split == distill.staged_vs_constant(range(2), steps=steps, boundary=steps // 2)
