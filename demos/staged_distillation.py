@@ -44,8 +44,7 @@ for i in (0, 50, 99, 100, 150, 199):
 print("\nfinal held-out ce, staged:  ", f"{staged.final_heldout_ce:.4f}")
 print("final held-out ce, constant:", f"{constant.final_heldout_ce:.4f}")
 
-# the direction holds across seeds, not just one lucky draw; the 20 runs are
-# spread over one process per usable CPU
+# the direction holds across seeds, not just one lucky draw
 finals = staged_vs_constant(
     range(10), steps=STEPS, alpha=ALPHA, boundary=STEPS // 2, teacher_noise=NOISE
 )

@@ -17,25 +17,19 @@ Two ideas live here:
 
 ``train_toy`` runs the objective end to end on a synthetic classification
 stream with a deliberately imperfect teacher, using the gradient tape for
-optimization. It exists so schedule variants can be compared empirically:
+optimization, and evaluates the student on a fixed held-out set once, after
+the last step. It exists so schedule variants can be compared empirically:
 ``staged_vs_constant`` trains a staged and a constant-blend student per seed
-(the runs behind ``moekit kd-demo``), spreading the independent runs over one
-forked process per usable CPU.
+(the runs behind ``moekit kd-demo``).
 """
 
 from __future__ import annotations
 
-import numbers
-import os
-import pickle
-import signal
-import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gating
 from . import tensor as tk
 from .arch import (
     LayerSpec,
@@ -44,7 +38,7 @@ from .arch import (
     forward_layer,
     init_layer_params,
 )
-from .gating import GatingConfig
+from .gating import GatingConfig, _is_finite, _is_int
 from .tensor import GradTape, NonFiniteError, Tensor
 
 __all__ = [
@@ -66,9 +60,7 @@ class TrainingError(RuntimeError):
     """Raised when the toy optimizer hits a non-finite loss or activation."""
 
     def __init__(self, step: int, message: str):
-        # both in args, so the error survives the pickling that brings it back
-        # from a forked training part
-        super().__init__(step, message)
+        super().__init__(step, message)  # both in args, so copies of the error rebuild it
         self.step = step
         self.message = message
 
@@ -94,12 +86,13 @@ class KDConfig:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValidationError("alpha must be >= 0")
-        if self.temperature <= 0:
-            raise ValidationError("temperature must be positive")
-        if self.stage_boundary is not None and self.stage_boundary < 0:
-            raise ValidationError("stage_boundary must be >= 0")
+        alpha, t, boundary = self.alpha, self.temperature, self.stage_boundary
+        if not _is_finite(alpha) or alpha < 0:
+            raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
+        if not _is_finite(t) or t <= 0:
+            raise ValidationError(f"temperature must be positive and finite, got {t!r}")
+        if boundary is not None and (not _is_int(boundary) or boundary < 0):
+            raise ValidationError(f"stage_boundary must be None or an int >= 0, got {boundary!r}")
 
     def effective_alpha(self, step: int) -> float:
         if self.stage_boundary is not None and step >= self.stage_boundary:
@@ -156,9 +149,9 @@ def derive_student(teacher: MoeModelConfig, target_depth: int) -> StudentPlan:
     skipped layer removed raises ValidationError.
     """
     depth = teacher.num_layers
-    if not (0 < target_depth < depth):
+    if not _is_int(target_depth) or not 0 < target_depth < depth:
         raise ValidationError(
-            f"target depth {target_depth} must be positive and below teacher depth {depth}"
+            f"target depth {target_depth!r} must be an int above 0 and below teacher depth {depth}"
         )
     removal = depth - target_depth
     protected = set(teacher.moe_layer_indices[-2:])  # keep the widest (deepest) routed layers
@@ -264,10 +257,7 @@ class ToyModel:
 @dataclass(frozen=True)
 class KDTrainResult:
     records: list["StepRecord"]
-
-    @property
-    def final_heldout_ce(self) -> float:
-        return self.records[-1].heldout_ce
+    final_heldout_ce: float  # after the last step
 
 
 @dataclass(frozen=True)
@@ -276,7 +266,6 @@ class StepRecord:
     ce: float
     kd: float
     total: float
-    heldout_ce: float
 
 
 @dataclass(frozen=True)
@@ -287,12 +276,9 @@ class ToyTrainConfig:
 
     def __post_init__(self) -> None:
         steps, lr = self.steps, self.lr
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        if not _is_int(steps) or steps < 1:
             raise ValidationError(f"steps must be an int >= 1, got {steps!r}")
-        # the upper bound also rejects an int too large for a float
-        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not (
-            0 < lr <= sys.float_info.max
-        ):
+        if not _is_finite(lr) or lr <= 0:
             raise ValidationError(f"lr must be positive and finite, got {lr!r}")
 
 
@@ -303,13 +289,18 @@ def train_toy(
 ) -> KDTrainResult:
     """Plain gradient descent on the blended objective.
 
-    One batch per step, evaluated against the stream's fixed held-out set
-    after the update. Raises TrainingError with the failing step index if the
-    loss stops being finite, or if a non-finite gate logit, activation or
-    teacher logit is rejected in the forward pass or the held-out eval.
+    One batch per step; the stream's fixed held-out set is evaluated once,
+    after the last update. Raises TrainingError with the failing step index if
+    the loss stops being finite, or if a non-finite gate logit, activation or
+    teacher logit is rejected in the forward pass or the held-out eval. Every
+    earlier step checks the held-out gate logits too, so a step whose update
+    breaks the held-out eval raises at that step.
     """
     records: list[StepRecord] = []
     leaves = student.leaves()
+    # the eval can only raise at the routed layer's gate logits (ToyModel.create
+    # builds one routed layer), so that is what a skipped eval checks
+    gate_w = student.layer_params[0].gate_w
     for step in range(cfg.steps):
         x, labels = stream.next_batch()
         tape = GradTape()
@@ -328,26 +319,20 @@ def train_toy(
         for leaf in leaves:
             if leaf.grad is not None:
                 leaf.value -= cfg.lr * leaf.grad
-        try:
-            heldout_logits = student.logits(stream.holdout_x)
-        except NonFiniteError as e:
-            raise TrainingError(step, f"held-out eval: {e}") from e
-        heldout = tk.cross_entropy(heldout_logits, stream.holdout_labels).item()
-        records.append(
-            StepRecord(step=step, ce=ce_val, kd=kd_val, total=total, heldout_ce=heldout)
-        )
-    return KDTrainResult(records=records)
+        if step < cfg.steps - 1 and not np.isfinite(stream.holdout_x @ gate_w.value).all():
+            raise TrainingError(step, "held-out eval: gate logits contain NaN or inf")
+        records.append(StepRecord(step=step, ce=ce_val, kd=kd_val, total=total))
+    try:
+        heldout_logits = student.logits(stream.holdout_x)
+    except NonFiniteError as e:
+        raise TrainingError(cfg.steps - 1, f"held-out eval: {e}") from e
+    heldout = tk.cross_entropy(heldout_logits, stream.holdout_labels).item()
+    return KDTrainResult(records=records, final_heldout_ce=heldout)
 
 
 # ---------------------------------------------------------------------------
-# staged vs constant, one process per part
+# staged vs constant
 # ---------------------------------------------------------------------------
-
-# staged_vs_constant splits its runs only when every part holds at least this
-# many training steps. On a 2-vCPU VM a fork plus the pipe back cost about as
-# much as 5 steps (one seed: 15.1 ms serial vs 15.3 ms split at 5 steps per
-# run, medians of 21), and 20 steps per run split in 41 ms against 54 ms.
-_MIN_PART_STEPS = 20
 
 
 def staged_vs_constant(
@@ -361,112 +346,21 @@ def staged_vs_constant(
     """(staged, constant) final held-out CE of the toy KD runs, one pair per seed.
 
     Each seed trains two fresh students (hidden 16, vocab 16, batch 32, four
-    experts, capacity factor 2.0) on its own ``SyntheticStream``: the staged
-    run stops the teacher term at step ``boundary`` (None: never), the
-    constant run never does. The defaults are ``moekit kd-demo``'s.
-
-    The runs are independent, so they are cut into one contiguous part per
-    usable CPU (``gating._WORKERS``), in run order: seed by seed, staged
-    before constant. This process trains the first part and a forked child
-    each other part; training is almost all interpreter time, so threads
-    would serialise on the interpreter lock. A call splits only where
-    ``os.fork`` exists and every part holds at least ``_MIN_PART_STEPS``
-    steps. Each run does the same float operations in a child as here, so
-    the results are bitwise equal to one process's.
-
-    Raises the error of the earliest failing run in run order, as one loop
-    over the runs would (a ``TrainingError`` when training diverges), and
-    ``MemoryError`` when a child ends without sending its results, which is
-    what the kernel's out-of-memory killer leaves.
+    experts, capacity factor 2.0) on its own ``SyntheticStream``, staged run
+    first: the staged run stops the teacher term at step ``boundary`` (None:
+    never), the constant run never does. The defaults are ``moekit
+    kd-demo``'s.
     """
     staged = ToyTrainConfig(kd=KDConfig(alpha, stage_boundary=boundary), steps=steps, lr=lr)
     constant = replace(staged, kd=KDConfig(alpha))
-    runs = [(seed, cfg) for seed in seeds for cfg in (staged, constant)]
-    parts = 1
-    if hasattr(os, "fork"):
-        runs_per_part = -(-_MIN_PART_STEPS // steps)
-        parts = max(1, min(gating._WORKERS, len(runs) // runs_per_part))
-    cut = [runs[r] for r in gating._row_ranges(len(runs), parts)]
-    finals = [ce for part in _run_forked(_train_runs, cut, teacher_noise) for ce in part]
-    return list(zip(finals[::2], finals[1::2]))
-
-
-def _train_runs(teacher_noise: float, runs: list) -> list[float]:
-    """Final held-out CE of each (seed, config) run, in order."""
     finals = []
-    for seed, cfg in runs:
-        stream = SyntheticStream(
-            hidden=16, vocab=16, batch=32, seed=seed, teacher_noise=teacher_noise
-        )
-        model = ToyModel.create(hidden=16, vocab=16, experts=4, seed=seed, capacity_factor=2.0)
-        finals.append(train_toy(model, stream, cfg).final_heldout_ce)
+    for seed in seeds:
+        pair = []
+        for cfg in (staged, constant):
+            stream = SyntheticStream(
+                hidden=16, vocab=16, batch=32, seed=seed, teacher_noise=teacher_noise
+            )
+            model = ToyModel.create(hidden=16, vocab=16, experts=4, seed=seed, capacity_factor=2.0)
+            pair.append(train_toy(model, stream, cfg).final_heldout_ce)
+        finals.append(tuple(pair))
     return finals
-
-
-def _run_forked(fn, parts: list, *args) -> list:
-    """fn(*args, part) for every part, the first in this process and each other
-    in a child made with ``os.fork``. Returns the results in part order, or
-    raises the error of the earliest failing part.
-
-    Every child is reaped before this returns or raises. When this process's
-    own part fails, its error comes first, so the children are killed instead
-    of waited out.
-    """
-    children = []  # (pid, read end of the pipe the child answers on)
-    try:
-        for part in parts[1:]:
-            children.append(_fork_part(fn, *args, part))
-        results = [fn(*args, parts[0])]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        replies = [_wait_reply(pid, read) for pid, read in children]
-    for pid, data, status in replies:
-        try:
-            ok, value = pickle.loads(data)
-        except (pickle.UnpicklingError, EOFError):  # no reply, or a cut-off one
-            ended = f"exited with status {status}" if status >= 0 else f"killed by signal {-status}"
-            raise MemoryError(f"training process {pid} {ended} before sending its results")
-        if not ok:
-            raise value
-        results.append(value)
-    return results
-
-
-def _fork_part(fn, *args) -> tuple[int, int]:
-    """Fork a child that sends pickled (True, fn(*args)), or (False, the error
-    it raised), down a pipe. Returns the child's pid and the pipe's read end."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    # the child leaves only through os._exit, so it runs none of the parent's
-    # exit handlers and flushes none of the stdio buffers it copied
-    code = 1
-    try:
-        os.close(read)
-        try:
-            reply = (True, fn(*args))
-        except BaseException as e:  # sent to the parent, which raises it
-            reply = (False, e)
-        with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(reply))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _wait_reply(pid: int, read: int) -> tuple[int, bytes, int]:
-    """(pid, everything the child wrote to its pipe, its exit code), once the
-    child has ended; the exit code is minus the signal that killed it."""
-    with open(read, "rb") as pipe:
-        data = pipe.read()
-    return pid, data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

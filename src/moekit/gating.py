@@ -59,6 +59,8 @@ per transform. The ratio of the two is the expert count E.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -146,6 +148,20 @@ def _run_parts(fn, parts: list, *args) -> list:
     return results + [future.result() for future in futures]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A real number, not a bool, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the largest float
+        return False
+
+
 @dataclass(frozen=True)
 class GatingConfig:
     """Routing hyperparameters.
@@ -160,16 +176,15 @@ class GatingConfig:
     capacity_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.num_experts < 1:
-            raise ValueError(f"num_experts must be >= 1, got {self.num_experts}")
-        if self.k not in (1, 2):
-            raise ValueError(f"k must be 1 or 2, got {self.k}")
-        if self.k > self.num_experts:
-            raise ValueError(f"k={self.k} exceeds num_experts={self.num_experts}")
-        if not (self.capacity_factor > 0 and np.isfinite(self.capacity_factor)):
-            raise ValueError(
-                f"capacity_factor must be positive and finite, got {self.capacity_factor}"
-            )
+        e, k, cf = self.num_experts, self.k, self.capacity_factor
+        if not _is_int(e) or e < 1:
+            raise ValueError(f"num_experts must be an int >= 1, got {e!r}")
+        if not _is_int(k) or k not in (1, 2):
+            raise ValueError(f"k must be 1 or 2, got {k!r}")
+        if k > e:
+            raise ValueError(f"k={k} exceeds num_experts={e}")
+        if not _is_finite(cf) or cf <= 0:
+            raise ValueError(f"capacity_factor must be positive and finite, got {cf!r}")
 
     def capacity(self, num_tokens: int) -> int:
         # a Python float product: a huge factor gives inf and a subnormal one 0.0

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .arch import MoeModelConfig, count_params, count_params_per_layer
+from .gating import _is_finite, _is_int
 
 __all__ = [
     "LinkSpec",
@@ -69,6 +70,10 @@ class ClusterTopology:
     inter_link: LinkSpec = field(default_factory=lambda: LinkSpec(5e-6, 50e9))
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.nodes) and _is_int(self.gpus_per_node)):
+            raise PlanError(
+                f"node and GPU counts must be ints, got {self.nodes!r} and {self.gpus_per_node!r}"
+            )
         if self.nodes < 1 or self.gpus_per_node < 1:
             raise PlanError("cluster needs at least one node and one GPU per node")
 
@@ -232,6 +237,8 @@ def memory_per_device(
     else (attention, dense FFN, norms, gates, embeddings) shards only over
     the tensor-slice degree.
     """
+    if not _is_finite(bytes_per_param) or bytes_per_param <= 0:
+        raise PlanError(f"bytes_per_param must be positive and finite, got {bytes_per_param!r}")
     problems = validate(built, cfg)
     if problems:
         raise PlanError("; ".join(problems))

@@ -20,23 +20,8 @@ def kd_final_ces():
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The number of runs in each part staged_vs_constant forks a child for."""
-    forked = []
-    fork_part = distill._fork_part
-
-    def counting_fork_part(fn, *args):
-        forked.append(len(args[-1]))  # the runs of the child's part
-        return fork_part(fn, *args)
-
-    monkeypatch.setattr(distill, "_fork_part", counting_fork_part)
-    return forked
-
-
-@pytest.fixture
 def fail_in_training(monkeypatch):
-    """Call with action: train_toy then calls action(seed) before each run
-    (in whichever process trains it)."""
+    """Call with action: train_toy then calls action(seed) before each run."""
     train_toy = distill.train_toy
 
     def install(action):

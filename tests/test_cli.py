@@ -133,6 +133,8 @@ def test_missing_config_file_rejected(capsys):
         # sections the verb does not read are checked too
         ("route-bench", {"cluster": {"nodes": "2"}, "options": {"instances": 1}}),
         ("kd-demo", {"model": {"hidden": 2.5}}),
+        # an int past the largest float fits the option table but not the gating config
+        ("route-bench", {"options": {"tokens": 16, "instances": 1, "capacity_factor": 10**400}}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, verb, config):
@@ -444,45 +446,17 @@ def test_kd_demo_defaults_are_staged_vs_constant_defaults():
     assert defaults == {name: params[name].default for name in defaults}
 
 
-def test_kd_demo_error_in_a_later_part_matches_one_process(
-    tmp_path, capsys, monkeypatch, forks, fail_in_training
-):
-    from moekit import distill, gating
+def test_kd_demo_error_in_a_later_part_matches_one_process(tmp_path, capsys, fail_in_training):
+    from moekit import distill
 
     def fail(seed):
         if seed >= 1:
             raise distill.TrainingError(7, f"forced failure of seed {seed}")
 
     fail_in_training(fail)
-    cfg = write_config(tmp_path, {"options": {"seeds": 3, "steps": distill._MIN_PART_STEPS}})
-    results = []
-    for workers in (1, 3):  # one process, then one seed per process
-        monkeypatch.setattr(gating, "_WORKERS", workers)
-        results.append(run(capsys, "kd-demo", "--config", cfg, "--seed", "0"))
-    assert forks == [2, 2]
+    cfg = write_config(tmp_path, {"options": {"seeds": 3, "steps": 20}})
     want = (4, "", "numerical failure: step 7: forced failure of seed 1\n")
-    assert results == [want, want]
-
-
-def test_kd_demo_lost_training_process_is_invalid_request(
-    tmp_path, capsys, monkeypatch, forks, fail_in_training
-):
-    from moekit import distill, gating
-
-    parent = os.getpid()
-
-    def fail(seed):
-        if os.getpid() != parent:
-            os._exit(1)
-
-    fail_in_training(fail)
-    monkeypatch.setattr(gating, "_WORKERS", 2)
-    cfg = write_config(tmp_path, {"options": {"seeds": 2, "steps": distill._MIN_PART_STEPS}})
-    code, out, err = run(capsys, "kd-demo", "--config", cfg, "--seed", "0")
-    assert forks == [2]
-    assert (code, out) == (3, "")
-    assert err.startswith("invalid request: out of memory: training process ")
-    assert err.endswith(" exited with status 1 before sending its results\n")
+    assert run(capsys, "kd-demo", "--config", cfg, "--seed", "0") == want
 
 
 def test_float_overflow_is_numeric_failure(tmp_path, capsys):

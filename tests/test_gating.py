@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from moekit import distill, gating
+from moekit import gating
 from moekit.gating import (
     DROPPED,
     DispatchPlan,
@@ -153,6 +153,28 @@ class TestTopKGate:
         for cf in (np.inf, np.nan):
             with pytest.raises(ValueError):
                 GatingConfig(num_experts=8, k=1, capacity_factor=cf)
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            ((2.5,), "num_experts"),
+            ((True,), "num_experts"),
+            (("4",), "num_experts"),
+            ((4, 1.0), "k"),
+            ((4, True), "k"),
+            ((2, 1, "1.0"), "capacity_factor"),
+            ((2, 1, True), "capacity_factor"),
+            ((2, 1, None), "capacity_factor"),
+            ((2, 1, 10**400), "capacity_factor"),
+        ],
+    )
+    def test_mistyped_config_rejected(self, args, field):
+        with pytest.raises(ValueError, match=field):
+            GatingConfig(*args)
+
+    def test_numpy_scalar_config_accepted(self):
+        cfg = GatingConfig(np.int64(4), np.int64(2), np.float32(1.5))
+        assert cfg.capacity(8) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +828,3 @@ def test_forked_child_routes_after_split(monkeypatch):
         child.kill()
         child.join(timeout=10)
     assert not hung and child.exitcode == 0
-
-    # kd-demo's runs fork a child per part with the pool thread still alive
-    steps = distill._MIN_PART_STEPS
-    split = distill.staged_vs_constant(range(2), steps=steps, boundary=steps // 2)
-    monkeypatch.setattr(gating, "_WORKERS", 1)
-    assert split == distill.staged_vs_constant(range(2), steps=steps, boundary=steps // 2)

@@ -132,6 +132,12 @@ def test_cluster_validation():
             LinkSpec(latency_s=latency, bandwidth_bytes_per_s=bandwidth)
 
 
+@pytest.mark.parametrize("nodes,gpus", [(1.5, 2), (2, 2.0), ("2", 2), (2, "2"), (True, 2), (2, None)])
+def test_cluster_needs_int_counts(nodes, gpus):
+    with pytest.raises(PlanError, match="must be ints"):
+        ClusterTopology(nodes, gpus)
+
+
 # ---------------------------------------------------------------------------
 # validate() on hand-built plans
 # ---------------------------------------------------------------------------
@@ -216,6 +222,13 @@ def test_memory_matches_hand_formula():
     assert est.expert_bytes == pytest.approx(pc.expert_params / 128 * 2, rel=1e-12)
     assert est.non_expert_bytes == pytest.approx(pc.non_expert_params * 2, rel=1e-12)
     assert est.total_bytes == est.expert_bytes + est.non_expert_bytes
+
+
+@pytest.mark.parametrize("bpp", [-1, 0, 0.0, math.nan, math.inf, "2", True, None, 10**400])
+def test_memory_needs_positive_finite_bytes_per_param(bpp):
+    cfg = _moe_cfg(128)
+    with pytest.raises(PlanError, match="bytes_per_param"):
+        memory_per_device(plan(cfg, CLUSTER_128), cfg, bytes_per_param=bpp)
 
 
 def test_memory_shrinks_with_tensor_slice():
