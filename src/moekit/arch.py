@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tk
-from .gating import GatingConfig, _kept_assignments, top_k_gate
+from .gating import GatingConfig, _is_int, _kept_assignments, top_k_gate
 from .tensor import Tensor
 
 __all__ = [
@@ -85,8 +85,10 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("dense", "moe"):
             raise ValidationError(f"unknown layer kind {self.kind!r}")
-        if self.hidden < 1:
-            raise ValidationError("hidden width must be positive")
+        if not _is_int(self.hidden) or self.hidden < 1:
+            raise ValidationError(f"hidden width must be an int >= 1, got {self.hidden!r}")
+        if not _is_int(self.experts):
+            raise ValidationError(f"expert count must be an int, got {self.experts!r}")
         if self.kind == "moe":
             if self.experts < 1:
                 raise ValidationError("moe layer needs at least one expert")
@@ -248,8 +250,7 @@ def count_params_per_layer(cfg: MoeModelConfig) -> list[LayerParamCount]:
             gate = m * spec.experts + spec.experts
             experts = spec.experts * _ffn_params(m)
             extra = _ffn_params(m) if spec.residual else 0
-            k = spec.gating.k if spec.gating else 1
-            active = shared + gate + extra + k * _ffn_params(m)
+            active = shared + gate + extra + spec.gating.k * _ffn_params(m)
             out.append(LayerParamCount(experts, shared + gate + extra, active))
     return out
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -356,16 +357,18 @@ def _cmd_simulate(args, model, cluster, opts) -> int:
     if emit == "trace" and schedule == "all":
         raise ConfigError("trace output needs a single schedule")
 
-    sends = commsim.synthetic_sends(world, per_rank, nbytes=nbytes, seed=args.seed)
+    @functools.cache  # each payload is built once, and only if a schedule reads it
+    def sends(ranks):
+        return commsim.synthetic_sends(ranks, per_rank, nbytes=nbytes, seed=args.seed)
 
     def run(name):
         if name == "flat":
-            return commsim.flat_all_to_all(sends, cost)
+            return commsim.flat_all_to_all(sends(world), cost)
         if name == "hierarchical":
-            return commsim.hierarchical_all_to_all(sends, cluster.gpus_per_node, cost)
+            return commsim.hierarchical_all_to_all(sends(world), cluster.gpus_per_node, cost)
         if world % slice_ != 0:
             raise ScheduleError(f"tensor_slice {slice_} must divide world {world}")
-        logical = commsim.synthetic_sends(world // slice_, per_rank, nbytes=nbytes, seed=args.seed)
+        logical = sends(world // slice_)
         replicated = [list(items) for items in logical for _ in range(slice_)]
         return commsim.coordinated_all_to_all(replicated, slice_, cost)
 

@@ -50,6 +50,7 @@ from operator import attrgetter, is_
 
 import numpy as np
 
+from .gating import _is_finite
 from .planner import ClusterTopology
 
 __all__ = [
@@ -93,8 +94,10 @@ class CostModel:
     c2: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not (0 <= self.c1 < np.inf and 0 <= self.c2 < np.inf):
-            raise ScheduleError("cost constants must be finite and >= 0")
+        if not all(_is_finite(c) and c >= 0 for c in (self.c1, self.c2)):
+            raise ScheduleError(
+                f"cost constants must be finite and >= 0, got c1={self.c1!r}, c2={self.c2!r}"
+            )
 
 
 @dataclass(frozen=True)

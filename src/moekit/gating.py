@@ -14,9 +14,9 @@ work buffers and back:
      capacity are dropped (slot = DROPPED). The same sort fills the slot
      table ``slot_tokens``, which ``scatter_tokens`` reads; ``arch.forward_layer``
      runs the same checks and sort (``_kept_assignments``) and builds no plan.
-  3. ``scatter_tokens``   - gather token rows into (E, c, M) expert buffers,
-     one row take of the slot table per expert straight into its buffer;
-     only the slots past the expert's load are zero-filled.
+  3. ``scatter_tokens``   - gather token rows into zeroed (E, c, M) expert
+     buffers, one row take of the slot table per expert straight into its
+     buffer.
   4. ``combine_tokens``   - return expert outputs to original token order,
      scaled by the gate probability, one row block at a time: each block of
      the output is zeroed, then each choice's rows are taken, scaled and
@@ -29,16 +29,17 @@ The row blocks are about ``_BLOCK_BYTES`` each, so a block's passes run in
 the per-core cache; every element goes through the same float operations in
 the same order as in one whole-array pass, so the blocking changes no bit.
 
-The gate, the scatter and the combine split a large call into one part per
-usable CPU (``os.sched_getaffinity``), run on a thread pool private to this
-module: the gate and the combine into contiguous row ranges, the scatter into
-row ranges for its finiteness check and expert ranges of about equal kept
-load for its fill. A call splits only when every part gets at least
-``_MIN_PART_BYTES`` (2 MiB) of the stage's array, so small batches run on the
-calling thread and never create the pool. Every row goes through the same
-float operations in a part as in the whole-array pass, so the outputs are
-bitwise equal to one worker's. ``build_dispatch_plan`` (one stable sort)
-stays serial.
+The gate, the scatter and the combine each allocate their outputs, then fill
+them in ``_parts(nbytes)`` parts of their largest array, one part per usable
+CPU (``os.sched_getaffinity``) as long as every part gets at least
+``_MIN_PART_BYTES`` (2 MiB). The first part runs on the calling thread and the
+rest on a thread pool private to this module, so small batches never create
+the pool. The gate and the combine take contiguous row ranges, the scatter
+row ranges for its finiteness check and equal expert ranges for its fill
+(capacity caps every expert's load, so equal ranges hold about equal work).
+Every row goes through the same float operations in a part as in the
+whole-array pass, so the outputs are bitwise equal to one worker's.
+``build_dispatch_plan`` (one stable sort) stays serial.
 
 NaN or inf logits, gate probabilities, token rows and kept expert outputs are
 rejected with ``NonFiniteError``, a ``ShapeError``, instead of being routed.
@@ -110,11 +111,11 @@ if hasattr(os, "sched_getaffinity"):
 else:
     _WORKERS = os.cpu_count() or 1
 _MIN_PART_BYTES = 1 << 21
-# The scatter makes two numpy calls per expert, and between them its parts
-# trade the interpreter lock. Below about this many bytes of slots per expert
-# the trading cost more than the second thread saved, so the scatter also
-# needs it to split.
-_MIN_EXPERT_BYTES = 1 << 17
+
+
+def _parts(nbytes: int) -> int:
+    """How many parts a stage whose largest array has nbytes splits into."""
+    return max(1, min(_WORKERS, nbytes // _MIN_PART_BYTES))
 
 
 @functools.cache
@@ -129,23 +130,23 @@ def _pool(pid: int):
 
 def _row_ranges(num_rows: int, parts: int) -> list[slice]:
     """parts contiguous ranges of about equal length covering num_rows rows."""
-    cuts = [num_rows * i // parts for i in range(parts + 1)]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    return [slice(num_rows * i // parts, num_rows * (i + 1) // parts) for i in range(parts)]
 
 
-def _run_parts(fn, parts: list, *args) -> list:
+def _run_parts(fn, parts: list, *args) -> None:
     """fn(*args, part) for every part, the first on this thread and the rest on
-    the pool. Waits for every part, then returns their results in order or
-    raises a part's exception. Worker code calls no public moekit function,
-    because a tracer that wraps those functions keeps one span stack for the
-    whole process."""
+    the pool. Waits for every part, then raises the first failed part's
+    exception, if any. Worker code calls no public moekit function, because a
+    tracer that wraps those functions keeps one span stack for the whole
+    process."""
     futures = [_pool(os.getpid()).submit(fn, *args, part) for part in parts[1:]]
     try:
-        results = [fn(*args, parts[0])]
+        fn(*args, parts[0])
     finally:
         for future in futures:
             future.exception()  # waits, so no part still runs once this returns or raises
-    return results + [future.result() for future in futures]
+    for future in futures:
+        future.result()
 
 
 def _is_int(value) -> bool:
@@ -270,41 +271,28 @@ def top_k_gate(logits: np.ndarray, cfg: GatingConfig) -> TopKGate:
     num_tokens, width = logits.shape
     if width != cfg.num_experts:
         raise ShapeError(f"gate logits have {width} columns, config expects {cfg.num_experts}")
-    parts = min(_WORKERS, 8 * num_tokens * width // _MIN_PART_BYTES)
-    if parts < 2:
-        probs = np.array(logits, dtype=np.float64)  # the one (S, E) buffer, softmaxed in place
-        ids, gate_probs = _gate_rows(probs, cfg.k)
-    else:
-        probs = np.empty((num_tokens, width))
-        ranges = _row_ranges(num_tokens, parts)
-        done = _run_parts(_gate_part, ranges, logits, probs, cfg.k)
-        ids = np.concatenate([part_ids for part_ids, _ in done])
-        gate_probs = np.concatenate([part_probs for _, part_probs in done])
+    probs = np.empty((num_tokens, width))  # the one (S, E) buffer, softmaxed in place
+    ids = np.empty((num_tokens, cfg.k), dtype=np.intp)
+    gate_probs = np.empty((num_tokens, cfg.k))
+    ranges = _row_ranges(num_tokens, _parts(probs.nbytes))
+    _run_parts(_gate_part, ranges, logits, probs, ids, gate_probs)
     return TopKGate(expert_ids=ids, gate_probs=gate_probs, probs=probs)
 
 
-def _gate_part(logits, probs, k: int, r: slice):
-    """Copy logits rows r into probs, then gate them in place."""
-    p = probs[r]
+def _gate_part(logits, probs, ids, gate_probs, r: slice) -> None:
+    """Gate logits rows r: copy them into probs, then argmaxes into ids,
+    finiteness check and blocked softmax in place, and gate probabilities."""
+    p, i = probs[r], ids[r]
     p[...] = logits[r]
-    return _gate_rows(p, k)
-
-
-def _gate_rows(p: np.ndarray, k: int):
-    """Gate the float64 logits rows p in place: argmaxes, finiteness check and
-    blocked softmax. Returns the rows' expert ids and gate probabilities."""
     rows = np.arange(p.shape[0])
     # argmax returns the first maximum, so equal logits go to the lower index
     first = p.argmax(axis=1)
     top = p[rows, first]
-    if k == 2:
-        ids = np.empty((p.shape[0], 2), dtype=first.dtype)
-        ids[:, 0] = first
+    i[:, 0] = first
+    if i.shape[1] == 2:
         p[rows, first] = -np.inf
-        ids[:, 1] = p.argmax(axis=1)
+        i[:, 1] = p.argmax(axis=1)
         p[rows, first] = top
-    else:
-        ids = first[:, None]
     for b in _row_blocks(p.shape[0], p.itemsize * p.shape[1]):
         block = p[b]
         # checked per block, so no (S, E) mask is built; the argmaxes above
@@ -314,7 +302,7 @@ def _gate_rows(p: np.ndarray, k: int):
         block -= top[b, None]
         np.exp(block, out=block)
         block /= block.sum(axis=1, keepdims=True)
-    return ids, p[rows[:, None], ids]
+    gate_probs[r] = p[rows[:, None], i]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +416,7 @@ def scatter_tokens(
 ) -> ExpertBuffers:
     """Copy each kept token row into its expert's capacity slot.
 
-    batch: (S, M), all finite. Slots past an expert's load are zero-filled. Counter
+    batch: (S, M), all finite. Slots past an expert's load hold zeros. Counter
     accounting: the table resolves each of the S*k assignments against its
     expert's c slots, M lanes wide -> S*c*M per transform (no factor of E).
     """
@@ -438,24 +426,16 @@ def scatter_tokens(
     batch = batch.astype(np.float64, copy=False)
     if batch.ndim != 2 or batch.shape[0] != plan.num_tokens:
         raise ShapeError(f"batch shape {batch.shape} does not match plan S={plan.num_tokens}")
-    data = np.empty((plan.num_experts, plan.capacity, batch.shape[1]))
-    if data[0].nbytes < _MIN_EXPERT_BYTES:
-        parts = 1
-    else:
-        parts = max(1, min(_WORKERS, data.nbytes // _MIN_PART_BYTES))
-    # hot experts take more rows, so the experts are cut at even shares of the kept load
-    cum = np.cumsum(plan.expert_load)
-    shares = np.searchsorted(cum, cum[-1] * np.arange(1, parts) / parts) + 1
-    cuts = [0, *shares.tolist(), plan.num_experts]
-    experts = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-    ranges = list(zip(_row_ranges(plan.num_tokens, parts), experts))
+    data = np.zeros((plan.num_experts, plan.capacity, batch.shape[1]))
+    parts = _parts(data.nbytes)
+    ranges = list(zip(_row_ranges(plan.num_tokens, parts), _row_ranges(plan.num_experts, parts)))
     _run_parts(_scatter_part, ranges, batch, plan.slot_tokens, plan.expert_load.tolist(), data)
     if counter is not None:
         counter.add(plan.num_tokens * plan.capacity * batch.shape[1])
     return ExpertBuffers(data=data)
 
 
-def _scatter_part(batch, slot_tokens, loads, data, part: tuple[slice, range]) -> None:
+def _scatter_part(batch, slot_tokens, loads, data, part: tuple[slice, slice]) -> None:
     """scatter_tokens' finiteness check on one row range and fill of one expert range."""
     r, experts = part
     rows = batch[r]
@@ -463,11 +443,10 @@ def _scatter_part(batch, slot_tokens, loads, data, part: tuple[slice, range]) ->
         # checked per block, so no (S, M) mask is built
         if not np.isfinite(rows[b]).all():
             raise NonFiniteError("token batch contains NaN or inf")
-    for e in experts:
+    for e in range(experts.start, experts.stop):
         load = loads[e]
         # slot_tokens holds row numbers below S, so "clip" never clips; it lets take write in place
         batch.take(slot_tokens[e, :load], axis=0, out=data[e, :load], mode="clip")
-        data[e, load:] = 0.0
 
 
 def combine_tokens(
@@ -490,8 +469,7 @@ def combine_tokens(
     e_count, cap, m = outputs.data.shape
     flat = outputs.data.reshape(e_count * cap, m)
     combined = np.empty((plan.num_tokens, m))
-    parts = max(1, min(_WORKERS, combined.nbytes // _MIN_PART_BYTES))
-    ranges = _row_ranges(plan.num_tokens, parts)
+    ranges = _row_ranges(plan.num_tokens, _parts(combined.nbytes))
     _run_parts(_combine_rows, ranges, flat, plan, combined)
     if counter is not None:
         counter.add(plan.num_tokens * plan.capacity * m)

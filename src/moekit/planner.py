@@ -19,7 +19,6 @@ turns a plan into a per-device weight footprint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .arch import MoeModelConfig, count_params, count_params_per_layer
@@ -50,10 +49,12 @@ class LinkSpec:
     bandwidth_bytes_per_s: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.latency_s < math.inf:
-            raise PlanError("link latency must be finite and >= 0")
-        if not 0 < self.bandwidth_bytes_per_s < math.inf:
-            raise PlanError("link bandwidth must be finite and positive")
+        if not (_is_finite(self.latency_s) and self.latency_s >= 0):
+            raise PlanError(f"link latency must be finite and >= 0, got {self.latency_s!r}")
+        if not (_is_finite(self.bandwidth_bytes_per_s) and self.bandwidth_bytes_per_s > 0):
+            raise PlanError(
+                f"link bandwidth must be finite and positive, got {self.bandwidth_bytes_per_s!r}"
+            )
 
 
 @dataclass(frozen=True)

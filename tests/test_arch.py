@@ -99,6 +99,16 @@ class TestBuilders:
         with pytest.raises(ValidationError):
             LayerSpec(kind="funky", hidden=64)
 
+    @pytest.mark.parametrize(
+        "kind,hidden,experts",
+        [("dense", "8", 0), ("dense", 2.5, 0), ("dense", True, 0), ("dense", None, 0),
+         ("moe", 8, "4"), ("moe", 8, 4.0), ("moe", 8.0, 4), ("dense", 8, None)],
+    )
+    def test_layer_spec_needs_int_sizes(self, kind, hidden, experts):
+        gating = GatingConfig(num_experts=4) if kind == "moe" else None
+        with pytest.raises(ValidationError, match="must be an int"):
+            LayerSpec(kind=kind, hidden=hidden, experts=experts, gating=gating)
+
 
 def _odd_base():
     return MoeModelConfig(

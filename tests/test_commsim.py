@@ -360,6 +360,16 @@ def test_cost_model_validation():
             CostModel(c1=c1, c2=c2)
 
 
+@pytest.mark.parametrize(
+    "c1,c2",
+    [("1", 1), (True, 1), (None, 1), (1e-4, "1"), (1e-4, False),
+     pytest.param(1e-4, 10**400, id="int-past-float")],
+)
+def test_cost_model_needs_finite_numbers(c1, c2):
+    with pytest.raises(ScheduleError, match="finite"):
+        CostModel(c1, c2)
+
+
 # ---------------------------------------------------------------------------
 # pinned event sequences
 # ---------------------------------------------------------------------------

@@ -717,9 +717,8 @@ def test_routing_stages_match_earlier_implementations_across_row_blocks(s, k):
 # large calls split across worker threads
 # ---------------------------------------------------------------------------
 
-# Every stage's array is over 2 * gating._MIN_PART_BYTES and an expert's slots
-# over gating._MIN_EXPERT_BYTES, so with two or more workers the gate, the
-# scatter and the combine all split.
+# Every stage's array is over 2 * gating._MIN_PART_BYTES, so with two or more
+# workers the gate, the scatter and the combine all split.
 SPLIT_S, SPLIT_E, SPLIT_M = 20000, 64, 64
 
 
@@ -762,7 +761,9 @@ def test_split_stages_bitwise_equal_one_worker(k, workers, monkeypatch):
     monkeypatch.setattr(gating, "_run_parts", counting_run_parts)
     monkeypatch.setattr(gating, "_WORKERS", 1)
     one = route_split_batch(k)
-    assert split_calls == [("_scatter_part", 1), ("_combine_rows", 1), ("_combine_rows", 1)]
+    assert split_calls == [
+        ("_gate_part", 1), ("_scatter_part", 1), ("_combine_rows", 1), ("_combine_rows", 1)
+    ]
     assert 0 < int(one["expert_load"].sum()) < SPLIT_S * k  # some assignments drop
 
     split_calls.clear()
@@ -777,6 +778,53 @@ def test_split_stages_bitwise_equal_one_worker(k, workers, monkeypatch):
     assert split_calls == [(stage, workers) for stage in stages]
     for name, want in one.items():
         assert_same_bits(split[name], want)
+
+
+# (experts, k, experts from which on no token is routed): one expert, two
+# experts, and every assignment on the first expert range of a 2- or 3-way cut
+CUT_CASES = {"one-expert": (1, 1, 1), "two-experts": (2, 2, 2), "first-range-only": (SPLIT_E, 2, 16)}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("case", CUT_CASES)
+def test_scatter_expert_cut_bitwise_equal_one_worker(case, workers, monkeypatch):
+    experts, k, cold = CUT_CASES[case]
+    rng = np.random.default_rng([22, experts])
+    logits = rng.standard_normal((SPLIT_S, experts))
+    logits[:, cold:] = -40.0
+    batch = rng.standard_normal((SPLIT_S, SPLIT_M))
+    batch[::7] = -0.0
+    cfg = GatingConfig(num_experts=experts, k=k, capacity_factor=1.0)
+    fills = []
+    scatter_part = gating._scatter_part
+
+    def recording_scatter_part(batch, slot_tokens, loads, data, part):
+        fills.append((part[1].start, part[1].stop, sum(loads[part[1]])))
+        scatter_part(batch, slot_tokens, loads, data, part)
+
+    def route():
+        fills.clear()
+        plan = build_dispatch_plan(top_k_gate(logits, cfg), cfg, SPLIT_S)
+        buffers = scatter_tokens(batch, plan)
+        outputs = ExpertBuffersLike(np.sin(buffers.data) * 3.0 + 1.0)
+        return plan, buffers.data, combine_tokens(outputs, plan)
+
+    monkeypatch.setattr(gating, "_scatter_part", recording_scatter_part)
+    monkeypatch.setattr(gating, "_WORKERS", 1)
+    plan, one_data, one_combined = route()
+    kept = int(plan.expert_load.sum())
+    assert fills == [(0, experts, kept)] and kept > 0
+    monkeypatch.setattr(gating, "_WORKERS", workers)
+    _, data, combined = route()
+    fills.sort()
+    assert len(fills) == workers
+    assert [start for start, _, _ in fills[1:]] == [stop for _, stop, _ in fills[:-1]]
+    if experts < workers:
+        assert any(start == stop for start, stop, _ in fills)  # a part with no expert
+    if cold < experts:
+        assert fills[0][1] >= cold and fills[0][2] == kept  # one part does the whole fill
+    assert_same_bits(data, one_data)
+    assert_same_bits(combined, one_combined)
 
 
 @pytest.mark.parametrize("workers", [2, 3])

@@ -132,6 +132,16 @@ def test_cluster_validation():
             LinkSpec(latency_s=latency, bandwidth_bytes_per_s=bandwidth)
 
 
+@pytest.mark.parametrize(
+    "latency,bandwidth",
+    [("1", 1e9), (True, 1e9), (None, 1e9), (1e-6, "1e9"), (1e-6, True),
+     pytest.param(1e-6, 10**400, id="int-past-float")],
+)
+def test_link_needs_finite_numbers(latency, bandwidth):
+    with pytest.raises(PlanError, match="finite"):
+        LinkSpec(latency, bandwidth)
+
+
 @pytest.mark.parametrize("nodes,gpus", [(1.5, 2), (2, 2.0), ("2", 2), (2, "2"), (True, 2), (2, None)])
 def test_cluster_needs_int_counts(nodes, gpus):
     with pytest.raises(PlanError, match="must be ints"):
