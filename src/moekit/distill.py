@@ -20,11 +20,13 @@ stream with a deliberately imperfect teacher, using the gradient tape for
 optimization, and evaluates the student on a fixed held-out set once, after
 the last step. It exists so schedule variants can be compared empirically:
 ``staged_vs_constant`` trains a staged and a constant-blend student per seed
-(the runs behind ``moekit kd-demo``).
+(the runs behind ``moekit kd-demo``). The two runs agree up to the stage
+boundary, so it trains those steps once and branches each run from a copy.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -296,12 +298,20 @@ def train_toy(
     earlier step checks the held-out gate logits too, so a step whose update
     breaks the held-out eval raises at that step.
     """
+    records = _train_steps(student, stream, cfg, range(cfg.steps))
+    return KDTrainResult(records=records, final_heldout_ce=_heldout_ce(student, stream, cfg))
+
+
+def _train_steps(
+    student: ToyModel, stream: SyntheticStream, cfg: ToyTrainConfig, steps: range
+) -> list[StepRecord]:
+    """``train_toy``'s updates for the given steps of a ``cfg.steps``-step run."""
     records: list[StepRecord] = []
     leaves = student.leaves()
     # the eval can only raise at the routed layer's gate logits (ToyModel.create
     # builds one routed layer), so that is what a skipped eval checks
     gate_w = student.layer_params[0].gate_w
-    for step in range(cfg.steps):
+    for step in steps:
         x, labels = stream.next_batch()
         tape = GradTape()
         try:
@@ -322,17 +332,29 @@ def train_toy(
         if step < cfg.steps - 1 and not np.isfinite(stream.holdout_x @ gate_w.value).all():
             raise TrainingError(step, "held-out eval: gate logits contain NaN or inf")
         records.append(StepRecord(step=step, ce=ce_val, kd=kd_val, total=total))
+    return records
+
+
+def _heldout_ce(student: ToyModel, stream: SyntheticStream, cfg: ToyTrainConfig) -> float:
+    """CE on the stream's held-out set, as the last step of a ``cfg`` run leaves it."""
     try:
         heldout_logits = student.logits(stream.holdout_x)
     except NonFiniteError as e:
         raise TrainingError(cfg.steps - 1, f"held-out eval: {e}") from e
-    heldout = tk.cross_entropy(heldout_logits, stream.holdout_labels).item()
-    return KDTrainResult(records=records, final_heldout_ce=heldout)
+    return tk.cross_entropy(heldout_logits, stream.holdout_labels).item()
 
 
 # ---------------------------------------------------------------------------
 # staged vs constant
 # ---------------------------------------------------------------------------
+
+
+def _finish_run(
+    model: ToyModel, stream: SyntheticStream, cfg: ToyTrainConfig, start: int
+) -> float:
+    """Train steps ``start .. cfg.steps - 1`` of a run, then its final held-out CE."""
+    _train_steps(model, stream, cfg, range(start, cfg.steps))
+    return _heldout_ce(model, stream, cfg)
 
 
 def staged_vs_constant(
@@ -345,22 +367,36 @@ def staged_vs_constant(
 ) -> list[tuple[float, float]]:
     """(staged, constant) final held-out CE of the toy KD runs, one pair per seed.
 
-    Each seed trains two fresh students (hidden 16, vocab 16, batch 32, four
-    experts, capacity factor 2.0) on its own ``SyntheticStream``, staged run
-    first: the staged run stops the teacher term at step ``boundary`` (None:
-    never), the constant run never does. The defaults are ``moekit
-    kd-demo``'s.
+    Each seed trains two students (hidden 16, vocab 16, batch 32, four
+    experts, capacity factor 2.0) on its own ``SyntheticStream``: the staged
+    run stops the teacher term at step ``boundary`` (None: never), the
+    constant run never does. Before the boundary the two runs are the same
+    computation, so the steps before ``min(boundary, steps)`` (every step when
+    ``boundary`` is None) are trained once; the staged and constant runs each
+    continue from a copy of that model and stream, staged run first. Each
+    result is bitwise the one a separate ``train_toy`` run gives, and a
+    failure raises at the step and in the run order that separate runs would.
+    The defaults are ``moekit kd-demo``'s.
     """
     staged = ToyTrainConfig(kd=KDConfig(alpha, stage_boundary=boundary), steps=steps, lr=lr)
     constant = replace(staged, kd=KDConfig(alpha))
+    shared = steps if boundary is None else min(boundary, steps)
     finals = []
     for seed in seeds:
-        pair = []
-        for cfg in (staged, constant):
-            stream = SyntheticStream(
-                hidden=16, vocab=16, batch=32, seed=seed, teacher_noise=teacher_noise
+        stream = SyntheticStream(
+            hidden=16, vocab=16, batch=32, seed=seed, teacher_noise=teacher_noise
+        )
+        model = ToyModel.create(hidden=16, vocab=16, experts=4, seed=seed, capacity_factor=2.0)
+        _train_steps(model, stream, staged, range(shared))
+        # copy the leaves, not the ToyModel: deep-copying an instance caches
+        # __slotnames__ on its class, which perfbench's tracer reports as a
+        # binding it did not restore (the specs are frozen and shared)
+        params, head, branch_stream = copy.deepcopy((model.layer_params, model.head, stream))
+        branch = replace(model, layer_params=params, head=head)
+        finals.append(
+            (
+                _finish_run(model, stream, staged, shared),
+                _finish_run(branch, branch_stream, constant, shared),
             )
-            model = ToyModel.create(hidden=16, vocab=16, experts=4, seed=seed, capacity_factor=2.0)
-            pair.append(train_toy(model, stream, cfg).final_heldout_ce)
-        finals.append(tuple(pair))
+        )
     return finals

@@ -21,14 +21,15 @@ def kd_final_ces():
 
 @pytest.fixture
 def fail_in_training(monkeypatch):
-    """Call with action: train_toy then calls action(seed) before each run."""
-    train_toy = distill.train_toy
+    """Call with action: staged_vs_constant then calls action(seed) before each
+    run's own steps and eval (after the seed's shared steps), staged run first."""
+    finish_run = distill._finish_run
 
     def install(action):
-        def train(model, stream, cfg):
+        def finish(model, stream, cfg, start):
             action(stream.seed)
-            return train_toy(model, stream, cfg)
+            return finish_run(model, stream, cfg, start)
 
-        monkeypatch.setattr(distill, "train_toy", train)
+        monkeypatch.setattr(distill, "_finish_run", finish)
 
     return install

@@ -494,3 +494,80 @@ def test_earliest_failing_run_is_raised(fail_in_training):
         staged_vs_constant(range(3), steps=SHORT_STEPS)
     assert exc.value.step == 1
     assert trained == [0, 0, 1]  # seed 0's two runs, then seed 1's staged run fails
+
+
+@pytest.mark.parametrize(
+    "boundary",
+    [None, 0, 1, SHORT_STEPS // 2, SHORT_STEPS - 1, SHORT_STEPS, 3 * SHORT_STEPS],
+)
+def test_shared_steps_match_separate_runs(boundary):
+    # the steps before the boundary are trained once and both runs branch from a copy
+    finals = staged_vs_constant(range(2), steps=SHORT_STEPS, boundary=boundary)
+    want = [
+        (
+            _toy_run(seed, boundary, steps=SHORT_STEPS).final_heldout_ce,
+            _toy_run(seed, None, steps=SHORT_STEPS).final_heldout_ce,
+        )
+        for seed in range(2)
+    ]
+    assert finals_bits(finals) == finals_bits(want)
+
+
+HELDOUT_OVERFLOW = (0, "held-out eval: gate logits contain NaN or inf")
+
+
+@pytest.mark.parametrize(
+    "boundary, want",
+    [(0, (1, "non-finite loss nan")), (1, HELDOUT_OVERFLOW), (None, HELDOUT_OVERFLOW)],
+)
+def test_failure_raises_as_the_staged_run(boundary, want, fail_in_training):
+    # lr=1e308: step 0's update overflows the weights. With the teacher term
+    # on, the held-out gate logits overflow at once; boundary 1 or None shares
+    # that step, boundary 0 fails in the staged run's own steps.
+    stream = SyntheticStream(hidden=16, vocab=16, batch=32, seed=0, teacher_noise=TOY_NOISE)
+    model = ToyModel.create(hidden=16, vocab=16, experts=4, seed=0, capacity_factor=2.0)
+    cfg = ToyTrainConfig(
+        kd=KDConfig(alpha=TOY_ALPHA, stage_boundary=boundary), steps=SHORT_STEPS, lr=1e308
+    )
+    branched = []
+    fail_in_training(branched.append)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError) as staged_run:
+            train_toy(model, stream, cfg)
+        with pytest.raises(TrainingError) as exc:
+            staged_vs_constant(range(2), steps=SHORT_STEPS, boundary=boundary, lr=1e308)
+    assert (staged_run.value.step, staged_run.value.message) == want
+    assert (exc.value.step, exc.value.message) == want
+    assert branched == ([0] if boundary == 0 else [])  # the constant run never starts
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"boundary": -1},
+        {"boundary": 2.5},
+        {"boundary": True},
+        {"boundary": "3"},
+        {"steps": 0},
+    ],
+    ids=repr,
+)
+def test_bad_boundary_or_steps_rejected_before_training(kwargs):
+    started = []
+
+    def seeds():
+        started.append(True)
+        yield 0
+
+    with pytest.raises(ValidationError):
+        staged_vs_constant(seeds(), **kwargs)
+    assert started == []
+
+
+def test_branching_adds_nothing_to_the_toy_model_class(monkeypatch):
+    # perfbench's tracer checks that the ToyModel class holds the same attributes
+    # after a traced run as before; copying an instance would cache __slotnames__
+    monkeypatch.delattr(ToyModel, "__slotnames__", raising=False)
+    before = dict(vars(ToyModel))
+    staged_vs_constant(range(1), steps=2, boundary=1)
+    assert dict(vars(ToyModel)) == before
