@@ -1,8 +1,8 @@
 """Round-level simulation of all-to-all exchange schedules.
 
 Every schedule here moves the same logical payload: per-rank lists of
-``Item`` records, each bound for a destination rank. Three schedules are
-modeled:
+``Item`` named tuples, each bound for a destination rank. Three schedules
+are modeled:
 
   * ``flat_all_to_all``: p pairwise rounds, every rank exchanging with every
     rank (itself included). The baseline.
@@ -17,8 +17,9 @@ modeled:
     shrinks to p/L rounds at full payload volume, plus L cheap allgather
     rounds.
 
-The payload is read once into numpy columns (src, dst, token, nbytes; one
-row per item), after a type check of every field. The schedules differ only
+The payload is read once into numpy columns (src, dst, token, nbytes, one
+int64 value per item each): every field of every item goes through one
+flatten, one type check and one ``np.fromiter``. The schedules differ only
 in which rank each message goes to and in which round, so every exchange
 phase runs through one helper, ``_exchange``: it maps each item to its
 receiving rank and round, groups the items of each message with one argsort
@@ -29,7 +30,10 @@ a larger payload raises ScheduleError.
 
 All schedules deliver bit-identical receive lists (sorted by source rank and
 token id, equal pairs in arrival order), which the tests rely on; each is
-one lexsort of the input columns. Self-deliveries inside an exchange phase
+one lexsort of the input columns, sliced into per-rank tuples from one list
+of the sorted items. Coordinated's replicas differ only in the order of
+items with equal (dst, src, token), so it sorts once more only for a
+payload with such ties. Self-deliveries inside an exchange phase
 count toward volume, so the hierarchical schedule's volume is exactly twice
 the flat one's.
 
@@ -46,7 +50,8 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, is_
+from operator import is_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,9 +81,12 @@ class ReplicaMismatchError(ScheduleError):
     """Raised when ranks that should hold identical replicas do not."""
 
 
-@dataclass(frozen=True, order=True)
-class Item:
-    """One routed payload unit: token ``token`` going from src to dst."""
+class Item(NamedTuple):
+    """One routed payload unit: token ``token`` going from src to dst.
+
+    A named tuple: it equals, hashes and orders like the plain tuple
+    (src, dst, token, nbytes), so it also compares equal to one.
+    """
 
     src: int
     dst: int
@@ -153,8 +161,8 @@ class CommTrace:
 # payload columns and the exchange phase
 # ---------------------------------------------------------------------------
 
-_FIELDS = (("src", np.int32), ("dst", np.int32), ("token", np.int64), ("nbytes", np.int64))
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_FIELDS = Item._fields
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 _EVENT = np.dtype([("step", np.int64), ("kind", "U16"), ("src", np.int64), ("dst", np.int64),
                    ("nbytes", np.int64), ("latency_s", np.float64)])
 
@@ -163,42 +171,53 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
-def _columns(lists: list[list[Item]], ranks) -> list[np.ndarray]:
-    """src, dst, token and nbytes of the items in ``lists``, one column each.
+def _columns(lists: list[list[Item]], ranks) -> tuple[np.ndarray, np.ndarray]:
+    """The items in ``lists``, in turn, as an object array, and their src,
+    dst, token and nbytes as the rows of a (4, n) int64 array.
 
-    Every value must be an int (numpy integers pass, bools do not) that fits
-    its column's dtype. A bad value names the rank ``ranks[i]`` of its list i.
+    Every entry must be an ``Item`` and every field an int (numpy integers
+    pass, bools do not) that fits int64. All fields of all items are read in
+    one pass; only a bad value is looked for field by field, to name its
+    field and the rank ``ranks[j]`` of its list j.
     """
-    columns = []
-    for field, dtype in _FIELDS:
-        values = list(map(attrgetter(field), chain.from_iterable(lists)))
-        try:
-            if all(kind is int or issubclass(kind, np.integer) for kind in set(map(type, values))):
-                columns.append(np.fromiter(values, dtype, len(values)))
-                continue
-        except OverflowError:  # a value past the dtype's range, found below
-            pass
-        info = np.iinfo(dtype)
-        i = next(i for i, v in enumerate(values) if not (_is_int(v) and info.min <= v <= info.max))
-        rank = ranks[int(np.searchsorted(np.cumsum(list(map(len, lists))), i, side="right"))]
-        raise ScheduleError(f"rank {rank}: {field} {values[i]!r} is not an int in {info.dtype} range")
-    return columns
+    entries = list(chain.from_iterable(lists))
+    if not all(issubclass(kind, Item) for kind in set(map(type, entries))):
+        i = next(i for i, entry in enumerate(entries) if not isinstance(entry, Item))
+        raise ScheduleError(f"rank {_rank_of(lists, ranks, i)}: entry {entries[i]!r} is not an Item")
+    values, n = list(chain.from_iterable(entries)), len(_FIELDS)
+    try:
+        if all(kind is int or issubclass(kind, np.integer) for kind in set(map(type, values))):
+            table = np.fromiter(values, np.int64, len(values)).reshape(-1, n)
+            return np.fromiter(entries, object, len(entries)), table.T.copy()
+    except OverflowError:  # a value past int64, found below
+        pass
+    f, i = next(
+        (f, i) for f in range(n) for i, v in enumerate(values[f::n])
+        if not (_is_int(v) and _INT64_MIN <= v <= _INT64_MAX)
+    )
+    raise ScheduleError(
+        f"rank {_rank_of(lists, ranks, i)}: {_FIELDS[f]} {values[i * n + f]!r} is not an int in int64 range"
+    )
+
+
+def _rank_of(lists: list[list], ranks, i: int):
+    """The rank ``ranks[j]`` of the list j that holds entry i of all the lists in turn."""
+    return ranks[int(np.searchsorted(np.cumsum(list(map(len, lists))), i, side="right"))]
 
 
 def _read(lists: list[list[Item]], ranks, dst_limit: int, volume_factor: int):
     """Columns of a payload whose list i is held by rank ``ranks[i]``.
 
-    The items of list i must have src i and a dst in [0, dst_limit), and no
-    negative nbytes. The schedule moves volume_factor times the payload's
-    total bytes, which must fit int64, so every byte count summed over the
-    columns is exact. Returns (items as an object array, src, dst, token,
-    nbytes, total bytes as an int).
+    The entries of list i must be ``Item``s with src i and a dst in
+    [0, dst_limit), and no negative nbytes. The schedule moves volume_factor
+    times the payload's total bytes, which must fit int64, so every byte
+    count summed over the columns is exact. Returns (items as an object
+    array, src, dst, token, nbytes as int64 columns, total bytes as an int).
     """
     if not lists:
         raise ScheduleError("world must have at least one rank")
-    src, dst, token, nbytes = _columns(lists, ranks)
-    owner = np.repeat(np.arange(len(lists), dtype=np.int32), list(map(len, lists)))
-    items = np.fromiter(chain.from_iterable(lists), object, len(owner))
+    items, (src, dst, token, nbytes) = _columns(lists, ranks)
+    owner = np.repeat(np.arange(len(lists), dtype=np.int64), list(map(len, lists)))
     for bad, problem in (
         (src != owner, lambda i: f"item src {src[i]} should be {owner[i]}"),
         ((dst < 0) | (dst >= dst_limit), lambda i: f"dst {dst[i]} outside [0, {dst_limit})"),
@@ -272,18 +291,21 @@ def _layout_transform(held: np.ndarray, step: int, cost: CostModel, reference: i
     return _events(step, "layout-transform", ranks, ranks, held[ranks], cost, reference)
 
 
-def _deliver(items: np.ndarray, keys: tuple, dst: np.ndarray, ranks: int) -> list[tuple[Item, ...]]:
-    """The items in ``np.lexsort(keys)`` order, whose last key is ``dst``,
-    as one tuple per receiving rank."""
-    counts = np.bincount(dst, minlength=ranks)
-    return list(map(tuple, np.split(items[np.lexsort(keys)], np.cumsum(counts[:-1]))))
+def _deliver(items: np.ndarray, order: np.ndarray, dst: np.ndarray, ranks: int) -> list[tuple[Item, ...]]:
+    """The items in ``order``, which sorts them by ``dst`` first, as one
+    tuple per receiving rank."""
+    ordered = items[order].tolist()
+    ends = np.cumsum(np.bincount(dst, minlength=ranks)).tolist()
+    return [tuple(ordered[start:end]) for start, end in zip([0, *ends], ends)]
 
 
 def synthetic_sends(
     world: int, per_rank: int, nbytes: int = 1024, seed: int = 0
 ) -> list[list[Item]]:
     """Random but seeded payload: per_rank items per rank, uniform dst."""
-    for name, value, low in (("world", world, 1), ("per_rank", per_rank, 0), ("nbytes", nbytes, 0)):
+    for name, value, low in (
+        ("world", world, 1), ("per_rank", per_rank, 0), ("nbytes", nbytes, 0), ("seed", seed, 0)
+    ):
         if not _is_int(value) or value < low:
             raise ScheduleError(f"{name} must be an integer >= {low}, got {value!r}")
     dsts = np.random.default_rng(seed).integers(world, size=(world, per_rank)).tolist()
@@ -319,7 +341,7 @@ def flat_all_to_all(sends: list[list[Item]], cost: CostModel | None = None) -> C
         reference_bytes=reference,
         cost=cost,
         events=events,
-        recv=tuple(_deliver(items, (token, src, dst), dst, world)),
+        recv=tuple(_deliver(items, np.lexsort((token, src, dst)), dst, world)),
     )
 
 
@@ -367,7 +389,7 @@ def hierarchical_all_to_all(
         reference_bytes=reference,
         cost=cost,
         events=events,
-        recv=tuple(_deliver(items, (token, src, dst), dst, world)),
+        recv=tuple(_deliver(items, np.lexsort((token, src, dst)), dst, world)),
     )
 
 
@@ -424,10 +446,20 @@ def coordinated_all_to_all(
     send = (j != t) & (held[s] > 0)
     gather = _events(groups + t[send], "allgather", s[send], d[send], held[s[send]], cost, reference)
 
-    # replica t receives its own share first, then the others in replica order
-    by_replica = [
-        _deliver(items, (np.where(share == t, 0, share + 1), token, src, dst), dst, groups)
+    # replica t receives its own share first, then the others in replica
+    # order. Its order differs from replica 0's only among items with equal
+    # (dst, src, token), so only a payload with such ties sorts again, and
+    # a replica whose order is replica 0's reuses replica 0's tuples.
+    order = np.lexsort((token, src, dst))
+    tied = np.logical_and.reduce([np.diff(col[order]) == 0 for col in (dst, src, token)]).any()
+    orders = [
+        np.lexsort((np.where(share == t, 0, share + 1), token, src, dst)) if tied else order
         for t in range(slice_)
+    ]
+    by_replica = [_deliver(items, orders[0], dst, groups)]
+    by_replica += [
+        by_replica[0] if np.array_equal(mine, orders[0]) else _deliver(items, mine, dst, groups)
+        for mine in orders[1:]
     ]
 
     return CommTrace(

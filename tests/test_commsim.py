@@ -258,6 +258,13 @@ def test_malformed_payload_rejected():
         flat_all_to_all([[Item(0, 5, 0, 8)]], COST)  # dst out of range
     with pytest.raises(ScheduleError):
         flat_all_to_all([[Item(0, 0, 0, -8)]], COST)  # negative size
+    # entries that are not items, a plain tuple equal to an item among them
+    for entry in (1, None, (0, 0, 1), object(), (0, 0, 1, 8)):
+        for run in _all_schedules([[Item(0, 0, 0, 8), entry], []]):
+            with pytest.raises(ScheduleError, match="rank 0: entry .* is not an Item"):
+                run()
+        with pytest.raises(ScheduleError, match="rank 1: entry"):
+            flat_all_to_all([[], [entry]], COST)
 
 
 def _all_schedules(sends):
@@ -286,6 +293,14 @@ def test_coordinated_checks_types_on_equal_replicas():
     # 1.0 == 1, so the replicas are equal, but the float is still refused
     sends = [[Item(0, 0, 0, 8)], [Item(0, 0, 0, 8.0)]]
     with pytest.raises(ScheduleError, match="rank 1"):
+        coordinated_all_to_all(sends, 2, COST)
+
+
+def test_coordinated_refuses_a_tuple_equal_to_the_replicas_item():
+    # an Item equals the plain tuple of its fields, but only Items are payload
+    sends = [[Item(0, 0, 0, 8)], [(0, 0, 0, 8)]]
+    assert sends[0] == sends[1]
+    with pytest.raises(ScheduleError, match="rank 1: entry"):
         coordinated_all_to_all(sends, 2, COST)
 
 
@@ -349,6 +364,12 @@ def test_synthetic_sends_equals_scalar_draws(world, per_rank, seed):
 def test_synthetic_sends_rejects_bad_sizes(world, per_rank, nbytes):
     with pytest.raises(ScheduleError):
         synthetic_sends(world, per_rank, nbytes=nbytes)
+
+
+@pytest.mark.parametrize("seed", ["x", -1, True, 1.0, None])
+def test_synthetic_sends_rejects_bad_seeds(seed):
+    with pytest.raises(ScheduleError, match="seed"):
+        synthetic_sends(2, 2, seed=seed)
 
 
 def test_cost_model_validation():
@@ -450,6 +471,17 @@ def test_hierarchical_pinned_event_sequence():
         (7, "a2a-phase", 2, 6, 0),
         (7, "a2a-phase", 3, 7, 12),
     ]
+
+
+def test_coordinated_replicas_take_their_own_share_of_tied_items():
+    # group 0 sends two items with equal (dst, src, token): position 0 is
+    # replica 0's share, position 1 replica 1's. Each replica of group 1
+    # receives its own share's item first, so their recv orders differ.
+    first, second = Item(0, 1, 5, 8), Item(0, 1, 5, 16)
+    other, back = Item(1, 1, 2, 4), Item(1, 0, 7, 32)
+    trace = coordinated_all_to_all(replicate([[first, second], [other, back]], 2), 2, COST)
+    assert trace.recv == ((back,), (back,), (first, second, other), (second, first, other))
+    assert trace.recv[2][0] is first and trace.recv[3][0] is second
 
 
 def test_coordinated_pinned_event_sequence():

@@ -1,7 +1,6 @@
 """Property tests for the all-to-all schedules on random worlds and payloads."""
 
 from collections import defaultdict, namedtuple
-from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
@@ -121,7 +120,7 @@ def _corrupt(item, field, kind, by, dst_limit):
         bad = dst_limit - 1 + by if by % 2 else -by
     else:
         bad = -by
-    return replace(item, **{field: bad})
+    return item._replace(**{field: bad})
 
 
 @PROPERTY_SETTINGS
