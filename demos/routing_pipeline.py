@@ -61,12 +61,10 @@ for cf in (0.5, 1.0, 2.0):
     print(f"capacity_factor {cf}: capacity {p.capacity}, kept {int(p.kept_mask().sum())}/{S}")
 
 # a slot is an exclusive prefix count of earlier assignments to the same
-# expert; the work-efficient tree scan computes such prefix sums and agrees
-# with the sequential definition at every length
-v = rng.integers(0, 5, size=1000)
-seq = np.zeros_like(v)
-run = 0
-for i, val in enumerate(v):
-    seq[i] = run
-    run += val
-print("tree scan == sequential scan:", np.array_equal(gating.exclusive_scan_blelloch(v), seq))
+# expert, cumsum(v) - v over the expert's indicator column v; counts past
+# capacity are the dropped assignments
+ids = gate.expert_ids[:, 0]
+onehot = (ids[:, None] == np.arange(E)).astype(np.int64)
+prior = (np.cumsum(onehot, axis=0) - onehot)[np.arange(S), ids]
+slots = np.where(prior < plan.capacity, prior, gating.DROPPED)
+print("slots == exclusive prefix counts:", np.array_equal(slots, plan.slots[:, 0]))

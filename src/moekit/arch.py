@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tk
-from .gating import GatingConfig, _is_int, _kept_assignments, top_k_gate
+from .gating import GatingConfig, ValidationError, _is_int, _kept_assignments, top_k_gate
 from .tensor import Tensor
 
 __all__ = [
@@ -66,10 +66,6 @@ __all__ = [
 ]
 
 FFN_MULT = 4  # feed-forward inner width is always 4*M
-
-
-class ValidationError(ValueError):
-    """Raised for structurally invalid model descriptions."""
 
 
 @dataclass(frozen=True)
@@ -239,6 +235,8 @@ class LayerParamCount:
 
 def count_params_per_layer(cfg: MoeModelConfig) -> list[LayerParamCount]:
     """Per-block split used by both total accounting and placement memory."""
+    if not isinstance(cfg, MoeModelConfig):
+        raise ValidationError(f"expected a MoeModelConfig, got {type(cfg).__name__}")
     out = []
     m = cfg.hidden
     for spec in cfg.layers:

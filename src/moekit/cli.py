@@ -21,7 +21,6 @@ import contextlib
 import csv
 import functools
 import json
-import math
 import os
 import sys
 
@@ -40,6 +39,7 @@ from .arch import (
 )
 from .commsim import CostModel, ScheduleError
 from .distill import TrainingError, derive_student, staged_vs_constant
+from .gating import _is_finite, _is_int
 from .planner import ClusterTopology, LinkSpec, PlanError, memory_per_device, plan
 from .presets import PRESETS, get_preset, preset_names
 
@@ -75,14 +75,10 @@ INTS = "a list of ints"
 OBJECT = "an object"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 _KINDS = {
     INT: _is_int,
     INT_OR_NULL: lambda v: v is None or _is_int(v),
-    NUMBER: lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+    NUMBER: _is_finite,
     BOOL: lambda v: isinstance(v, bool),
     STR: lambda v: isinstance(v, str),
     INTS: lambda v: isinstance(v, list) and all(map(_is_int, v)),
@@ -190,7 +186,7 @@ def _build_model(raw: dict | None) -> MoeModelConfig | None:
         if m["experts"] is not None:
             return build_standard(base, m["experts"], k=k, capacity_factor=cf)
         return base
-    except ValueError as e:  # ValidationError, or GatingConfig's plain ValueError (k > experts)
+    except ValidationError as e:
         raise ConfigError(f"bad model section: {e}") from e
 
 
@@ -294,10 +290,14 @@ def _cmd_route_bench(args, model, cluster, opts) -> int:
         gcfg = gating.GatingConfig(
             num_experts=experts, k=k, capacity_factor=opts["capacity_factor"]
         )
-    except ValueError as e:
+    except ValidationError as e:
         raise ConfigError(f"bad routing options: {e}") from e
 
     hidden = 32
+    # numpy raises ValueError, not MemoryError, for an array past intp's byte range;
+    # each (tokens, experts) and (tokens, hidden) draw, and each (experts,) table, must fit
+    if max(tokens, 1) * max(experts, hidden) * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(f"{tokens} tokens x {experts} experts is past numpy's array size")
     rows = []
     for i in range(opts["instances"]):
         rng = np.random.default_rng(args.seed + i)

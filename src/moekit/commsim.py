@@ -47,6 +47,7 @@ pricing each message by the intra- or inter-node link between its endpoints.
 from __future__ import annotations
 
 import csv
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -55,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gating import _is_finite
+from .gating import _is_finite, _is_int
 from .planner import ClusterTopology
 
 __all__ = [
@@ -167,18 +168,14 @@ _EVENT = np.dtype([("step", np.int64), ("kind", "U16"), ("src", np.int64), ("dst
                    ("nbytes", np.int64), ("latency_s", np.float64)])
 
 
-def _is_int(value) -> bool:
-    return type(value) is int or isinstance(value, np.integer)
-
-
 def _columns(lists: list[list[Item]], ranks) -> tuple[np.ndarray, np.ndarray]:
     """The items in ``lists``, in turn, as an object array, and their src,
     dst, token and nbytes as the rows of a (4, n) int64 array.
 
-    Every entry must be an ``Item`` and every field an int (numpy integers
-    pass, bools do not) that fits int64. All fields of all items are read in
-    one pass; only a bad value is looked for field by field, to name its
-    field and the rank ``ranks[j]`` of its list j.
+    Every entry must be an ``Item`` and every field an int that fits int64
+    (``_is_int``: numpy integers pass, bools do not). All fields of all items
+    are read in one pass; only a bad value is looked for field by field, to
+    name its field and the rank ``ranks[j]`` of its list j.
     """
     entries = list(chain.from_iterable(lists))
     if not all(issubclass(kind, Item) for kind in set(map(type, entries))):
@@ -186,7 +183,8 @@ def _columns(lists: list[list[Item]], ranks) -> tuple[np.ndarray, np.ndarray]:
         raise ScheduleError(f"rank {_rank_of(lists, ranks, i)}: entry {entries[i]!r} is not an Item")
     values, n = list(chain.from_iterable(entries)), len(_FIELDS)
     try:
-        if all(kind is int or issubclass(kind, np.integer) for kind in set(map(type, values))):
+        # exactly the types _is_int accepts, so the scan below finds a bad value
+        if all(issubclass(k, numbers.Integral) and k is not bool for k in set(map(type, values))):
             table = np.fromiter(values, np.int64, len(values)).reshape(-1, n)
             return np.fromiter(entries, object, len(entries)), table.T.copy()
     except OverflowError:  # a value past int64, found below
@@ -308,6 +306,9 @@ def synthetic_sends(
     ):
         if not _is_int(value) or value < low:
             raise ScheduleError(f"{name} must be an integer >= {low}, got {value!r}")
+    # the (world, per_rank) int64 draw must fit numpy's array size, so every token id fits int64
+    if max(world, int(world) * int(per_rank) * 8) > _INT64_MAX:
+        raise ScheduleError(f"{world} ranks x {per_rank} items is past numpy's array size")
     dsts = np.random.default_rng(seed).integers(world, size=(world, per_rank)).tolist()
     return [
         [Item(src, d, src * per_rank + n, nbytes) for n, d in enumerate(row)]
@@ -495,6 +496,9 @@ def estimate_latency(trace: CommTrace, topology: ClusterTopology) -> float:
     the pessimistic worst-case-locality figure. A trace over more ranks than
     the topology has raises ScheduleError.
     """
+    if not (isinstance(trace, CommTrace) and isinstance(topology, ClusterTopology)):
+        got = f"{type(trace).__name__}, {type(topology).__name__}"
+        raise ScheduleError(f"estimate_latency needs a CommTrace and a ClusterTopology, got {got}")
     if trace.world_size > topology.world_size:
         raise ScheduleError(
             f"trace of {trace.world_size} ranks cannot be priced on a "

@@ -150,6 +150,8 @@ def derive_student(teacher: MoeModelConfig, target_depth: int) -> StudentPlan:
     and their dense neighbours go first. A target depth that would need a
     skipped layer removed raises ValidationError.
     """
+    if not isinstance(teacher, MoeModelConfig):
+        raise ValidationError(f"teacher must be a MoeModelConfig, got {type(teacher).__name__}")
     depth = teacher.num_layers
     if not _is_int(target_depth) or not 0 < target_depth < depth:
         raise ValidationError(
@@ -189,6 +191,12 @@ class SyntheticStream:
     teacher_noise: float = 0.8
 
     def __post_init__(self) -> None:
+        for name, low in (("hidden", 1), ("vocab", 1), ("batch", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ValidationError(f"{name} must be an int >= {low}, got {value!r}")
+        if not _is_finite(self.teacher_noise) or self.teacher_noise < 0:
+            raise ValidationError(f"teacher_noise must be finite and >= 0, got {self.teacher_noise!r}")
         rng = np.random.default_rng(self.seed)
         self.true_map = rng.standard_normal((self.hidden, self.vocab))
         self.teacher_map = self.true_map + self.teacher_noise * rng.standard_normal(
@@ -226,6 +234,9 @@ class ToyModel:
     ) -> "ToyModel":
         """One top-1 routed layer plus the head (``specs`` and ``layer_params``
         hold one entry each; ``logits`` walks them as a stack)."""
+        for name, value, low in (("vocab", vocab, 1), ("seed", seed, 0)):
+            if not _is_int(value) or value < low:
+                raise ValidationError(f"{name} must be an int >= {low}, got {value!r}")
         rng = np.random.default_rng(seed)
         spec = LayerSpec(
             kind="moe",

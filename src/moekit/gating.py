@@ -43,12 +43,13 @@ whole-array pass, so the outputs are bitwise equal to one worker's.
 
 NaN or inf logits, gate probabilities, token rows and kept expert outputs are
 rejected with ``NonFiniteError``, a ``ShapeError``, instead of being routed.
+A bad ``GatingConfig`` raises ``ValidationError``, which ``arch`` re-exports.
+``_is_int`` and ``_is_finite`` are the input rules every moekit module uses.
 
 ``sparse_dispatch_oracle`` / ``sparse_combine_oracle`` implement the same
 semantics as literal one-hot tensor contractions of shape (S, E, c). They are
 reference implementations: slower by a factor of E, used to cross-check the
-table-driven path. ``exclusive_scan_blelloch`` is a public utility that no
-stage above calls.
+table-driven path.
 
 Operation counters measure the token-routing index space each path sweeps:
 the one-hot contraction touches (token, expert, slot, hidden) = S*E*c*M
@@ -71,6 +72,7 @@ from .tensor import NonFiniteError, ShapeError
 
 __all__ = [
     "DROPPED",
+    "ValidationError",
     "GatingConfig",
     "NonFiniteError",
     "TopKGate",
@@ -78,7 +80,6 @@ __all__ = [
     "ExpertBuffers",
     "OpCounter",
     "top_k_gate",
-    "exclusive_scan_blelloch",
     "build_dispatch_plan",
     "scatter_tokens",
     "combine_tokens",
@@ -149,7 +150,12 @@ def _run_parts(fn, parts: list, *args) -> None:
         future.result()
 
 
+class ValidationError(ValueError):
+    """Raised for structurally invalid model and routing descriptions."""
+
+
 def _is_int(value) -> bool:
+    """Any integer, numpy's included, but not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
@@ -179,13 +185,13 @@ class GatingConfig:
     def __post_init__(self) -> None:
         e, k, cf = self.num_experts, self.k, self.capacity_factor
         if not _is_int(e) or e < 1:
-            raise ValueError(f"num_experts must be an int >= 1, got {e!r}")
+            raise ValidationError(f"num_experts must be an int >= 1, got {e!r}")
         if not _is_int(k) or k not in (1, 2):
-            raise ValueError(f"k must be 1 or 2, got {k!r}")
+            raise ValidationError(f"k must be 1 or 2, got {k!r}")
         if k > e:
-            raise ValueError(f"k={k} exceeds num_experts={e}")
+            raise ValidationError(f"k={k} exceeds num_experts={e}")
         if not _is_finite(cf) or cf <= 0:
-            raise ValueError(f"capacity_factor must be positive and finite, got {cf!r}")
+            raise ValidationError(f"capacity_factor must be positive and finite, got {cf!r}")
 
     def capacity(self, num_tokens: int) -> int:
         # a Python float product: a huge factor gives inf and a subnormal one 0.0
@@ -303,46 +309,6 @@ def _gate_part(logits, probs, ids, gate_probs, r: slice) -> None:
         np.exp(block, out=block)
         block /= block.sum(axis=1, keepdims=True)
     gate_probs[r] = p[rows[:, None], i]
-
-
-# ---------------------------------------------------------------------------
-# work-efficient exclusive prefix scan
-# ---------------------------------------------------------------------------
-
-
-def exclusive_scan_blelloch(values: np.ndarray) -> np.ndarray:
-    """Work-efficient exclusive prefix sum (up-sweep + down-sweep).
-
-    Inputs of any length are padded to the next power of two internally.
-    Output[i] = sum(values[:i]); output[0] = 0. Exact for integer inputs.
-    """
-    values = np.asarray(values)
-    n = values.shape[0]
-    if values.ndim != 1:
-        raise ShapeError(f"scan input must be 1-D, got shape {values.shape}")
-    if n == 0:
-        return np.zeros(0, dtype=np.int64 if values.dtype.kind in "iub" else values.dtype)
-    dtype = np.int64 if values.dtype.kind in "iub" else np.float64
-    m = 1 << (n - 1).bit_length()
-    buf = np.zeros(m, dtype=dtype)
-    buf[:n] = values
-
-    # up-sweep: build partial sums at stride-aligned positions
-    d = 1
-    while d < m:
-        buf[2 * d - 1 :: 2 * d] += buf[d - 1 :: 2 * d]
-        d *= 2
-
-    # down-sweep: clear the root, push prefixes back down
-    buf[m - 1] = 0
-    d = m // 2
-    while d >= 1:
-        left = buf[d - 1 :: 2 * d].copy()
-        buf[d - 1 :: 2 * d] = buf[2 * d - 1 :: 2 * d]
-        buf[2 * d - 1 :: 2 * d] += left
-        d //= 2
-
-    return buf[:n]
 
 
 # ---------------------------------------------------------------------------

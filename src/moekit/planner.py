@@ -138,6 +138,9 @@ def plan(
     expert_slice = world / experts, keeping a single replica so one batch
     uses every device.
     """
+    if not (isinstance(cfg, MoeModelConfig) and isinstance(cluster, ClusterTopology)):
+        got = f"{type(cfg).__name__}, {type(cluster).__name__}"
+        raise PlanError(f"plan needs a MoeModelConfig and a ClusterTopology, got {got}")
     world = cluster.world_size
     placements = []
     for idx in cfg.moe_layer_indices:
@@ -238,6 +241,9 @@ def memory_per_device(
     else (attention, dense FFN, norms, gates, embeddings) shards only over
     the tensor-slice degree.
     """
+    if not (isinstance(built, ParallelPlan) and isinstance(cfg, MoeModelConfig)):
+        got = f"{type(built).__name__}, {type(cfg).__name__}"
+        raise PlanError(f"memory_per_device needs a ParallelPlan and a MoeModelConfig, got {got}")
     if not _is_finite(bytes_per_param) or bytes_per_param <= 0:
         raise PlanError(f"bytes_per_param must be positive and finite, got {bytes_per_param!r}")
     problems = validate(built, cfg)

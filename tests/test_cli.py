@@ -133,8 +133,9 @@ def test_missing_config_file_rejected(capsys):
         # sections the verb does not read are checked too
         ("route-bench", {"cluster": {"nodes": "2"}, "options": {"instances": 1}}),
         ("kd-demo", {"model": {"hidden": 2.5}}),
-        # an int past the largest float fits the option table but not the gating config
+        # an int past the largest float is not a finite number
         ("route-bench", {"options": {"tokens": 16, "instances": 1, "capacity_factor": 10**400}}),
+        ("simulate", {"options": {"c1": 10**400}}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, verb, config):
@@ -215,6 +216,27 @@ def test_route_bench_unallocatable_size_is_invalid_request(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("invalid request: out of memory:")
+
+
+@pytest.mark.parametrize(
+    "verb, config",
+    [
+        ("route-bench", {"options": {"tokens": 10**18, "instances": 1}}),
+        ("route-bench", {"options": {"tokens": 4, "experts": 2 * 10**18, "instances": 1}}),
+        ("route-bench", {"options": {"tokens": 0, "experts": 2 * 10**18, "instances": 1}}),
+        ("simulate", {"cluster": {"nodes": 2 * 10**18}}),
+        (
+            "simulate",
+            {"cluster": {"nodes": 2, "gpus_per_node": 2}, "options": {"tokens_per_rank": 4 * 10**18}},
+        ),
+    ],
+)
+def test_size_past_numpy_arrays_is_invalid_request(tmp_path, capsys, verb, config):
+    # numpy raises ValueError, not MemoryError, for these; each is checked before it allocates
+    code, out, err = run(capsys, verb, "--config", write_config(tmp_path, config))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("invalid request:")
 
 
 def test_route_bench_bad_gating_options(tmp_path, capsys):

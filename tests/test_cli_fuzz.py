@@ -136,6 +136,7 @@ def malformed(kind):
         st.booleans(),
         JUNK,
         st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.just(10**400),  # an int past the largest float
         st.integers(max_value=0 if arg == ">0" else -1),
         *below,
     )

@@ -1,6 +1,7 @@
 """Tests for the all-to-all schedule simulator."""
 
 import dataclasses
+import enum
 import io
 
 import numpy as np
@@ -287,6 +288,17 @@ def test_schedules_accept_numpy_integer_tokens():
     sends = [[Item(0, 1, np.int64(5), 8), Item(0, 0, np.int32(-3), 8)], [Item(1, 0, 2, 8)]]
     for run in _all_schedules(sends):
         assert [it.token for it in run().recv[0]] == [-3, 2]
+
+
+def test_schedules_accept_int_subclass_fields():
+    # the one-pass read takes every field type the shared int rule takes
+    class Rank(enum.IntEnum):
+        FIRST = 0
+        SECOND = 1
+
+    sends = [[Item(Rank.FIRST, Rank.SECOND, 5, 8)], [Item(1, 0, Rank.SECOND, 8)]]
+    for run in _all_schedules(sends):
+        assert [it.token for it in run().recv[0]] == [1]
 
 
 def test_coordinated_checks_types_on_equal_replicas():

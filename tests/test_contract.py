@@ -1,0 +1,60 @@
+"""Input contract of the public entry points: a malformed argument raises the
+module's own error type, never an AttributeError, a TypeError or numpy's
+ValueError from deeper down.
+
+Each row is (callable, positional args, error type). ``pytest.raises`` also
+accepts a subclass, but no module's error type derives from another's, so a
+row passes only on its own module's error.
+"""
+
+import math
+
+import pytest
+
+from moekit import arch, gating
+from moekit.arch import ValidationError, build_standard, count_params, dense_config
+from moekit.commsim import ScheduleError, estimate_latency, synthetic_sends
+from moekit.distill import SyntheticStream, ToyModel, derive_student, staged_vs_constant
+from moekit.planner import ClusterTopology, PlanError, memory_per_device, plan
+
+MODEL = build_standard(dense_config(num_layers=4, hidden=8, heads=2, vocab=16, context=8), 4)
+TOPOLOGY = ClusterTopology(nodes=1, gpus_per_node=2)
+
+CASES = [
+    # sizes numpy cannot address as one int64 array
+    pytest.param(synthetic_sends, (2 * 10**18 * 8, 8), ScheduleError, id="sends-world-past-int64"),
+    pytest.param(synthetic_sends, (2**63, 0), ScheduleError, id="sends-world-past-int64-no-items"),
+    pytest.param(synthetic_sends, (4, 4 * 10**18), ScheduleError, id="sends-items-past-int64"),
+    pytest.param(synthetic_sends, (4, 2 * 10**18), ScheduleError, id="sends-draw-past-array-size"),
+    # distillation stream, toy model and the kd-demo runs
+    pytest.param(SyntheticStream, (0, 4, 2), ValidationError, id="stream-hidden-0"),
+    pytest.param(SyntheticStream, (4, 0, 2), ValidationError, id="stream-vocab-0"),
+    pytest.param(SyntheticStream, (4, 4, 2.5), ValidationError, id="stream-batch-float"),
+    pytest.param(SyntheticStream, (4, 4, 2, -1), ValidationError, id="stream-seed-negative"),
+    pytest.param(SyntheticStream, (4, 4, 2, 0, math.nan), ValidationError, id="stream-noise-nan"),
+    pytest.param(SyntheticStream, (4, 4, 2, 0, -0.5), ValidationError, id="stream-noise-negative"),
+    pytest.param(ToyModel.create, (4, 0), ValidationError, id="toy-vocab-0"),
+    pytest.param(ToyModel.create, (4, 4, 4, -1), ValidationError, id="toy-seed-negative"),
+    pytest.param(staged_vs_constant, ([-1],), ValidationError, id="kd-seed-negative"),
+    pytest.param(staged_vs_constant, (["a"],), ValidationError, id="kd-seed-str"),
+    # None where a config, topology, plan or trace belongs
+    pytest.param(plan, (None, TOPOLOGY), PlanError, id="plan-no-model"),
+    pytest.param(plan, (MODEL, None), PlanError, id="plan-no-cluster"),
+    pytest.param(memory_per_device, (None, MODEL), PlanError, id="memory-no-plan"),
+    pytest.param(count_params, (None,), ValidationError, id="count-params-no-model"),
+    pytest.param(derive_student, (None, 3), ValidationError, id="derive-student-no-teacher"),
+    pytest.param(estimate_latency, (None, TOPOLOGY), ScheduleError, id="latency-no-trace"),
+    # the routing config's own error
+    pytest.param(gating.GatingConfig, (0,), ValidationError, id="gating-no-experts"),
+]
+
+
+@pytest.mark.parametrize("fn, args, error", CASES)
+def test_malformed_input_raises_module_error(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
+
+
+def test_one_validation_error_class():
+    assert arch.ValidationError is gating.ValidationError
+    assert issubclass(gating.ValidationError, ValueError)

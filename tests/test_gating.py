@@ -36,13 +36,14 @@ from moekit.gating import (
     TopKGate,
     build_dispatch_plan,
     combine_tokens,
-    exclusive_scan_blelloch,
     scatter_tokens,
     sparse_combine_oracle,
     sparse_dispatch_oracle,
     top_k_gate,
 )
 from moekit.tensor import ShapeError
+
+from scan_oracle import exclusive_scan_blelloch
 
 
 def reference_softmax(v: np.ndarray) -> np.ndarray:
