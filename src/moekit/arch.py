@@ -48,6 +48,7 @@ from .tensor import Tensor
 __all__ = [
     "ValidationError",
     "FFN_MULT",
+    "MAX_LAYERS",
     "LayerSpec",
     "MoeModelConfig",
     "ParamCount",
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 FFN_MULT = 4  # feed-forward inner width is always 4*M
+MAX_LAYERS = 10_000  # deepest stack dense_config builds
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,13 @@ def dense_config(
     vocab: int = 50257,
     context: int = 2048,
 ) -> MoeModelConfig:
-    """All-dense transformer stack (the starting point for MoE variants)."""
+    """All-dense transformer stack (the starting point for MoE variants).
+
+    ``num_layers`` must be an int in [0, MAX_LAYERS]: the stack is built
+    layer by layer, so a deeper one would not finish.
+    """
+    if not _is_int(num_layers) or not 0 <= num_layers <= MAX_LAYERS:
+        raise ValidationError(f"num_layers must be an int in [0, {MAX_LAYERS}], got {num_layers!r}")
     layers = tuple(LayerSpec(kind="dense", hidden=hidden) for _ in range(num_layers))
     return MoeModelConfig(hidden=hidden, heads=heads, vocab=vocab, context=context, layers=layers)
 

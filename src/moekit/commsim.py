@@ -22,16 +22,18 @@ int64 value per item each): every field of every item goes through one
 flatten, one type check and one ``np.fromiter``. The schedules differ only
 in which rank each message goes to and in which round, so every exchange
 phase runs through one helper, ``_exchange``: it maps each item to its
-receiving rank and round, groups the items of each message with one argsort
-of an int64 (round, source) key, sums each message's bytes over its segment
+receiving rank and round, groups the items of each message with one stable
+argsort of a (round, source) key, sums each message's bytes over its segment
 and emits the phase's events, one structured-array row per message, in
-(round, source) order. Every byte count a schedule reports must fit int64;
-a larger payload raises ScheduleError.
+(round, source) order. Every sort casts its rank keys to the smallest
+unsigned dtype that holds them (below world, or world**2 for that key), as
+numpy radix-sorts keys of 16 bits or fewer. Every byte count a schedule
+reports must fit int64; a larger payload raises ScheduleError.
 
 All schedules deliver bit-identical receive lists (sorted by source rank and
 token id, equal pairs in arrival order), which the tests rely on; each is
-one lexsort of the input columns, sliced into per-rank tuples from one list
-of the sorted items. Coordinated's replicas differ only in the order of
+one lexsort of the input columns, each rank's tuple gathered from its own
+slice of the sort order. Coordinated's replicas differ only in the order of
 items with equal (dst, src, token), so it sorts once more only for a
 payload with such ties. Self-deliveries inside an exchange phase
 count toward volume, so the hierarchical schedule's volume is exactly twice
@@ -251,6 +253,11 @@ def _events(step, kind: str, src, dst, nbytes, cost: CostModel, reference: int) 
     return rows
 
 
+def _uint(key: np.ndarray, bound: int) -> np.ndarray:
+    """Sort key ``key``, in [0, bound), in the smallest unsigned dtype that holds it."""
+    return key.astype(np.min_scalar_type(max(bound - 1, 0)))
+
+
 def _rank_bytes(ranks: np.ndarray, nbytes: np.ndarray, world: int) -> np.ndarray:
     out = np.zeros(world, np.int64)
     np.add.at(out, ranks, nbytes)
@@ -266,14 +273,14 @@ def _exchange(
     Rank s sends its items addressed to ``dst`` to rank ``dest(s, dst)``;
     all items from s to d form one message, sent in round ``round_of(s, d)``
     (both map rank columns to rank columns). A rank sends at most one message
-    per round, so the int64 key round * world + s names the message: one
-    argsort groups the items of each message and its bytes are a segment sum.
+    per round, so the key round * world + s < world**2 names the message: a
+    stable argsort groups each message's items and its bytes are a segment sum.
     Returns the events in key, that is (round, source), order at
     ``step + round``; each item's receiving rank; each rank's received bytes.
     """
     d = dest(at, dst)
     key = round_of(at, d).astype(np.int64) * world + at
-    order = np.argsort(key)
+    order = np.argsort(_uint(key, world * world), kind="stable")
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     sizes = np.add.reduceat(nbytes[order], first)
@@ -291,10 +298,9 @@ def _layout_transform(held: np.ndarray, step: int, cost: CostModel, reference: i
 
 def _deliver(items: np.ndarray, order: np.ndarray, dst: np.ndarray, ranks: int) -> list[tuple[Item, ...]]:
     """The items in ``order``, which sorts them by ``dst`` first, as one
-    tuple per receiving rank."""
-    ordered = items[order].tolist()
+    tuple per receiving rank, each gathered from its own slice of ``order``."""
     ends = np.cumsum(np.bincount(dst, minlength=ranks)).tolist()
-    return [tuple(ordered[start:end]) for start, end in zip([0, *ends], ends)]
+    return [tuple(items[order[start:end]].tolist()) for start, end in zip([0, *ends], ends)]
 
 
 def synthetic_sends(
@@ -342,7 +348,7 @@ def flat_all_to_all(sends: list[list[Item]], cost: CostModel | None = None) -> C
         reference_bytes=reference,
         cost=cost,
         events=events,
-        recv=tuple(_deliver(items, np.lexsort((token, src, dst)), dst, world)),
+        recv=tuple(_deliver(items, np.lexsort((token, _uint(src, world), _uint(dst, world))), dst, world)),
     )
 
 
@@ -390,7 +396,7 @@ def hierarchical_all_to_all(
         reference_bytes=reference,
         cost=cost,
         events=events,
-        recv=tuple(_deliver(items, np.lexsort((token, src, dst)), dst, world)),
+        recv=tuple(_deliver(items, np.lexsort((token, _uint(src, world), _uint(dst, world))), dst, world)),
     )
 
 
@@ -451,10 +457,11 @@ def coordinated_all_to_all(
     # order. Its order differs from replica 0's only among items with equal
     # (dst, src, token), so only a payload with such ties sorts again, and
     # a replica whose order is replica 0's reuses replica 0's tuples.
-    order = np.lexsort((token, src, dst))
-    tied = np.logical_and.reduce([np.diff(col[order]) == 0 for col in (dst, src, token)]).any()
+    keys = (token, _uint(src, groups), _uint(dst, groups))
+    order = np.lexsort(keys)
+    tied = np.logical_and.reduce([np.diff(col[order]) == 0 for col in keys]).any()
     orders = [
-        np.lexsort((np.where(share == t, 0, share + 1), token, src, dst)) if tied else order
+        np.lexsort((_uint(np.where(share == t, 0, share + 1), slice_ + 1), *keys)) if tied else order
         for t in range(slice_)
     ]
     by_replica = [_deliver(items, orders[0], dst, groups)]
@@ -507,9 +514,9 @@ def estimate_latency(trace: CommTrace, topology: ClusterTopology) -> float:
     g = topology.gpus_per_node
     near, far = topology.intra_link, topology.inter_link
     moved = trace.events[trace.events["src"] != trace.events["dst"]]
-    # one segment per (round, source), in round order
-    key = moved["step"] * trace.world_size + moved["src"]
-    order = np.argsort(key)
+    # one segment per (round, source), in round order, counted from the first round
+    key = (moved["step"] - moved["step"].min(initial=0)) * trace.world_size + moved["src"]
+    order = np.argsort(_uint(key, int(key.max(initial=-1)) + 1), kind="stable")
     moved, key = moved[order], key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     # equal links price as one: a source's bytes sum before dividing

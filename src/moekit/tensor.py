@@ -274,7 +274,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if logits.rows == 0:
         raise ShapeError("cross_entropy of an empty batch")
     if labels.min() < 0 or labels.max() >= logits.cols:
-        raise IndexError("label out of range")
+        raise ShapeError(f"labels must lie in [0, {logits.cols}), got [{labels.min()}, {labels.max()}]")
     logp = _log_softmax(logits.value)
     n = logits.rows
     loss = -logp[np.arange(n), labels].mean()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from moekit import arch
 from moekit import tensor as tk
 from moekit.arch import (
+    MAX_LAYERS,
     FfnParams,
     LayerSpec,
     MoeModelConfig,
@@ -83,6 +84,11 @@ class TestBuilders:
     def test_odd_layer_count_rejected(self):
         with pytest.raises(ValidationError):
             build_standard(_odd_base(), 8)
+
+    def test_dense_config_builds_up_to_max_layers(self):
+        assert MAX_LAYERS >= 10**4
+        assert dense_config(MAX_LAYERS, 8, 2).num_layers == MAX_LAYERS
+        assert dense_config(0, 8, 2).layers == ()
 
     def test_single_expert_build_allowed(self):
         cfg = build_standard(dense_config(4, 64, 4), 1)

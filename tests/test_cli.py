@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,16 @@ def test_malformed_config_is_config_error(tmp_path, capsys, verb, config):
     code, _, err = run(capsys, verb, "--config", write_config(tmp_path, config))
     assert code == 2
     assert "config error:" in err
+
+
+def test_layer_count_past_the_bound_is_config_error(tmp_path, capsys):
+    # the stack is not built, so the refusal is immediate
+    cfg = write_config(tmp_path, {"model": {"num_layers": 10**20}})
+    start = time.perf_counter()
+    code, _, err = run(capsys, "params", "--config", cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "config error:" in err and "num_layers" in err
 
 
 def test_preset_flag_still_checks_model_section(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Property tests for the all-to-all schedules on random worlds and payloads."""
 
+import dataclasses
 from collections import defaultdict, namedtuple
 from operator import attrgetter
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moekit import commsim
 from moekit.commsim import (
     CostModel,
     Item,
@@ -453,3 +455,110 @@ def test_estimate_latency_matches_the_per_event_oracle(case):
     got = estimate_latency(trace, topology)
     assert type(got) is float
     assert got.hex() == oracle_estimate_latency(trace.events.tolist(), topology).hex()
+
+
+# ---------------------------------------------------------------------------
+# sort keys of every width
+# ---------------------------------------------------------------------------
+# The schedules sort rank keys in the smallest unsigned dtype that holds
+# them: below world for src and dst, below world**2 for an exchange's
+# (round, source) key. Worlds 1, 2, 256, 257 and 300 reach 8-, 16- and
+# 32-bit keys; world**2 passes 16 bits from 256 up.
+
+KEY_WORLDS = [(1, 1), (2, 2), (256, 16), (257, 257), (300, 3)]  # (world, gpus_per_node)
+NEAR, FAR = LinkSpec(1e-6, 3e3), LinkSpec(5e-6, 7.0)
+
+
+def _shuffled_payload(ranks, ndst, seed):
+    """0-5 items a rank, with tokens out of order, repeated, negative and past
+    int32. A nonempty rank's second item is a copy (a new object) of its
+    first, so (dst, src, token) ties sit in both shares of a 2-way slice."""
+    rng = np.random.default_rng(seed)
+    sends = []
+    for src in range(ranks):
+        n = int(rng.integers(0, 6))
+        dsts = rng.integers(ndst, size=n).tolist()
+        tokens = (rng.integers(-2, 3, size=n) * (2**40 + 1)).tolist()
+        sizes = rng.choice(PRICED_SIZES, size=n).tolist()
+        items = [Item(src, d, tok, size) for d, tok, size in zip(dsts, tokens, sizes)]
+        sends.append(items[:1] + [Item(*items[0])] + items[1:] if items else items)
+    return sends
+
+
+@pytest.mark.parametrize("world, gpus", KEY_WORLDS)
+def test_flat_and_hierarchical_match_the_oracle_at_every_key_width(world, gpus):
+    sends = _shuffled_payload(world, world, seed=world)
+    topology = ClusterTopology(world // gpus, gpus, NEAR, FAR)
+    cost = CostModel()
+    for got, want in (
+        (flat_all_to_all(sends, cost), oracle_flat(sends, cost)),
+        (hierarchical_all_to_all(sends, gpus, cost), oracle_hierarchical(sends, gpus, cost)),
+    ):
+        assert_traces_identical(got, want)
+        assert estimate_latency(got, topology).hex() == oracle_estimate_latency(want.events, topology).hex()
+
+
+@pytest.mark.parametrize("groups", [world for world, _ in KEY_WORLDS])
+def test_coordinated_matches_the_oracle_at_every_key_width(groups):
+    sends = _replicate(_shuffled_payload(groups, groups, seed=groups), 2)
+    cost = CostModel()
+    got, want = coordinated_all_to_all(sends, 2, cost), oracle_coordinated(sends, 2, cost)
+    assert_traces_identical(got, want)
+    # the tied items reach the two replicas of their group in different orders
+    assert any(list(map(id, got.recv[r])) != list(map(id, got.recv[r + 1])) for r in range(0, 2 * groups, 2))
+    topology = ClusterTopology(groups, 2, NEAR, FAR)
+    assert estimate_latency(got, topology).hex() == oracle_estimate_latency(want.events, topology).hex()
+
+
+@pytest.mark.parametrize("renumber", [{3: -63}, {0: -1000, 1: -3}, {2: 5}])
+def test_estimate_latency_prices_any_step_numbers_like_the_oracle(renumber):
+    # the (round, source) sort key counts rounds from the first one, so steps
+    # below zero neither wrap nor merge with other rounds (-63 * 4 is 4 mod 256)
+    trace = flat_all_to_all(commsim.synthetic_sends(4, 8, seed=3))
+    events = trace.events.copy()
+    for old, new in renumber.items():
+        events["step"][trace.events["step"] == old] = new
+    topology = ClusterTopology(2, 2, NEAR, FAR)
+    got = estimate_latency(dataclasses.replace(trace, events=events), topology)
+    assert got.hex() == oracle_estimate_latency(events.tolist(), topology).hex()
+
+
+class _SortRecorder:
+    """numpy for commsim, recording each argsort's (key dtype, kind) and
+    each lexsort's key dtypes."""
+
+    def __init__(self):
+        self.argsorts, self.lexsorts = [], []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, key, kind=None):
+        self.argsorts.append((key.dtype, kind))
+        return np.argsort(key, kind=kind)
+
+    def lexsort(self, keys):
+        self.lexsorts.append([key.dtype for key in keys])
+        return np.lexsort(keys)
+
+
+def test_the_benchmark_world_sorts_rank_keys_of_16_bits_or_fewer(monkeypatch):
+    # perfbench's exchange: 16 nodes x 8 GPUs, coordinated at tensor slice 2;
+    # numpy radix-sorts only a stable sort of keys of 16 bits or fewer
+    topology = ClusterTopology(16, 8)
+    recorder = _SortRecorder()
+    monkeypatch.setattr(commsim, "np", recorder)
+    sends = commsim.synthetic_sends(128, 4)
+    for trace in (
+        flat_all_to_all(sends),
+        hierarchical_all_to_all(sends, 8),
+        coordinated_all_to_all(_replicate(_shuffled_payload(64, 64, seed=1), 2), 2),
+    ):
+        estimate_latency(trace, topology)
+    assert len(recorder.argsorts) == 7  # four exchange phases, three estimates
+    assert all(dtype.itemsize <= 2 and kind == "stable" for dtype, kind in recorder.argsorts)
+    # flat, hierarchical, coordinated, and coordinated's two tied replicas:
+    # each sorts its int64 tokens beside rank keys of at most 16 bits
+    assert len(recorder.lexsorts) == 5
+    for dtypes in recorder.lexsorts:
+        assert [dtype.itemsize > 2 for dtype in dtypes].count(True) == 1

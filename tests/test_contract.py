@@ -9,6 +9,7 @@ row passes only on its own module's error.
 
 import math
 
+import numpy as np
 import pytest
 
 from moekit import arch, gating
@@ -16,6 +17,7 @@ from moekit.arch import ValidationError, build_standard, count_params, dense_con
 from moekit.commsim import ScheduleError, estimate_latency, synthetic_sends
 from moekit.distill import SyntheticStream, ToyModel, derive_student, staged_vs_constant
 from moekit.planner import ClusterTopology, PlanError, memory_per_device, plan
+from moekit.tensor import ShapeError, Tensor, cross_entropy
 
 MODEL = build_standard(dense_config(num_layers=4, hidden=8, heads=2, vocab=16, context=8), 4)
 TOPOLOGY = ClusterTopology(nodes=1, gpus_per_node=2)
@@ -46,6 +48,14 @@ CASES = [
     pytest.param(estimate_latency, (None, TOPOLOGY), ScheduleError, id="latency-no-trace"),
     # the routing config's own error
     pytest.param(gating.GatingConfig, (0,), ValidationError, id="gating-no-experts"),
+    # a stack deeper than dense_config builds, refused before any layer is built
+    pytest.param(dense_config, (10**20, 8, 2), ValidationError, id="dense-layers-10e20"),
+    pytest.param(dense_config, (arch.MAX_LAYERS + 1, 8, 2), ValidationError, id="dense-layers-past-bound"),
+    pytest.param(dense_config, (-1, 8, 2), ValidationError, id="dense-layers-negative"),
+    pytest.param(dense_config, (2.0, 8, 2), ValidationError, id="dense-layers-float"),
+    # a label outside the vocab
+    pytest.param(cross_entropy, (Tensor(np.zeros((2, 3))), np.array([0, 3])), ShapeError, id="ce-label-past-vocab"),
+    pytest.param(cross_entropy, (Tensor(np.zeros((2, 3))), np.array([-1, 0])), ShapeError, id="ce-label-negative"),
 ]
 
 
