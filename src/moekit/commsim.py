@@ -18,26 +18,25 @@ are modeled:
     rounds.
 
 The payload is read once into numpy columns (src, dst, token, nbytes, one
-int64 value per item each): every field of every item goes through one
-flatten, one type check and one ``np.fromiter``. The schedules differ only
-in which rank each message goes to and in which round, so every exchange
-phase runs through one helper, ``_exchange``: it maps each item to its
-receiving rank and round, groups the items of each message with one stable
-argsort of a (round, source) key, sums each message's bytes over its segment
-and emits the phase's events, one structured-array row per message, in
-(round, source) order. Every sort casts its rank keys to the smallest
-unsigned dtype that holds them (below world, or world**2 for that key), as
+int64 value per item each) by one ``struct`` pack of all its fields as
+int64 ``q``s, which take what ``operator.index`` takes; only values read as
+0 or 1 are looked at again, to refuse bools. The schedules differ only in
+which rank each message goes to and in which round, so every exchange phase
+runs through ``_exchange``: it maps each item to its receiving rank and
+round, groups each message's items with one stable argsort of a (round,
+source) key, sums its bytes over its segment and emits one structured-array
+event row per message, in (round, source) order. Every sort reads its rank
+keys in the smallest unsigned dtype below their bound (``gating._uint``), as
 numpy radix-sorts keys of 16 bits or fewer. Every byte count a schedule
-reports must fit int64; a larger payload raises ScheduleError.
+reports must fit int64; a larger one raises ScheduleError.
 
 All schedules deliver bit-identical receive lists (sorted by source rank and
-token id, equal pairs in arrival order), which the tests rely on; each is
-one lexsort of the input columns, each rank's tuple gathered from its own
-slice of the sort order. Coordinated's replicas differ only in the order of
-items with equal (dst, src, token), so it sorts once more only for a
-payload with such ties. Self-deliveries inside an exchange phase
-count toward volume, so the hierarchical schedule's volume is exactly twice
-the flat one's.
+token id, equal pairs in arrival order), which the tests rely on: one
+lexsort of the input columns, each rank's tuple gathered from its own slice
+of the sort order. Coordinated's replicas differ only in the order of items
+with equal (dst, src, token), so it sorts again only for a payload with such
+ties. Self-deliveries inside an exchange phase count toward volume, so the
+hierarchical schedule's volume is exactly twice the flat one's.
 
 The normalized cost model scores a trace as rounds * c1 + c2 * (exchange
 volume / payload volume): c1 is the fixed price of a round, c2 the price of
@@ -49,16 +48,16 @@ pricing each message by the intra- or inter-node link between its endpoints.
 from __future__ import annotations
 
 import csv
-import numbers
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import is_
+from operator import index, is_
 from typing import NamedTuple
 
 import numpy as np
 
-from .gating import _is_finite, _is_int
+from .gating import _is_finite, _is_int, _uint
 from .planner import ClusterTopology
 
 __all__ = [
@@ -174,10 +173,10 @@ def _columns(lists: list[list[Item]], ranks) -> tuple[np.ndarray, np.ndarray]:
     """The items in ``lists``, in turn, as an object array, and their src,
     dst, token and nbytes as the rows of a (4, n) int64 array.
 
-    Every entry must be an ``Item`` and every field an int that fits int64
-    (``_is_int``: numpy integers pass, bools do not). All fields of all items
-    are read in one pass; only a bad value is looked for field by field, to
-    name its field and the rank ``ranks[j]`` of its list j.
+    Every entry must be an ``Item`` and every field an int (``_is_int``) that
+    fits int64. All fields of all items are read in one ``struct`` pack as
+    int64 ``q``s; only a bad value is looked for field by field, to name its
+    field and the rank ``ranks[j]`` of its list j.
     """
     entries = list(chain.from_iterable(lists))
     if not all(issubclass(kind, Item) for kind in set(map(type, entries))):
@@ -185,15 +184,15 @@ def _columns(lists: list[list[Item]], ranks) -> tuple[np.ndarray, np.ndarray]:
         raise ScheduleError(f"rank {_rank_of(lists, ranks, i)}: entry {entries[i]!r} is not an Item")
     values, n = list(chain.from_iterable(entries)), len(_FIELDS)
     try:
-        # exactly the types _is_int accepts, so the scan below finds a bad value
-        if all(issubclass(k, numbers.Integral) and k is not bool for k in set(map(type, values))):
-            table = np.fromiter(values, np.int64, len(values)).reshape(-1, n)
-            return np.fromiter(entries, object, len(entries)), table.T.copy()
-    except OverflowError:  # a value past int64, found below
+        table = np.frombuffer(struct.pack(f"{len(values)}q", *values), np.int64)
+        # q reads a bool as 0 or 1, so only those values can be one
+        if not any(type(values[i]) is bool for i in np.flatnonzero(table.view(np.uint64) <= 1).tolist()):
+            return np.fromiter(entries, object, len(entries)), table.reshape(-1, n).T.copy()
+    except (struct.error, TypeError):  # a bad value, found below
         pass
     f, i = next(
         (f, i) for f in range(n) for i, v in enumerate(values[f::n])
-        if not (_is_int(v) and _INT64_MIN <= v <= _INT64_MAX)
+        if not (_is_int(v) and _INT64_MIN <= index(v) <= _INT64_MAX)
     )
     raise ScheduleError(
         f"rank {_rank_of(lists, ranks, i)}: {_FIELDS[f]} {values[i * n + f]!r} is not an int in int64 range"
@@ -214,8 +213,6 @@ def _read(lists: list[list[Item]], ranks, dst_limit: int, volume_factor: int):
     count summed over the columns is exact. Returns (items as an object
     array, src, dst, token, nbytes as int64 columns, total bytes as an int).
     """
-    if not lists:
-        raise ScheduleError("world must have at least one rank")
     items, (src, dst, token, nbytes) = _columns(lists, ranks)
     owner = np.repeat(np.arange(len(lists), dtype=np.int64), list(map(len, lists)))
     for bad, problem in (
@@ -235,6 +232,19 @@ def _read(lists: list[list[Item]], ranks, dst_limit: int, volume_factor: int):
     return items, src, dst, token, nbytes, total
 
 
+def _check_call(sends, cost) -> CostModel:
+    """A schedule's cost model (the default one for None), once ``sends`` is a
+    non-empty list or tuple of per-rank lists or tuples."""
+    if not isinstance(sends, (list, tuple)) or not sends:
+        raise ScheduleError(f"sends must be a non-empty list of per-rank lists, got {sends!r:.80}")
+    for rank, items in enumerate(sends):
+        if not isinstance(items, (list, tuple)):
+            raise ScheduleError(f"rank {rank}: send list {items!r} is not a list or tuple")
+    if cost is not None and not isinstance(cost, CostModel):
+        raise ScheduleError(f"cost must be a CostModel or None, got {type(cost).__name__}")
+    return cost or CostModel()
+
+
 def _check_divisor(name: str, value, world: int) -> None:
     if not _is_int(value) or value < 1 or world % value != 0:
         raise ScheduleError(f"{name} {value!r} must be an int that divides world {world}")
@@ -251,11 +261,6 @@ def _events(step, kind: str, src, dst, nbytes, cost: CostModel, reference: int) 
     # (reference 0) has only 0-byte messages, priced 0
     rows["latency_s"] = np.where(src == dst, 0.0, float(cost.c2) * rows["nbytes"] / (reference or np.inf))
     return rows
-
-
-def _uint(key: np.ndarray, bound: int) -> np.ndarray:
-    """Sort key ``key``, in [0, bound), in the smallest unsigned dtype that holds it."""
-    return key.astype(np.min_scalar_type(max(bound - 1, 0)))
 
 
 def _rank_bytes(ranks: np.ndarray, nbytes: np.ndarray, world: int) -> np.ndarray:
@@ -329,8 +334,7 @@ def synthetic_sends(
 
 def flat_all_to_all(sends: list[list[Item]], cost: CostModel | None = None) -> CommTrace:
     """Baseline exchange: p rounds, round r pairs src with (src + r) mod p."""
-    world = len(sends)
-    cost = cost or CostModel()
+    cost, world = _check_call(sends, cost), len(sends)
     items, src, dst, token, nbytes, reference = _read(sends, range(world), world, 1)
 
     events, _, _ = _exchange(
@@ -363,10 +367,9 @@ def hierarchical_all_to_all(
     node, between same-local-id ranks. Every item crosses both phases, so
     exchanged volume is exactly twice the payload.
     """
-    world = len(sends)
+    cost, world = _check_call(sends, cost), len(sends)
     g = gpus_per_node
     _check_divisor("gpus_per_node", g, world)
-    cost = cost or CostModel()
     items, src, dst, token, nbytes, reference = _read(sends, range(world), world, 2)
 
     # intra-node phase: round l delivers to the local-id-l rank of each node
@@ -412,23 +415,20 @@ def coordinated_all_to_all(
     rounds); L allgather rounds inside each group then rebuild the complete
     receive set on every member, its own share first.
     """
-    world = len(sends)
+    cost, world = _check_call(sends, cost), len(sends)
     slice_ = tensor_slice
     _check_divisor("tensor_slice", slice_, world)
-    cost = cost or CostModel()
     groups = world // slice_
-    for r in range(world):
-        base = r - r % slice_
-        if r == base:
-            continue
-        if sends[r] != sends[base]:
-            raise ReplicaMismatchError(
-                f"rank {r} disagrees with rank {base} on group {r // slice_}'s payload"
-            )
-        # equal is not enough (1.0 == True == 1): items that are not the base
-        # replica's own objects get their types checked too
-        if not all(map(is_, sends[r], sends[base])):
-            _columns([sends[r]], [r])
+    for base in range(0, world, slice_):
+        for r in range(base + 1, base + slice_):
+            if sends[r] != sends[base]:
+                raise ReplicaMismatchError(
+                    f"rank {r} disagrees with rank {base} on group {base // slice_}'s payload"
+                )
+            # equal is not enough (1.0 == True == 1): items that are not the base
+            # replica's own objects get their types checked too
+            if not all(map(is_, sends[r], sends[base])):
+                _columns([sends[r]], [r])
     # each group's base replica now stands for all of its replicas;
     # reference counts the logical payload once, not per replica
     items, src, dst, token, nbytes, reference = _read(

@@ -10,7 +10,8 @@ work buffers and back:
      place on it in row blocks.
   2. ``build_dispatch_plan`` - assign each (token, choice) a capacity slot on
      its expert: its rank among that expert's assignments in token-major
-     order, from one stable sort by expert id; tokens beyond an expert's
+     order, from one stable sort by expert id (in the smallest unsigned dtype
+     below E, ``_uint``, which numpy radix-sorts); tokens beyond an expert's
      capacity are dropped (slot = DROPPED). The same sort fills the slot
      table ``slot_tokens``, which ``scatter_tokens`` reads; ``arch.forward_layer``
      runs the same checks and sort (``_kept_assignments``) and builds no plan.
@@ -63,6 +64,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -155,8 +157,14 @@ class ValidationError(ValueError):
 
 
 def _is_int(value) -> bool:
-    """Any integer, numpy's included, but not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """An int by the index protocol, but not a bool: ``operator.index`` takes
+    it, as it takes any int, numpy's included, an ``IntEnum`` and an object
+    that defines ``__index__`` (a 0-d integer array among them)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
 
 
 def _is_finite(value) -> bool:
@@ -167,6 +175,12 @@ def _is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int past the largest float
         return False
+
+
+def _uint(key: np.ndarray, bound: int) -> np.ndarray:
+    """Sort key ``key``, in [0, bound), in the smallest unsigned dtype that holds it:
+    numpy radix-sorts keys of 16 bits or fewer."""
+    return key.astype(np.min_scalar_type(max(bound - 1, 0)))
 
 
 @dataclass(frozen=True)
@@ -365,7 +379,7 @@ def _kept_assignments(ids: np.ndarray, gate_probs: np.ndarray, cfg: GatingConfig
     if cfg.k == 2 and np.any(ids[:, 0] == ids[:, 1]):
         raise ShapeError("gate table sends a token to the same expert twice")
     cap = cfg.capacity(num_tokens)
-    order = np.argsort(flat_ids, kind="stable")
+    order = np.argsort(_uint(flat_ids, cfg.num_experts), kind="stable")
     counts = np.bincount(flat_ids, minlength=cfg.num_experts)
     sorted_rank = np.arange(flat_ids.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
     kept = sorted_rank < cap

@@ -3,6 +3,8 @@
 import dataclasses
 import enum
 import io
+from fractions import Fraction
+from operator import index
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from moekit.commsim import (
     payload_multiset,
     synthetic_sends,
 )
+from moekit.gating import _is_int
 from moekit.planner import ClusterTopology, LinkSpec
 
 COST = CostModel(c1=1e-4, c2=1e-3)
@@ -314,6 +317,74 @@ def test_coordinated_refuses_a_tuple_equal_to_the_replicas_item():
     assert sends[0] == sends[1]
     with pytest.raises(ScheduleError, match="rank 1: entry"):
         coordinated_all_to_all(sends, 2, COST)
+
+
+@pytest.mark.parametrize(
+    "rank, item, field",
+    [
+        (1, Item(True, 0, 1, 8), "src"),
+        (0, Item(0, False, 2, 8), "dst"),
+        (0, Item(0, 1, True, 8), "token"),
+        (1, Item(1, 0, 3, False), "nbytes"),
+    ],
+)
+def test_schedules_refuse_bools_that_read_as_valid_fields(rank, item, field):
+    # every bool here reads as a valid value of its field, 0 or 1
+    sends = [[Item(0, 1, 5, 8)], [Item(1, 0, 6, 8)]]
+    sends[rank] = sends[rank] + [item]
+    named = f"{field} {getattr(item, field)}"
+    with pytest.raises(ScheduleError, match=f"rank {rank}: {named}"):
+        flat_all_to_all(sends, COST)
+    with pytest.raises(ScheduleError, match=f"rank {rank}: {named}"):
+        hierarchical_all_to_all(sends, 2, COST)
+    # coordinated names the group's base rank, and a replica's own rank when
+    # only its copy holds the bool, in an item equal to the base replica's
+    with pytest.raises(ScheduleError, match=f"rank {2 * rank}: {named}"):
+        coordinated_all_to_all(replicate(sends, 2), 2, COST)
+    replicated = replicate(sends, 2)
+    replicated[2 * rank][-1] = Item(*map(int, item))
+    with pytest.raises(ScheduleError, match=f"rank {2 * rank + 1}: {named}"):
+        coordinated_all_to_all(replicated, 2, COST)
+
+
+class IndexOnly:
+    """An int only by the index protocol: no arithmetic, no comparisons."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_index_protocol_ints_are_accepted():
+    assert _is_int(IndexOnly(3)) and _is_int(np.array(3))
+    assert not any(map(_is_int, (True, np.bool_(True), np.array(True), np.float64(2.0), Fraction(3))))
+    kept = Item(IndexOnly(1), 0, 2, IndexOnly(4))
+    sends = [[Item(0, 1, IndexOnly(5), np.array(8)), Item(0, 0, np.array(-3), 8)], [kept]]
+    for run in _all_schedules(sends):
+        trace = run()
+        assert trace.reference_bytes == 20
+        assert [index(it.token) for it in trace.recv[0]] == [-3, 2]
+        assert trace.recv[0][1] is kept
+
+
+@pytest.mark.parametrize(
+    "value", [np.bool_(True), np.float64(2.0), Fraction(3), 2**63, -(2**63) - 1],
+    ids=["np-bool", "np-float", "fraction", "past-int64", "below-int64"],
+)
+def test_schedules_refuse_non_index_or_out_of_range_values(value):
+    sends = [[Item(0, 0, 0, 8), Item(0, 0, value, 8)], []]
+    for run in _all_schedules(sends):
+        with pytest.raises(ScheduleError, match="rank 0: token"):
+            run()
+
+
+def test_every_schedule_takes_the_empty_payload():
+    for run in _all_schedules([[], []]):
+        trace = run()
+        assert trace.reference_bytes == trace.volume_bytes == 0
+        assert all(r == () for r in trace.recv)
 
 
 INT64_MAX = 2**63 - 1

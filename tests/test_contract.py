@@ -14,7 +14,15 @@ import pytest
 
 from moekit import arch, gating
 from moekit.arch import ValidationError, build_standard, count_params, dense_config
-from moekit.commsim import ScheduleError, estimate_latency, synthetic_sends
+from moekit.commsim import (
+    Item,
+    ScheduleError,
+    coordinated_all_to_all,
+    estimate_latency,
+    flat_all_to_all,
+    hierarchical_all_to_all,
+    synthetic_sends,
+)
 from moekit.distill import SyntheticStream, ToyModel, derive_student, staged_vs_constant
 from moekit.planner import ClusterTopology, PlanError, memory_per_device, plan
 from moekit.tensor import ShapeError, Tensor, cross_entropy
@@ -28,6 +36,17 @@ CASES = [
     pytest.param(synthetic_sends, (2**63, 0), ScheduleError, id="sends-world-past-int64-no-items"),
     pytest.param(synthetic_sends, (4, 4 * 10**18), ScheduleError, id="sends-items-past-int64"),
     pytest.param(synthetic_sends, (4, 2 * 10**18), ScheduleError, id="sends-draw-past-array-size"),
+    # a payload that is not per-rank lists, and a cost that is not a CostModel
+    pytest.param(flat_all_to_all, ([5],), ScheduleError, id="flat-rank-int"),
+    pytest.param(flat_all_to_all, ([None, []],), ScheduleError, id="flat-rank-none"),
+    pytest.param(flat_all_to_all, ([iter([Item(0, 0, 0, 1)])],), ScheduleError, id="flat-rank-iterator"),
+    pytest.param(coordinated_all_to_all, ([None, None], 2), ScheduleError, id="coordinated-ranks-none"),
+    pytest.param(flat_all_to_all, (None,), ScheduleError, id="flat-sends-none"),
+    pytest.param(hierarchical_all_to_all, (None, 1), ScheduleError, id="hierarchical-sends-none"),
+    pytest.param(coordinated_all_to_all, (None, 1), ScheduleError, id="coordinated-sends-none"),
+    pytest.param(flat_all_to_all, ([[]], 5), ScheduleError, id="flat-cost-int"),
+    pytest.param(hierarchical_all_to_all, ([[]], 1, 5), ScheduleError, id="hierarchical-cost-int"),
+    pytest.param(coordinated_all_to_all, ([[]], 1, 5), ScheduleError, id="coordinated-cost-int"),
     # distillation stream, toy model and the kd-demo runs
     pytest.param(SyntheticStream, (0, 4, 2), ValidationError, id="stream-hidden-0"),
     pytest.param(SyntheticStream, (4, 0, 2), ValidationError, id="stream-vocab-0"),
