@@ -42,7 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tk
-from .gating import GatingConfig, ValidationError, _is_int, _kept_assignments, top_k_gate
+from .gating import GatingConfig, ValidationError, _kept_assignments, top_k_gate
+from .gating import _as_int, _int_at_least, _is_int
 from .tensor import Tensor
 
 __all__ = [
@@ -83,8 +84,8 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("dense", "moe"):
             raise ValidationError(f"unknown layer kind {self.kind!r}")
-        if not _is_int(self.hidden) or self.hidden < 1:
-            raise ValidationError(f"hidden width must be an int >= 1, got {self.hidden!r}")
+        object.__setattr__(self, "hidden", _int_at_least("hidden width", self.hidden, 1))
+        object.__setattr__(self, "experts", _as_int(self.experts))
         if not _is_int(self.experts):
             raise ValidationError(f"expert count must be an int, got {self.experts!r}")
         if self.kind == "moe":
@@ -148,6 +149,7 @@ def dense_config(
     ``num_layers`` must be an int in [0, MAX_LAYERS]: the stack is built
     layer by layer, so a deeper one would not finish.
     """
+    num_layers = _as_int(num_layers)
     if not _is_int(num_layers) or not 0 <= num_layers <= MAX_LAYERS:
         raise ValidationError(f"num_layers must be an int in [0, {MAX_LAYERS}], got {num_layers!r}")
     layers = tuple(LayerSpec(kind="dense", hidden=hidden) for _ in range(num_layers))
@@ -400,30 +402,31 @@ def _routed_skip(x: Tensor, cfg: GatingConfig, params: MoeLayerParams) -> Tensor
         raise tk.ShapeError(f"gate_w shape {gate_w.shape} does not match batch width {x.cols}")
     gates = top_k_gate(x.value @ gate_w.value, cfg)
     counts, cap, assignment, _ = _kept_assignments(gates.expert_ids, gates.gate_probs, cfg, x.rows)
-    tok, eid = assignment // cfg.k, gates.expert_ids.reshape(-1)[assignment]
+    tok, s = assignment // cfg.k, gates.probs
+    # flat index of each kept (token, expert) pair in the (S, E) gate softmax
+    pair = tok * s.shape[1] + gates.expert_ids.reshape(-1).take(assignment)
     loads = np.minimum(counts, cap).tolist()
     segs = [slice(end - n, end) for n, end in zip(loads, itertools.accumulate(loads)) if n]
-    ffns = [p for p, n in zip(params.experts, loads) if n]
-    leaves = [leaf for p in ffns for leaf in p.leaves()]
-    weights = [[leaf.value for leaf in p.leaves()] for p in ffns]  # w1, b1, w2, b2
+    leaves = [leaf for p, n in zip(params.experts, loads) if n for leaf in p.leaves()]
+    weights = [leaf.value for leaf in leaves]  # w1, b1, w2, b2 of each loaded expert
+    w1s, b1s, w2s, b2s = weights[0::4], weights[1::4], weights[2::4], weights[3::4]
     tape = tk._tape_of(x, gate_w, *leaves)
     acc = np.zeros(x.shape)
-    if not ffns:  # S=0: the skip alone, so gate_w gets no gradient
+    if not segs:  # S=0: the skip alone, so gate_w gets no gradient
         out = Tensor._wrap(acc, tape)
         if tape is not None:
             tape.record(out, (x,), lambda g: (g,))
         return out
 
-    xs = x.value[tok]
-    h = np.empty((tok.size, weights[0][0].shape[1]))
-    for seg, (w1, b1, _, _) in zip(segs, weights):
+    xs = x.value.take(tok, axis=0)
+    h = np.empty((tok.size, w1s[0].shape[1]))
+    for seg, w1, b1 in zip(segs, w1s, b1s):
         np.add(xs[seg] @ w1, b1, out=h[seg])
     z, gelu_slope = tk._gelu(h, tape is not None)
     y = np.empty(xs.shape)
-    for seg, (_, _, w2, b2) in zip(segs, weights):
+    for seg, w2, b2 in zip(segs, w2s, b2s):
         np.add(z[seg] @ w2, b2, out=y[seg])
-    s = gates.probs
-    gate = s[tok, eid][:, None]
+    gate = s.take(pair)[:, None]
     # where each index is unique, a fancy += adds 0.0 + v per entry, the same bits as np.add.at
     if cfg.k == 1:
         acc[tok] += y * gate
@@ -436,18 +439,18 @@ def _routed_skip(x: Tensor, cfg: GatingConfig, params: MoeLayerParams) -> Tensor
     xv, gw = x.value, gate_w.value
 
     def vjp(g: np.ndarray):
-        gtok = g[tok]
+        gtok = g.take(tok, axis=0)
         gy = gtok * gate
         ggate = gtok * y if y.shape[1] == 1 else (gtok * y).sum(axis=1, keepdims=True)
         gprobs = np.zeros(s.shape)
-        gprobs[tok, eid] += ggate[:, 0]  # each (token, expert) pair once
+        gprobs.reshape(-1)[pair] += ggate[:, 0]  # each (token, expert) pair once
         glogits = s * (gprobs - (gprobs * s).sum(axis=1, keepdims=True))
         gz = np.empty(z.shape)
-        for seg, (_, _, w2, _) in zip(segs, weights):
+        for seg, w2 in zip(segs, w2s):
             np.matmul(gy[seg], w2.T, out=gz[seg])
         gh = np.multiply(gz, gelu_slope, out=gz)
         gxs, gleaves = [], []
-        for seg, (w1, _, _, _) in zip(segs, weights):
+        for seg, w1 in zip(segs, w1s):
             gx = np.zeros(xv.shape)
             gx[tok[seg]] += gh[seg] @ w1.T  # a token sits once per expert
             gxs.append(gx)
@@ -462,4 +465,4 @@ def _routed_skip(x: Tensor, cfg: GatingConfig, params: MoeLayerParams) -> Tensor
 
 def _bias_grad(g: np.ndarray) -> np.ndarray:
     # tk.add sums a broadcast bias gradient over rows but passes one row through as is
-    return g if g.shape[0] == 1 else g.sum(axis=0, keepdims=True)
+    return g if g.shape[0] == 1 else np.add.reduce(g, axis=0, keepdims=True)

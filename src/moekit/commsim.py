@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gating import _is_finite, _is_int, _uint
+from .gating import _as_int, _int_at_least, _is_finite, _is_int, _uint
 from .planner import ClusterTopology
 
 __all__ = [
@@ -245,9 +245,11 @@ def _check_call(sends, cost) -> CostModel:
     return cost or CostModel()
 
 
-def _check_divisor(name: str, value, world: int) -> None:
+def _check_divisor(name: str, value, world: int) -> int:
+    value = _as_int(value)
     if not _is_int(value) or value < 1 or world % value != 0:
         raise ScheduleError(f"{name} {value!r} must be an int that divides world {world}")
+    return value
 
 
 def _events(step, kind: str, src, dst, nbytes, cost: CostModel, reference: int) -> np.ndarray:
@@ -312,11 +314,8 @@ def synthetic_sends(
     world: int, per_rank: int, nbytes: int = 1024, seed: int = 0
 ) -> list[list[Item]]:
     """Random but seeded payload: per_rank items per rank, uniform dst."""
-    for name, value, low in (
-        ("world", world, 1), ("per_rank", per_rank, 0), ("nbytes", nbytes, 0), ("seed", seed, 0)
-    ):
-        if not _is_int(value) or value < low:
-            raise ScheduleError(f"{name} must be an integer >= {low}, got {value!r}")
+    sizes = (("world", world, 1), ("per_rank", per_rank, 0), ("nbytes", nbytes, 0), ("seed", seed, 0))
+    world, per_rank, nbytes, seed = (_int_at_least(*size, ScheduleError) for size in sizes)
     # the (world, per_rank) int64 draw must fit numpy's array size, so every token id fits int64
     if max(world, int(world) * int(per_rank) * 8) > _INT64_MAX:
         raise ScheduleError(f"{world} ranks x {per_rank} items is past numpy's array size")
@@ -368,8 +367,7 @@ def hierarchical_all_to_all(
     exchanged volume is exactly twice the payload.
     """
     cost, world = _check_call(sends, cost), len(sends)
-    g = gpus_per_node
-    _check_divisor("gpus_per_node", g, world)
+    g = _check_divisor("gpus_per_node", gpus_per_node, world)
     items, src, dst, token, nbytes, reference = _read(sends, range(world), world, 2)
 
     # intra-node phase: round l delivers to the local-id-l rank of each node
@@ -416,8 +414,7 @@ def coordinated_all_to_all(
     receive set on every member, its own share first.
     """
     cost, world = _check_call(sends, cost), len(sends)
-    slice_ = tensor_slice
-    _check_divisor("tensor_slice", slice_, world)
+    slice_ = _check_divisor("tensor_slice", tensor_slice, world)
     groups = world // slice_
     for base in range(0, world, slice_):
         for r in range(base + 1, base + slice_):

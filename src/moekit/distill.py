@@ -14,6 +14,8 @@ Two ideas live here:
     ``stage_boundary`` steps, exactly zero at and after it. Stopping the
     teacher term partway through training lets the student finish on the
     labels alone instead of inheriting the teacher's residual errors.
+    Before the boundary the blend is one tape node (``tensor.kd_loss``);
+    after it, CE alone, and training computes no teacher logits.
 
 ``train_toy`` runs the objective end to end on a synthetic classification
 stream with a deliberately imperfect teacher, using the gradient tape for
@@ -27,6 +29,7 @@ boundary, so it trains those steps once and branches each run from a copy.
 from __future__ import annotations
 
 import copy
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -40,7 +43,7 @@ from .arch import (
     forward_layer,
     init_layer_params,
 )
-from .gating import GatingConfig, _is_finite, _is_int
+from .gating import GatingConfig, _as_int, _int_at_least, _is_finite, _is_int
 from .tensor import GradTape, NonFiniteError, Tensor
 
 __all__ = [
@@ -88,6 +91,7 @@ class KDConfig:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "stage_boundary", _as_int(self.stage_boundary))
         alpha, t, boundary = self.alpha, self.temperature, self.stage_boundary
         if not _is_finite(alpha) or alpha < 0:
             raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
@@ -104,30 +108,22 @@ class KDConfig:
 
 def kd_objective(
     student_logits: Tensor,
-    teacher_logits: np.ndarray,
+    teacher_logits: np.ndarray | None,
     labels: np.ndarray,
     cfg: KDConfig,
     step: int,
 ) -> tuple[Tensor, float, float]:
     """Blended loss at a given step; returns (loss, ce_value, kd_value).
 
-    The teacher term is skipped entirely (not just weighted by zero) once the
-    stage boundary has passed, so the late-stage loss graph is exactly the
-    label-only one.
+    Before the stage boundary the loss is ``tk.kd_loss``, one tape node. After
+    it the teacher term is skipped entirely (not just weighted by zero): the
+    loss is CE alone, and ``teacher_logits`` is not read (it may be None).
     """
-    ce = tk.cross_entropy(student_logits, labels)
     alpha = cfg.effective_alpha(step)
     if alpha == 0.0:
+        ce = tk.cross_entropy(student_logits, labels)
         return ce, ce.item(), 0.0
-    t_vals = np.asarray(teacher_logits)
-    t = cfg.temperature
-    if t != 1.0:
-        kl = tk.kl_divergence(Tensor(t_vals / t), tk.scale(student_logits, 1.0 / t))
-        kd = tk.scale(kl, alpha * t * t)
-    else:
-        kd = tk.scale(tk.kl_divergence(Tensor(t_vals), student_logits), alpha)
-    loss = tk.add(ce, kd)
-    return loss, ce.item(), kd.item()
+    return tk.kd_loss(student_logits, teacher_logits, labels, alpha, cfg.temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +149,7 @@ def derive_student(teacher: MoeModelConfig, target_depth: int) -> StudentPlan:
     if not isinstance(teacher, MoeModelConfig):
         raise ValidationError(f"teacher must be a MoeModelConfig, got {type(teacher).__name__}")
     depth = teacher.num_layers
+    target_depth = _as_int(target_depth)
     if not _is_int(target_depth) or not 0 < target_depth < depth:
         raise ValidationError(
             f"target depth {target_depth!r} must be an int above 0 and below teacher depth {depth}"
@@ -192,9 +189,7 @@ class SyntheticStream:
 
     def __post_init__(self) -> None:
         for name, low in (("hidden", 1), ("vocab", 1), ("batch", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ValidationError(f"{name} must be an int >= {low}, got {value!r}")
+            setattr(self, name, _int_at_least(name, getattr(self, name), low))
         if not _is_finite(self.teacher_noise) or self.teacher_noise < 0:
             raise ValidationError(f"teacher_noise must be finite and >= 0, got {self.teacher_noise!r}")
         rng = np.random.default_rng(self.seed)
@@ -234,9 +229,7 @@ class ToyModel:
     ) -> "ToyModel":
         """One top-1 routed layer plus the head (``specs`` and ``layer_params``
         hold one entry each; ``logits`` walks them as a stack)."""
-        for name, value, low in (("vocab", vocab, 1), ("seed", seed, 0)):
-            if not _is_int(value) or value < low:
-                raise ValidationError(f"{name} must be an int >= {low}, got {value!r}")
+        vocab, seed = _int_at_least("vocab", vocab, 1), _int_at_least("seed", seed, 0)
         rng = np.random.default_rng(seed)
         spec = LayerSpec(
             kind="moe",
@@ -249,11 +242,7 @@ class ToyModel:
         return cls(specs=(spec,), layer_params=params, head=head)
 
     def leaves(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for p in self.layer_params:
-            out.extend(p.leaves())
-        out.append(self.head)
-        return out
+        return [leaf for p in self.layer_params for leaf in p.leaves()] + [self.head]
 
     def logits(self, x: np.ndarray, tape: GradTape | None = None) -> Tensor:
         h = Tensor(x, tape)
@@ -288,11 +277,9 @@ class ToyTrainConfig:
     lr: float = 0.05
 
     def __post_init__(self) -> None:
-        steps, lr = self.steps, self.lr
-        if not _is_int(steps) or steps < 1:
-            raise ValidationError(f"steps must be an int >= 1, got {steps!r}")
-        if not _is_finite(lr) or lr <= 0:
-            raise ValidationError(f"lr must be positive and finite, got {lr!r}")
+        object.__setattr__(self, "steps", _int_at_least("steps", self.steps, 1))
+        if not _is_finite(self.lr) or self.lr <= 0:
+            raise ValidationError(f"lr must be positive and finite, got {self.lr!r}")
 
 
 def train_toy(
@@ -327,13 +314,12 @@ def _train_steps(
         tape = GradTape()
         try:
             logits = student.logits(x, tape)
-            loss, ce_val, kd_val = kd_objective(
-                logits, stream.teacher_logits(x), labels, cfg.kd, step
-            )
+            teacher = stream.teacher_logits(x) if cfg.kd.effective_alpha(step) else None
+            loss, ce_val, kd_val = kd_objective(logits, teacher, labels, cfg.kd, step)
         except NonFiniteError as e:
             raise TrainingError(step, f"forward pass: {e}") from e
         total = loss.item()
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             raise TrainingError(step, f"non-finite loss {total}")
         tk.reset_grads(leaves)
         tape.backward(loss)

@@ -142,6 +142,8 @@ def _run_parts(fn, parts: list, *args) -> None:
     exception, if any. Worker code calls no public moekit function, because a
     tracer that wraps those functions keeps one span stack for the whole
     process."""
+    if len(parts) == 1:
+        return fn(*args, parts[0])
     futures = [_pool(os.getpid()).submit(fn, *args, part) for part in parts[1:]]
     try:
         fn(*args, parts[0])
@@ -165,6 +167,19 @@ def _is_int(value) -> bool:
     except TypeError:
         return False
     return not isinstance(value, bool)
+
+
+def _as_int(value):
+    """What entry points check and store: ``operator.index(value)`` for an int, else ``value``."""
+    return operator.index(value) if _is_int(value) else value
+
+
+def _int_at_least(name: str, value, low: int, error: type[ValueError] = ValidationError) -> int:
+    """``_as_int(value)``, once it is an int of at least ``low``; else ``error``, naming ``name``."""
+    value = _as_int(value)
+    if not _is_int(value) or value < low:
+        raise error(f"{name} must be an int >= {low}, got {value!r}")
+    return value
 
 
 def _is_finite(value) -> bool:
@@ -197,9 +212,9 @@ class GatingConfig:
     capacity_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_experts", _int_at_least("num_experts", self.num_experts, 1))
+        object.__setattr__(self, "k", _as_int(self.k))
         e, k, cf = self.num_experts, self.k, self.capacity_factor
-        if not _is_int(e) or e < 1:
-            raise ValidationError(f"num_experts must be an int >= 1, got {e!r}")
         if not _is_int(k) or k not in (1, 2):
             raise ValidationError(f"k must be 1 or 2, got {k!r}")
         if k > e:
@@ -379,9 +394,9 @@ def _kept_assignments(ids: np.ndarray, gate_probs: np.ndarray, cfg: GatingConfig
     if cfg.k == 2 and np.any(ids[:, 0] == ids[:, 1]):
         raise ShapeError("gate table sends a token to the same expert twice")
     cap = cfg.capacity(num_tokens)
-    order = np.argsort(_uint(flat_ids, cfg.num_experts), kind="stable")
+    order = _uint(flat_ids, cfg.num_experts).argsort(kind="stable")
     counts = np.bincount(flat_ids, minlength=cfg.num_experts)
-    sorted_rank = np.arange(flat_ids.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    sorted_rank = np.arange(flat_ids.shape[0]) - (counts.cumsum() - counts).repeat(counts)
     kept = sorted_rank < cap
     return counts, cap, order[kept], sorted_rank[kept]
 

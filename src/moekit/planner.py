@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arch import MoeModelConfig, count_params, count_params_per_layer
-from .gating import _is_finite, _is_int
+from .gating import _as_int, _is_finite, _is_int
 
 __all__ = [
     "LinkSpec",
@@ -71,6 +71,8 @@ class ClusterTopology:
     inter_link: LinkSpec = field(default_factory=lambda: LinkSpec(5e-6, 50e9))
 
     def __post_init__(self) -> None:
+        for name in ("nodes", "gpus_per_node"):
+            object.__setattr__(self, name, _as_int(getattr(self, name)))
         if not (_is_int(self.nodes) and _is_int(self.gpus_per_node)):
             raise PlanError(
                 f"node and GPU counts must be ints, got {self.nodes!r} and {self.gpus_per_node!r}"
@@ -156,7 +158,7 @@ def plan(
     built = ParallelPlan(
         world_size=world,
         gpus_per_node=cluster.gpus_per_node,
-        tensor_slice=tensor_slice,
+        tensor_slice=_as_int(tensor_slice),
         placements=tuple(placements),
     )
     problems = validate(built, cfg)
@@ -179,8 +181,8 @@ def validate(built: ParallelPlan, cfg: MoeModelConfig | None = None) -> list[str
         problems.append(
             f"gpus_per_node {built.gpus_per_node} does not divide world {built.world_size}"
         )
-    if built.tensor_slice < 1:
-        problems.append(f"tensor_slice must be >= 1, got {built.tensor_slice}")
+    if not _is_int(built.tensor_slice) or built.tensor_slice < 1:
+        problems.append(f"tensor_slice must be an int >= 1, got {built.tensor_slice!r}")
     elif built.gpus_per_node % built.tensor_slice != 0:
         problems.append(
             f"tensor_slice {built.tensor_slice} does not fit inside a node of "

@@ -1,9 +1,10 @@
 """Dense float64 matrices with a minimal reverse-mode gradient tape.
 
 Everything in this package that needs gradients runs through the small op set
-below: matrix product, row-broadcast add, scalar scale, a smooth GELU, and the
-two loss kernels (cross-entropy and KL divergence). That is deliberately the
-whole surface; this is not a general autodiff system.
+below: matrix product, row-broadcast add, a smooth GELU, and the two loss
+kernels (cross-entropy, and ``kd_loss``: cross-entropy plus a KL divergence
+from a constant teacher, as one node). That is deliberately the whole surface,
+the ops the library records; this is not a general autodiff system.
 
 Conventions:
   * A ``Tensor`` is always a 2-D float64 array. Scalars are ``(1, 1)``.
@@ -33,10 +34,9 @@ __all__ = [
     "Tensor",
     "matmul",
     "add",
-    "scale",
     "gelu",
     "cross_entropy",
-    "kl_divergence",
+    "kd_loss",
     "reset_grads",
 ]
 
@@ -203,15 +203,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
-    tape = a.tape
-    out = Tensor._wrap(a.value * float(c), tape)
-    if tape is not None:
-        tape.record(out, (a,), lambda g: (g * float(c),))
-    return out
-
-
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
@@ -260,12 +251,8 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer ``labels`` under row softmax.
-
-    logits: (n, C); labels: (n,) of an integer dtype, in [0, C). Non-negative by construction.
-    """
-    logits = _as_tensor(logits)
+def _nll(logits: Tensor, labels) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    """(labels, row log-softmax, mean NLL), once labels are ints in [0, C), one per row, n > 0."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         raise ShapeError(f"labels must be integers, got dtype {labels.dtype}")
@@ -277,45 +264,58 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError(f"labels must lie in [0, {logits.cols}), got [{labels.min()}, {labels.max()}]")
     logp = _log_softmax(logits.value)
     n = logits.rows
-    loss = -logp[np.arange(n), labels].mean()
+    return labels, logp, -(np.add.reduce(logp[np.arange(n), labels]) / n)  # the mean, bit for bit
+
+
+def _ce_grad(probs: np.ndarray, labels: np.ndarray, g: np.ndarray) -> np.ndarray:
+    grad = probs.copy()
+    grad[np.arange(probs.shape[0]), labels] -= 1.0
+    grad *= g[0, 0] / probs.shape[0]
+    return grad
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of integer ``labels`` under row softmax.
+
+    logits: (n, C); labels: (n,) of an integer dtype, in [0, C). Non-negative by construction.
+    """
+    logits = _as_tensor(logits)
+    labels, logp, loss = _nll(logits, labels)
     out = Tensor._wrap(np.array([[loss]]), logits.tape)
     if logits.tape is not None:
         probs = np.exp(logp)
-
-        def vjp(g: np.ndarray):
-            grad = probs.copy()
-            grad[np.arange(n), labels] -= 1.0
-            return (grad * (g[0, 0] / n),)
-
-        logits.tape.record(out, (logits,), vjp)
+        logits.tape.record(out, (logits,), lambda g: (_ce_grad(probs, labels, g),))
     return out
 
 
-def kl_divergence(p_logits: Tensor, q_logits: Tensor) -> Tensor:
-    """Mean over rows of KL(softmax(p) || softmax(q)). Non-negative.
-
-    Differentiable in both arguments; pass the reference distribution as a
-    plain tensor (no tape) to treat it as a constant.
-    """
-    p_logits, q_logits = _as_tensor(p_logits), _as_tensor(q_logits)
-    if p_logits.shape != q_logits.shape:
-        raise ShapeError(f"kl_divergence mismatch: {p_logits.shape} vs {q_logits.shape}")
-    if p_logits.rows == 0:
-        raise ShapeError("kl_divergence of an empty batch")
-    logp = _log_softmax(p_logits.value)
-    logq = _log_softmax(q_logits.value)
+def kd_loss(
+    student_logits: Tensor, teacher_logits, labels: np.ndarray, alpha: float, temperature: float = 1.0
+) -> tuple[Tensor, float, float]:
+    """(CE(student, labels) + alpha T^2 KL(softmax(teacher / T) || softmax(student / T)) as one
+    tape node that feeds the student alone, CE value, KD value), bitwise the per-op chain's.
+    Checks the labels as ``cross_entropy`` does, then that the teacher logits over T are 2-D
+    and finite (else ``NonFiniteError``), then that their shape is the student's."""
+    student = _as_tensor(student_logits)
+    labels, logq, ce = _nll(student, labels)
+    t, t_vals = temperature, np.asarray(teacher_logits)
+    teacher = Tensor(t_vals if t == 1.0 else t_vals / t).value
+    if teacher.shape != student.shape:
+        raise ShapeError(f"teacher logits {teacher.shape} do not match student logits {student.shape}")
+    n, inv_t, weight = student.rows, float(1.0 / t), float(alpha * t * t)
+    logq_t = logq if t == 1.0 else _log_softmax(student.value * inv_t)
+    logp = _log_softmax(teacher)
     p = np.exp(logp)
-    n = p_logits.rows
-    per_row = (p * (logp - logq)).sum(axis=1)
-    out = Tensor._wrap(np.array([[per_row.mean()]]), _tape_of(p_logits, q_logits))
-    if out.tape is not None:
+    kd = np.add.reduce(np.add.reduce(p * (logp - logq_t), axis=1)) / n * weight
+    out = Tensor._wrap(np.array([[ce + kd]]), student.tape)
+    if student.tape is not None:
         q = np.exp(logq)
+        q_t = q if t == 1.0 else np.exp(logq_t)
 
         def vjp(g: np.ndarray):
-            s = g[0, 0] / n
-            gq = (q - p) * s
-            gp = p * ((logp - logq) - per_row[:, None]) * s
-            return gp, gq
+            grad = (q_t - p) * (g[0, 0] * weight / n)
+            if t != 1.0:
+                grad *= inv_t
+            return (grad + _ce_grad(q, labels, g),)
 
-        out.tape.record(out, (p_logits, q_logits), vjp)
-    return out
+        student.tape.record(out, (student,), vjp)
+    return out, float(ce), float(kd)

@@ -8,8 +8,14 @@ one entry per row, scale by a column, scatter rows back.
 ``gelu_reference`` is the written formula that ``tensor._gelu`` evaluates
 with in-place temporaries.
 
-The ops trust their callers: indices come from a dispatch plan, so nothing
-here checks shapes or ranges, and every operand is already a ``Tensor``.
+``tensor.kd_loss`` records the blended distillation loss as one tape node.
+``kd_chain`` builds it from ``tensor.cross_entropy`` and ``tensor.add`` with
+``scale`` and ``kl_divergence`` here, the chain the tests hold it to bitwise.
+
+The dispatch-shaped ops trust their callers: indices come from a dispatch
+plan, so they check no shapes or ranges, and every operand is already a
+``Tensor``. ``scale`` and ``kl_divergence`` take arrays too, and KL checks
+its shapes.
 """
 
 from __future__ import annotations
@@ -101,3 +107,54 @@ def scatter_rows(src: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
     if src.tape is not None:
         src.tape.record(out, (src,), lambda g: (g[rows],))
     return out
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    a = tk._as_tensor(a)
+    tape = a.tape
+    out = Tensor._wrap(a.value * float(c), tape)
+    if tape is not None:
+        tape.record(out, (a,), lambda g: (g * float(c),))
+    return out
+
+
+def kl_divergence(p_logits: Tensor, q_logits: Tensor) -> Tensor:
+    """Mean over rows of KL(softmax(p) || softmax(q)). Non-negative.
+
+    Differentiable in both arguments; pass the reference distribution as a
+    plain tensor (no tape) to treat it as a constant.
+    """
+    p_logits, q_logits = tk._as_tensor(p_logits), tk._as_tensor(q_logits)
+    if p_logits.shape != q_logits.shape:
+        raise tk.ShapeError(f"kl_divergence mismatch: {p_logits.shape} vs {q_logits.shape}")
+    if p_logits.rows == 0:
+        raise tk.ShapeError("kl_divergence of an empty batch")
+    logp = tk._log_softmax(p_logits.value)
+    logq = tk._log_softmax(q_logits.value)
+    p = np.exp(logp)
+    n = p_logits.rows
+    per_row = (p * (logp - logq)).sum(axis=1)
+    out = Tensor._wrap(np.array([[per_row.mean()]]), tk._tape_of(p_logits, q_logits))
+    if out.tape is not None:
+        q = np.exp(logq)
+
+        def vjp(g: np.ndarray):
+            s = g[0, 0] / n
+            gq = (q - p) * s
+            gp = p * ((logp - logq) - per_row[:, None]) * s
+            return gp, gq
+
+        out.tape.record(out, (p_logits, q_logits), vjp)
+    return out
+
+
+def kd_chain(student: Tensor, teacher: np.ndarray, labels, alpha: float, temperature: float):
+    """The blended loss as the per-op chain add(CE, scale(KL, alpha T^2)), the
+    student scaled by 1 / T first when T != 1. Returns (loss, CE, KD) tensors."""
+    ce = tk.cross_entropy(student, labels)
+    t = temperature
+    if t != 1.0:
+        kd = scale(kl_divergence(Tensor(teacher / t), scale(student, 1.0 / t)), alpha * t * t)
+    else:
+        kd = scale(kl_divergence(Tensor(teacher), student), alpha)
+    return tk.add(ce, kd), ce, kd

@@ -8,6 +8,7 @@ row passes only on its own module's error.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,12 +24,24 @@ from moekit.commsim import (
     hierarchical_all_to_all,
     synthetic_sends,
 )
-from moekit.distill import SyntheticStream, ToyModel, derive_student, staged_vs_constant
+from moekit.distill import (
+    KDConfig,
+    SyntheticStream,
+    ToyModel,
+    ToyTrainConfig,
+    derive_student,
+    kd_objective,
+    staged_vs_constant,
+)
 from moekit.planner import ClusterTopology, PlanError, memory_per_device, plan
-from moekit.tensor import ShapeError, Tensor, cross_entropy
+from moekit.tensor import NonFiniteError, ShapeError, Tensor, cross_entropy
 
 MODEL = build_standard(dense_config(num_layers=4, hidden=8, heads=2, vocab=16, context=8), 4)
 TOPOLOGY = ClusterTopology(nodes=1, gpus_per_node=2)
+STUDENT = Tensor(np.zeros((2, 3)))
+TEACHER = np.ones((2, 3))
+LABELS = np.array([0, 2])
+NAN_TEACHER = np.array([[0.0, np.nan, 1.0], [0.0, 0.0, 0.0]])
 
 CASES = [
     # sizes numpy cannot address as one int64 array
@@ -61,6 +74,7 @@ CASES = [
     # None where a config, topology, plan or trace belongs
     pytest.param(plan, (None, TOPOLOGY), PlanError, id="plan-no-model"),
     pytest.param(plan, (MODEL, None), PlanError, id="plan-no-cluster"),
+    pytest.param(plan, (MODEL, TOPOLOGY, False, "2"), PlanError, id="plan-tensor-slice-str"),
     pytest.param(memory_per_device, (None, MODEL), PlanError, id="memory-no-plan"),
     pytest.param(count_params, (None,), ValidationError, id="count-params-no-model"),
     pytest.param(derive_student, (None, 3), ValidationError, id="derive-student-no-teacher"),
@@ -75,6 +89,21 @@ CASES = [
     # a label outside the vocab
     pytest.param(cross_entropy, (Tensor(np.zeros((2, 3))), np.array([0, 3])), ShapeError, id="ce-label-past-vocab"),
     pytest.param(cross_entropy, (Tensor(np.zeros((2, 3))), np.array([-1, 0])), ShapeError, id="ce-label-negative"),
+    # the blended distillation loss, at T = 1 and at T = 2
+    *(
+        pytest.param(kd_objective, args + (kd, 0), error, id=f"kd-{name}-t{kd.temperature:g}")
+        for kd in (KDConfig(), KDConfig(temperature=2.0))
+        for name, args, error in (
+            ("teacher-nan", (STUDENT, NAN_TEACHER, LABELS), NonFiniteError),
+            ("teacher-inf", (STUDENT, TEACHER * np.inf, LABELS), NonFiniteError),
+            ("teacher-shape", (STUDENT, np.ones((2, 4)), LABELS), ShapeError),
+            ("teacher-1d", (STUDENT, np.ones(3), LABELS), ShapeError),
+            ("label-past-vocab", (STUDENT, TEACHER, np.array([0, 3])), ShapeError),
+            ("label-negative", (STUDENT, TEACHER, np.array([-1, 0])), ShapeError),
+            ("label-float", (STUDENT, TEACHER, np.array([0.0, 2.0])), ShapeError),
+            ("empty-batch", (Tensor(np.zeros((0, 3))), np.ones((0, 3)), np.array([], int)), ShapeError),
+        )
+    ),
 ]
 
 
@@ -82,6 +111,49 @@ CASES = [
 def test_malformed_input_raises_module_error(fn, args, error):
     with pytest.raises(error):
         fn(*args)
+
+
+@pytest.mark.parametrize("temperature", [1.0, 2.0])
+def test_kd_labels_are_checked_before_the_teacher(temperature):
+    # a bad label and a NaN teacher: the label error, not NonFiniteError
+    kd = KDConfig(temperature=temperature)
+    with pytest.raises(ShapeError, match="labels must lie in") as exc:
+        kd_objective(STUDENT, NAN_TEACHER, np.array([0, 3]), kd, 0)
+    assert type(exc.value) is ShapeError
+
+
+class Index:
+    """An int only by the index protocol: no arithmetic, no comparisons."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+INT_TWINS = [
+    pytest.param(lambda i: gating.GatingConfig(i(4)), id="gating-experts"),
+    pytest.param(lambda i: gating.GatingConfig(4, k=i(1)), id="gating-k"),
+    pytest.param(lambda i: arch.LayerSpec("dense", i(4)), id="layer-spec"),
+    pytest.param(lambda i: dense_config(i(4), 8, 2), id="dense-config"),
+    pytest.param(lambda i: ClusterTopology(i(1), i(2)), id="topology"),
+    pytest.param(lambda i: plan(MODEL, TOPOLOGY, tensor_slice=i(1)), id="plan-tensor-slice"),
+    pytest.param(lambda i: synthetic_sends(i(2), 2), id="sends"),
+    pytest.param(lambda i: hierarchical_all_to_all([[], []], i(2)), id="hierarchical"),
+    pytest.param(lambda i: coordinated_all_to_all([[], []], i(2)), id="coordinated"),
+    pytest.param(lambda i: SyntheticStream(i(4), 4, 2), id="stream"),
+    pytest.param(lambda i: ToyModel.create(4, i(4)), id="toy-model"),
+    pytest.param(lambda i: derive_student(MODEL, i(3)), id="derive-student"),
+    pytest.param(lambda i: KDConfig(stage_boundary=i(2)), id="kd-boundary"),
+    pytest.param(lambda i: ToyTrainConfig(KDConfig(), steps=i(3)), id="train-steps"),
+]
+
+
+@pytest.mark.parametrize("make", INT_TWINS)
+def test_index_protocol_int_behaves_like_its_plain_int_twin(make):
+    # pickled, an object shows every value it holds, so a kept Index differs from an int
+    assert pickle.dumps(make(Index)) == pickle.dumps(make(int))
 
 
 def test_one_validation_error_class():

@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moekit import tensor as tk
 from moekit.arch import ValidationError, count_params
@@ -20,6 +22,7 @@ from moekit.distill import (
 )
 from moekit.presets import get_preset
 from moekit.tensor import GradTape, Tensor
+from tape_oracle import kd_chain, scale
 
 # frozen toy-task calibration: with a noisy teacher and a strong blend weight,
 # stopping the teacher term halfway reliably beats keeping it on
@@ -319,6 +322,81 @@ def test_toy_model_gradient_matches_fd():
             fd = (hi - lo) / (2 * h)
             got = 0.0 if leaf.grad is None else leaf.grad[idx]
             assert abs(got - fd) < 1e-5, (leaf.value.shape, idx, got, fd)
+
+
+# ---------------------------------------------------------------------------
+# the blended loss node against the per-op chain
+# ---------------------------------------------------------------------------
+
+CHAIN_BOUNDARY = 5
+
+
+def _chain_objective(student, teacher, labels, cfg, step):
+    """kd_objective as the per-op chain of tape_oracle: CE alone at a blend weight of 0."""
+    alpha = cfg.effective_alpha(step)
+    if alpha == 0.0:
+        ce = tk.cross_entropy(student, labels)
+        return ce, ce.item(), 0.0
+    loss, ce, kd = kd_chain(student, teacher, labels, alpha, cfg.temperature)
+    return loss, ce.item(), kd.item()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    c=st.integers(1, 9),
+    alpha=st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+    at_boundary=st.booleans(),
+    temperature=st.one_of(st.just(1.0), st.floats(0.01, 10.0)),
+    upstream=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blended_node_is_the_chain_bitwise(n, c, alpha, at_boundary, temperature, upstream, seed):
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((n, c)) * rng.uniform(0.1, 6.0)
+    t = rng.standard_normal((n, c)) * rng.uniform(0.1, 6.0)
+    labels = rng.integers(0, c, size=n)
+    cfg = KDConfig(alpha, stage_boundary=CHAIN_BOUNDARY, temperature=temperature)
+    step = CHAIN_BOUNDARY if at_boundary else CHAIN_BOUNDARY - 1
+    got = []
+    for objective in (kd_objective, _chain_objective):
+        tape = GradTape()
+        student = Tensor(s, tape)
+        loss, ce_val, kd_val = objective(student, t, labels, cfg, step)
+        if objective is kd_objective:
+            # one node, fed by the student alone: the teacher gets no gradient
+            assert [inputs for _, inputs, _ in tape._records] == [(student,)]
+        tape.backward(scale(loss, upstream))  # an upstream gradient other than 1
+        floats = np.array([ce_val, kd_val])
+        got.append((loss.value.tobytes(), floats.tobytes(), student.grad.tobytes()))
+    assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("step", [TOY_BOUNDARY - 1, TOY_BOUNDARY])
+def test_a_toy_step_records_three_nodes(step):
+    # the routed layer, the head matmul and the loss, with or without the teacher term
+    stream = SyntheticStream(hidden=16, vocab=16, batch=32, seed=0, teacher_noise=TOY_NOISE)
+    model = ToyModel.create(hidden=16, vocab=16, experts=4, seed=0, capacity_factor=2.0)
+    x, labels = stream.next_batch()
+    tape = GradTape()
+    cfg = KDConfig(alpha=TOY_ALPHA, stage_boundary=TOY_BOUNDARY)
+    kd_objective(model.logits(x, tape), stream.teacher_logits(x), labels, cfg, step)
+    assert len(tape) == 3
+
+
+def test_teacher_logits_are_not_computed_past_the_boundary(monkeypatch):
+    calls = []
+    teacher_logits = SyntheticStream.teacher_logits
+
+    def counted(self, x):
+        calls.append(len(x))
+        return teacher_logits(self, x)
+
+    monkeypatch.setattr(SyntheticStream, "teacher_logits", counted)
+    stream = SyntheticStream(hidden=8, vocab=6, batch=8, seed=1, teacher_noise=TOY_NOISE)
+    model = ToyModel.create(hidden=8, vocab=6, experts=4, seed=1, capacity_factor=2.0)
+    train_toy(model, stream, ToyTrainConfig(kd=KDConfig(alpha=1.0, stage_boundary=2), steps=5))
+    assert calls == [8, 8]
 
 
 # ---------------------------------------------------------------------------

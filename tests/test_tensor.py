@@ -17,10 +17,18 @@ from moekit.tensor import (
     add,
     cross_entropy,
     gelu,
-    kl_divergence,
     matmul,
 )
-from tape_oracle import gather_rows, gelu_reference, mul, row_softmax, scatter_rows, take_elems
+from tape_oracle import (
+    gather_rows,
+    gelu_reference,
+    kl_divergence,
+    mul,
+    row_softmax,
+    scale,
+    scatter_rows,
+    take_elems,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +320,7 @@ class TestBackward:
         tape = GradTape()
         x = Tensor(x_val, tape)
         logits = matmul(x, w)
-        loss = add(cross_entropy(logits, labels), tk.scale(kl_divergence(Tensor(teacher), logits), alpha))
+        loss = add(cross_entropy(logits, labels), scale(kl_divergence(Tensor(teacher), logits), alpha))
         tape.backward(loss)
         assert_grads_close([w.grad], fd_gradient(loss_value, [w]))
 
