@@ -10,10 +10,10 @@ A model is a flat stack of transformer blocks. Every block carries attention
                   contribution acts as a correction term on top of it)
 
 A routed layer is one tape node: gate, experts, combine and skip add. It builds
-no dispatch plan but routes from the plan's checks and sort, gathers the kept rows
-once in (expert, slot) order, runs one GEMM pair per loaded expert on its own rows
-(no capacity padding) and one GELU over every row, and scatter-adds the gate-scaled
-rows per token. Its vjp is bitwise equal to the per-op tape chain.
+no dispatch plan but routes from the plan's sort alone, unchecked, on its own gate's
+table; gathers the kept rows once in (expert, slot) order, runs one GEMM pair per
+loaded expert on its own rows (no capacity padding) and one GELU over every row, and
+scatter-adds the gate-scaled rows per token. Its vjp is bitwise equal to the per-op chain.
 
 Builders:
   * ``build_standard``  - experts on every other feed-forward layer, uniform
@@ -42,8 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tk
-from .gating import GatingConfig, ValidationError, _kept_assignments, top_k_gate
-from .gating import _as_int, _int_at_least, _is_int
+from ._contract import ValidationError, _int_in
+from .gating import GatingConfig, _kept_assignments, top_k_gate
 from .tensor import Tensor
 
 __all__ = [
@@ -84,10 +84,8 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("dense", "moe"):
             raise ValidationError(f"unknown layer kind {self.kind!r}")
-        object.__setattr__(self, "hidden", _int_at_least("hidden width", self.hidden, 1))
-        object.__setattr__(self, "experts", _as_int(self.experts))
-        if not _is_int(self.experts):
-            raise ValidationError(f"expert count must be an int, got {self.experts!r}")
+        object.__setattr__(self, "hidden", _int_in("hidden width", self.hidden, 1))
+        object.__setattr__(self, "experts", _int_in("expert count", self.experts, 0))
         if self.kind == "moe":
             if self.experts < 1:
                 raise ValidationError("moe layer needs at least one expert")
@@ -111,6 +109,8 @@ class MoeModelConfig:
     layers: tuple[LayerSpec, ...]
 
     def __post_init__(self) -> None:
+        for name in ("hidden", "heads", "vocab", "context"):
+            object.__setattr__(self, name, _int_in(name, getattr(self, name), 1))
         for spec in self.layers:
             if spec.hidden != self.hidden:
                 raise ValidationError("per-layer hidden width must match the model width")
@@ -149,11 +149,15 @@ def dense_config(
     ``num_layers`` must be an int in [0, MAX_LAYERS]: the stack is built
     layer by layer, so a deeper one would not finish.
     """
-    num_layers = _as_int(num_layers)
-    if not _is_int(num_layers) or not 0 <= num_layers <= MAX_LAYERS:
-        raise ValidationError(f"num_layers must be an int in [0, {MAX_LAYERS}], got {num_layers!r}")
+    num_layers = _int_in("num_layers", num_layers, 0, MAX_LAYERS)
     layers = tuple(LayerSpec(kind="dense", hidden=hidden) for _ in range(num_layers))
     return MoeModelConfig(hidden=hidden, heads=heads, vocab=vocab, context=context, layers=layers)
+
+
+def _model(cfg) -> MoeModelConfig:
+    if not isinstance(cfg, MoeModelConfig):
+        raise ValidationError(f"expected a MoeModelConfig, got {type(cfg).__name__}")
+    return cfg
 
 
 def _routed_layer(base: MoeModelConfig, experts: int, residual: bool, k: int, cf: float) -> LayerSpec:
@@ -178,9 +182,8 @@ def build_standard(
     num_layers L yields L/2 routed layers. This is ``build_pr_moe`` with a
     uniform schedule and no residual.
     """
-    if num_experts < 1:
-        raise ValidationError("num_experts must be >= 1")
-    schedule = (num_experts,) * (base.num_layers // 2)
+    num_experts = _int_in("num_experts", num_experts, 1)
+    schedule = (num_experts,) * (_model(base).num_layers // 2)
     return build_pr_moe(base, schedule, residual=False, k=k, capacity_factor=capacity_factor)
 
 
@@ -197,20 +200,20 @@ def build_pr_moe(
     never fewer). With a uniform schedule and residual=False this reduces to
     ``build_standard`` exactly.
     """
-    if base.num_layers % 2 != 0:
+    if _model(base).num_layers % 2 != 0:
         raise ValidationError("base stack must have an even layer count")
+    if not isinstance(expert_schedule, (tuple, list)):
+        raise ValidationError(f"expert schedule must be a tuple of ints, got {expert_schedule!r}")
+    # every entry is an int before the non-decreasing test compares them
+    schedule = tuple(_int_in("schedule entry", e, 1) for e in expert_schedule)
     expected = base.num_layers // 2
-    if len(expert_schedule) != expected:
-        raise ValidationError(
-            f"schedule has {len(expert_schedule)} entries, stack needs {expected}"
-        )
-    if any(b < a for a, b in zip(expert_schedule, expert_schedule[1:])):
+    if len(schedule) != expected:
+        raise ValidationError(f"schedule has {len(schedule)} entries, stack needs {expected}")
+    if any(b < a for a, b in zip(schedule, schedule[1:])):
         raise ValidationError("expert schedule must be non-decreasing with depth")
-    if any(e < 1 for e in expert_schedule):
-        raise ValidationError("schedule entries must be >= 1")
-    schedule = iter(expert_schedule)
+    entries = iter(schedule)
     layers = tuple(
-        _routed_layer(base, next(schedule), residual, k, capacity_factor)
+        _routed_layer(base, next(entries), residual, k, capacity_factor)
         if i % 2 == 1
         else LayerSpec(kind="dense", hidden=base.hidden)
         for i in range(base.num_layers)
@@ -245,10 +248,8 @@ class LayerParamCount:
 
 def count_params_per_layer(cfg: MoeModelConfig) -> list[LayerParamCount]:
     """Per-block split used by both total accounting and placement memory."""
-    if not isinstance(cfg, MoeModelConfig):
-        raise ValidationError(f"expected a MoeModelConfig, got {type(cfg).__name__}")
     out = []
-    m = cfg.hidden
+    m = _model(cfg).hidden
     for spec in cfg.layers:
         shared = _attention_params(m) + _block_norm_params(m)
         if spec.kind == "dense":
@@ -390,18 +391,19 @@ def forward_layer(x: Tensor, spec: LayerSpec, params) -> Tensor:
 def _routed_skip(x: Tensor, cfg: GatingConfig, params: MoeLayerParams) -> Tensor:
     """x + sum over experts of gate prob * expert(x[tok]), scattered back by token: one tape node.
 
-    Kept assignments come in ``gating._kept_assignments``' (expert, slot) order; expert e
-    owns the next loads[e] rows of ``x[tok]``. The vjp is bitwise that of the per-op chain
-    matmul -> row_softmax -> gather_rows -> forward_ffn -> take_elems -> mul -> scatter_rows
-    -> add of ``tests/tape_oracle.py``. It hands back x's gradients in that chain's sweep
-    order (which fixes how they sum): the skip, each loaded expert's, last expert first,
-    then the gate's; a load-1 bias gradient passes unsummed, as in ``tk.add``.
+    Kept assignments come unchecked (``top_k_gate`` builds all the plan checks) in
+    ``gating._kept_assignments``' (expert, slot) order; expert e owns the next loads[e] rows of
+    ``x[tok]``. The vjp is bitwise that of the per-op chain matmul -> row_softmax -> gather_rows
+    -> forward_ffn -> take_elems -> mul -> scatter_rows -> add of ``tests/tape_oracle.py``. It
+    hands back x's gradients in that chain's sweep order (which fixes how they sum): the skip,
+    each loaded expert's, last expert first, then the gate's; a load-1 bias gradient passes
+    unsummed, as in ``tk.add``.
     """
     gate_w = params.gate_w
     if x.cols != gate_w.rows:
         raise tk.ShapeError(f"gate_w shape {gate_w.shape} does not match batch width {x.cols}")
     gates = top_k_gate(x.value @ gate_w.value, cfg)
-    counts, cap, assignment, _ = _kept_assignments(gates.expert_ids, gates.gate_probs, cfg, x.rows)
+    counts, cap, assignment, _ = _kept_assignments(gates.expert_ids, cfg, x.rows)
     tok, s = assignment // cfg.k, gates.probs
     # flat index of each kept (token, expert) pair in the (S, E) gate softmax
     pair = tok * s.shape[1] + gates.expert_ids.reshape(-1).take(assignment)

@@ -27,6 +27,7 @@ import sys
 import numpy as np
 
 from . import commsim, gating
+from ._contract import _is_finite, _is_int
 from .arch import (
     MoeModelConfig,
     ValidationError,
@@ -39,7 +40,6 @@ from .arch import (
 )
 from .commsim import CostModel, ScheduleError
 from .distill import TrainingError, derive_student, staged_vs_constant
-from .gating import _is_finite, _is_int
 from .planner import ClusterTopology, LinkSpec, PlanError, memory_per_device, plan
 from .presets import PRESETS, get_preset, preset_names
 

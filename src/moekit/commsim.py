@@ -26,7 +26,7 @@ runs through ``_exchange``: it maps each item to its receiving rank and
 round, groups each message's items with one stable argsort of a (round,
 source) key, sums its bytes over its segment and emits one structured-array
 event row per message, in (round, source) order. Every sort reads its rank
-keys in the smallest unsigned dtype below their bound (``gating._uint``), as
+keys in the smallest unsigned dtype below their bound (``_contract._uint``), as
 numpy radix-sorts keys of 16 bits or fewer. Every byte count a schedule
 reports must fit int64; a larger one raises ScheduleError.
 
@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gating import _as_int, _int_at_least, _is_finite, _is_int, _uint
+from ._contract import _as_int, _int_in, _is_finite, _is_int, _uint
 from .planner import ClusterTopology
 
 __all__ = [
@@ -315,7 +315,7 @@ def synthetic_sends(
 ) -> list[list[Item]]:
     """Random but seeded payload: per_rank items per rank, uniform dst."""
     sizes = (("world", world, 1), ("per_rank", per_rank, 0), ("nbytes", nbytes, 0), ("seed", seed, 0))
-    world, per_rank, nbytes, seed = (_int_at_least(*size, ScheduleError) for size in sizes)
+    world, per_rank, nbytes, seed = (_int_in(*size, error=ScheduleError) for size in sizes)
     # the (world, per_rank) int64 draw must fit numpy's array size, so every token id fits int64
     if max(world, int(world) * int(per_rank) * 8) > _INT64_MAX:
         raise ScheduleError(f"{world} ranks x {per_rank} items is past numpy's array size")

@@ -43,7 +43,8 @@ from .arch import (
     forward_layer,
     init_layer_params,
 )
-from .gating import GatingConfig, _as_int, _int_at_least, _is_finite, _is_int
+from ._contract import _int_in, _is_finite
+from .gating import GatingConfig
 from .tensor import GradTape, NonFiniteError, Tensor
 
 __all__ = [
@@ -91,14 +92,12 @@ class KDConfig:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stage_boundary", _as_int(self.stage_boundary))
-        alpha, t, boundary = self.alpha, self.temperature, self.stage_boundary
-        if not _is_finite(alpha) or alpha < 0:
-            raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
-        if not _is_finite(t) or t <= 0:
-            raise ValidationError(f"temperature must be positive and finite, got {t!r}")
-        if boundary is not None and (not _is_int(boundary) or boundary < 0):
-            raise ValidationError(f"stage_boundary must be None or an int >= 0, got {boundary!r}")
+        if not _is_finite(self.alpha) or self.alpha < 0:
+            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        if not _is_finite(self.temperature) or self.temperature <= 0:
+            raise ValidationError(f"temperature must be positive and finite, got {self.temperature!r}")
+        if self.stage_boundary is not None:
+            object.__setattr__(self, "stage_boundary", _int_in("stage_boundary", self.stage_boundary, 0))
 
     def effective_alpha(self, step: int) -> float:
         if self.stage_boundary is not None and step >= self.stage_boundary:
@@ -149,11 +148,7 @@ def derive_student(teacher: MoeModelConfig, target_depth: int) -> StudentPlan:
     if not isinstance(teacher, MoeModelConfig):
         raise ValidationError(f"teacher must be a MoeModelConfig, got {type(teacher).__name__}")
     depth = teacher.num_layers
-    target_depth = _as_int(target_depth)
-    if not _is_int(target_depth) or not 0 < target_depth < depth:
-        raise ValidationError(
-            f"target depth {target_depth!r} must be an int above 0 and below teacher depth {depth}"
-        )
+    target_depth = _int_in("target depth", target_depth, 1, depth - 1)
     removal = depth - target_depth
     protected = set(teacher.moe_layer_indices[-2:])  # keep the widest (deepest) routed layers
     candidates = [i for i in range(1, depth) if i not in protected]
@@ -189,7 +184,7 @@ class SyntheticStream:
 
     def __post_init__(self) -> None:
         for name, low in (("hidden", 1), ("vocab", 1), ("batch", 1), ("seed", 0)):
-            setattr(self, name, _int_at_least(name, getattr(self, name), low))
+            setattr(self, name, _int_in(name, getattr(self, name), low))
         if not _is_finite(self.teacher_noise) or self.teacher_noise < 0:
             raise ValidationError(f"teacher_noise must be finite and >= 0, got {self.teacher_noise!r}")
         rng = np.random.default_rng(self.seed)
@@ -229,7 +224,7 @@ class ToyModel:
     ) -> "ToyModel":
         """One top-1 routed layer plus the head (``specs`` and ``layer_params``
         hold one entry each; ``logits`` walks them as a stack)."""
-        vocab, seed = _int_at_least("vocab", vocab, 1), _int_at_least("seed", seed, 0)
+        vocab, seed = _int_in("vocab", vocab, 1), _int_in("seed", seed, 0)
         rng = np.random.default_rng(seed)
         spec = LayerSpec(
             kind="moe",
@@ -277,7 +272,7 @@ class ToyTrainConfig:
     lr: float = 0.05
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", _int_at_least("steps", self.steps, 1))
+        object.__setattr__(self, "steps", _int_in("steps", self.steps, 1))
         if not _is_finite(self.lr) or self.lr <= 0:
             raise ValidationError(f"lr must be positive and finite, got {self.lr!r}")
 

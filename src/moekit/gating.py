@@ -13,8 +13,9 @@ work buffers and back:
      order, from one stable sort by expert id (in the smallest unsigned dtype
      below E, ``_uint``, which numpy radix-sorts); tokens beyond an expert's
      capacity are dropped (slot = DROPPED). The same sort fills the slot
-     table ``slot_tokens``, which ``scatter_tokens`` reads; ``arch.forward_layer``
-     runs the same checks and sort (``_kept_assignments``) and builds no plan.
+     table ``slot_tokens``, which ``scatter_tokens`` reads. ``arch.forward_layer``
+     runs the sort alone (``_kept_assignments``) on its own gate's table, with
+     none of the plan's table checks, and builds no plan.
   3. ``scatter_tokens``   - gather token rows into zeroed (E, c, M) expert
      buffers, one row take of the slot table per expert straight into its
      buffer.
@@ -44,8 +45,7 @@ whole-array pass, so the outputs are bitwise equal to one worker's.
 
 NaN or inf logits, gate probabilities, token rows and kept expert outputs are
 rejected with ``NonFiniteError``, a ``ShapeError``, instead of being routed.
-A bad ``GatingConfig`` raises ``ValidationError``, which ``arch`` re-exports.
-``_is_int`` and ``_is_finite`` are the input rules every moekit module uses.
+A bad ``GatingConfig`` or ``num_tokens`` raises ``ValidationError`` (``arch`` re-exports it).
 
 ``sparse_dispatch_oracle`` / ``sparse_combine_oracle`` implement the same
 semantics as literal one-hot tensor contractions of shape (S, E, c). They are
@@ -62,14 +62,12 @@ per transform. The ratio of the two is the expert count E.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
-import operator
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._contract import ValidationError, _int_in, _is_finite, _uint
 from .tensor import NonFiniteError, ShapeError
 
 __all__ = [
@@ -154,50 +152,6 @@ def _run_parts(fn, parts: list, *args) -> None:
         future.result()
 
 
-class ValidationError(ValueError):
-    """Raised for structurally invalid model and routing descriptions."""
-
-
-def _is_int(value) -> bool:
-    """An int by the index protocol, but not a bool: ``operator.index`` takes
-    it, as it takes any int, numpy's included, an ``IntEnum`` and an object
-    that defines ``__index__`` (a 0-d integer array among them)."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return not isinstance(value, bool)
-
-
-def _as_int(value):
-    """What entry points check and store: ``operator.index(value)`` for an int, else ``value``."""
-    return operator.index(value) if _is_int(value) else value
-
-
-def _int_at_least(name: str, value, low: int, error: type[ValueError] = ValidationError) -> int:
-    """``_as_int(value)``, once it is an int of at least ``low``; else ``error``, naming ``name``."""
-    value = _as_int(value)
-    if not _is_int(value) or value < low:
-        raise error(f"{name} must be an int >= {low}, got {value!r}")
-    return value
-
-
-def _is_finite(value) -> bool:
-    """A real number, not a bool, that converts to a finite float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int past the largest float
-        return False
-
-
-def _uint(key: np.ndarray, bound: int) -> np.ndarray:
-    """Sort key ``key``, in [0, bound), in the smallest unsigned dtype that holds it:
-    numpy radix-sorts keys of 16 bits or fewer."""
-    return key.astype(np.min_scalar_type(max(bound - 1, 0)))
-
-
 @dataclass(frozen=True)
 class GatingConfig:
     """Routing hyperparameters.
@@ -212,11 +166,9 @@ class GatingConfig:
     capacity_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "num_experts", _int_at_least("num_experts", self.num_experts, 1))
-        object.__setattr__(self, "k", _as_int(self.k))
+        object.__setattr__(self, "num_experts", _int_in("num_experts", self.num_experts, 1))
+        object.__setattr__(self, "k", _int_in("k", self.k, 1, 2))
         e, k, cf = self.num_experts, self.k, self.capacity_factor
-        if not _is_int(k) or k not in (1, 2):
-            raise ValidationError(f"k must be 1 or 2, got {k!r}")
         if k > e:
             raise ValidationError(f"k={k} exceeds num_experts={e}")
         if not _is_finite(cf) or cf <= 0:
@@ -356,9 +308,22 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
     Assignments landing at slot >= capacity are DROPPED. The kept part of the
     sorted order, written by (expert, rank), is the slot table slot_tokens.
     """
+    num_tokens = _int_in("num_tokens", num_tokens, 0)
     ids, gate_probs = gates.expert_ids, gates.gate_probs
-    counts, cap, assignment, slot = _kept_assignments(ids, gate_probs, cfg, num_tokens)
+    if ids.shape != (num_tokens, cfg.k):
+        raise ShapeError(f"gate table shape {ids.shape} does not match ({num_tokens}, {cfg.k})")
+    if ids.dtype.kind not in "iu":
+        raise ShapeError(f"gate table expert ids must be integers, got dtype {ids.dtype}")
+    if gate_probs.shape != ids.shape:
+        raise ShapeError(f"gate_probs shape {gate_probs.shape} does not match {ids.shape}")
+    if not np.isfinite(gate_probs).all():
+        raise NonFiniteError("gate_probs contain NaN or inf")
     flat_ids = ids.reshape(-1)  # token-major
+    if flat_ids.size and not (0 <= flat_ids.min() and flat_ids.max() < cfg.num_experts):
+        raise ShapeError(f"gate table names experts outside [0, {cfg.num_experts})")
+    if cfg.k == 2 and np.any(ids[:, 0] == ids[:, 1]):
+        raise ShapeError("gate table sends a token to the same expert twice")
+    counts, cap, assignment, slot = _kept_assignments(ids, cfg, num_tokens)
     slots = np.full(flat_ids.shape[0], DROPPED, dtype=np.int64)
     slots[assignment] = slot
     slot_tokens = np.zeros((cfg.num_experts, cap), dtype=np.int64)
@@ -376,23 +341,10 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
     )
 
 
-def _kept_assignments(ids: np.ndarray, gate_probs: np.ndarray, cfg: GatingConfig, num_tokens: int):
-    """``build_dispatch_plan``'s input checks and stable sort. Returns the per-expert
-    counts (before drops), the capacity, and the kept token-major assignments with
-    their slots, in (expert, slot) order; ``arch.forward_layer`` routes with these."""
-    if ids.shape != (num_tokens, cfg.k):
-        raise ShapeError(f"gate table shape {ids.shape} does not match ({num_tokens}, {cfg.k})")
-    if ids.dtype.kind not in "iu":
-        raise ShapeError(f"gate table expert ids must be integers, got dtype {ids.dtype}")
-    if gate_probs.shape != ids.shape:
-        raise ShapeError(f"gate_probs shape {gate_probs.shape} does not match {ids.shape}")
-    if not np.isfinite(gate_probs).all():
-        raise NonFiniteError("gate_probs contain NaN or inf")
+def _kept_assignments(ids: np.ndarray, cfg: GatingConfig, num_tokens: int):
+    """A plan's sort, unchecked, of a known-good table: per-expert counts (before drops), the
+    capacity, and the kept token-major assignments with their slots, in (expert, slot) order."""
     flat_ids = ids.reshape(-1)  # token-major
-    if flat_ids.size and not (0 <= flat_ids.min() and flat_ids.max() < cfg.num_experts):
-        raise ShapeError(f"gate table names experts outside [0, {cfg.num_experts})")
-    if cfg.k == 2 and np.any(ids[:, 0] == ids[:, 1]):
-        raise ShapeError("gate table sends a token to the same expert twice")
     cap = cfg.capacity(num_tokens)
     order = _uint(flat_ids, cfg.num_experts).argsort(kind="stable")
     counts = np.bincount(flat_ids, minlength=cfg.num_experts)

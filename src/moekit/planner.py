@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._contract import _as_int, _int_in, _is_finite, _is_int
 from .arch import MoeModelConfig, count_params, count_params_per_layer
-from .gating import _as_int, _is_finite, _is_int
 
 __all__ = [
     "LinkSpec",
@@ -106,8 +106,7 @@ class LayerPlacement:
 
         Blocks are contiguous: rank 0 gets the lowest expert ids.
         """
-        if not (0 <= ep_rank < self.ep_degree):
-            raise PlanError(f"ep_rank {ep_rank} out of range for degree {self.ep_degree}")
+        ep_rank = _int_in("ep_rank", ep_rank, 0, self.ep_degree - 1, PlanError)
         width = self.num_experts // self.ep_degree
         return ep_rank * width, (ep_rank + 1) * width
 

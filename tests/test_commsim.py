@@ -22,7 +22,7 @@ from moekit.commsim import (
     payload_multiset,
     synthetic_sends,
 )
-from moekit.gating import _is_int
+from moekit._contract import _is_int
 from moekit.planner import ClusterTopology, LinkSpec
 
 COST = CostModel(c1=1e-4, c2=1e-3)

@@ -7,14 +7,30 @@ accepts a subclass, but no module's error type derives from another's, so a
 row passes only on its own module's error.
 """
 
+import ast
+import importlib
 import math
 import pickle
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from moekit import arch, gating
-from moekit.arch import ValidationError, build_standard, count_params, dense_config
+import moekit
+from moekit import _contract, arch, gating
+from moekit.arch import (
+    FfnParams,
+    MoeModelConfig,
+    ValidationError,
+    build_pr_moe,
+    build_standard,
+    count_flops_per_token,
+    count_params,
+    count_params_per_layer,
+    dense_config,
+    forward_ffn,
+)
 from moekit.commsim import (
     Item,
     ScheduleError,
@@ -33,15 +49,19 @@ from moekit.distill import (
     kd_objective,
     staged_vs_constant,
 )
-from moekit.planner import ClusterTopology, PlanError, memory_per_device, plan
-from moekit.tensor import NonFiniteError, ShapeError, Tensor, cross_entropy
+from moekit.planner import ClusterTopology, LayerPlacement, PlanError, memory_per_device, plan
+from moekit.tensor import NonFiniteError, ShapeError, Tensor, add, cross_entropy, gelu, kd_loss
 
-MODEL = build_standard(dense_config(num_layers=4, hidden=8, heads=2, vocab=16, context=8), 4)
+BASE = dense_config(num_layers=4, hidden=8, heads=2, vocab=16, context=8)
+MODEL = build_standard(BASE, 4)
 TOPOLOGY = ClusterTopology(nodes=1, gpus_per_node=2)
 STUDENT = Tensor(np.zeros((2, 3)))
 TEACHER = np.ones((2, 3))
 LABELS = np.array([0, 2])
 NAN_TEACHER = np.array([[0.0, np.nan, 1.0], [0.0, 0.0, 0.0]])
+GATE_CFG = gating.GatingConfig(1)
+GATE = gating.top_k_gate(np.zeros((2, 1)), GATE_CFG)
+FFN_4 = FfnParams(*(Tensor(np.zeros(shape)) for shape in ((4, 16), (1, 16), (16, 4), (1, 4))))
 
 CASES = [
     # sizes numpy cannot address as one int64 array
@@ -86,6 +106,36 @@ CASES = [
     pytest.param(dense_config, (arch.MAX_LAYERS + 1, 8, 2), ValidationError, id="dense-layers-past-bound"),
     pytest.param(dense_config, (-1, 8, 2), ValidationError, id="dense-layers-negative"),
     pytest.param(dense_config, (2.0, 8, 2), ValidationError, id="dense-layers-float"),
+    # model sizes: ints >= 1, as the CLI's model table asks
+    pytest.param(dense_config, (2, 8, 0), ValidationError, id="dense-heads-0"),
+    pytest.param(dense_config, (2, 8, 2, -5), ValidationError, id="dense-vocab-negative"),
+    pytest.param(dense_config, (2, 8, 2, 16, -3), ValidationError, id="dense-context-negative"),
+    pytest.param(dense_config, (2, 8, 2, 16, None), ValidationError, id="dense-context-none"),
+    pytest.param(dense_config, (0, 0, 2), ValidationError, id="dense-hidden-0-no-layers"),
+    pytest.param(MoeModelConfig, (8, 2.0, 16, 8, ()), ValidationError, id="model-heads-float"),
+    # the builders: a MoeModelConfig base and int expert counts >= 1
+    pytest.param(build_standard, (BASE, "4"), ValidationError, id="standard-experts-str"),
+    pytest.param(build_standard, (BASE, None), ValidationError, id="standard-experts-none"),
+    pytest.param(build_standard, (dense_config(0, 8, 2), "4"), ValidationError, id="standard-experts-str-no-layers"),
+    pytest.param(build_standard, (None, 4), ValidationError, id="standard-no-base"),
+    pytest.param(build_pr_moe, (None, (1, 2)), ValidationError, id="pr-moe-no-base"),
+    pytest.param(build_pr_moe, (BASE, (1, None)), ValidationError, id="pr-moe-entry-none"),
+    pytest.param(build_pr_moe, (BASE, (2, "4")), ValidationError, id="pr-moe-entry-str"),
+    pytest.param(build_pr_moe, (BASE, 5), ValidationError, id="pr-moe-schedule-int"),
+    pytest.param(count_params_per_layer, (None,), ValidationError, id="per-layer-no-model"),
+    pytest.param(count_flops_per_token, (None,), ValidationError, id="flops-no-model"),
+    # a dispatch plan's token count, checked before the gate table
+    pytest.param(gating.build_dispatch_plan, (GATE, GATE_CFG, 2.0), ValidationError, id="plan-tokens-float"),
+    pytest.param(gating.build_dispatch_plan, (GATE, GATE_CFG, "2"), ValidationError, id="plan-tokens-str"),
+    pytest.param(gating.build_dispatch_plan, (GATE, GATE_CFG, -1), ValidationError, id="plan-tokens-negative"),
+    # an expert-parallel rank: an int in [0, ep_degree)
+    pytest.param(LayerPlacement(1, 4, 2, 1).expert_block, ("1",), PlanError, id="expert-block-str"),
+    pytest.param(LayerPlacement(1, 4, 2, 1).expert_block, (2,), PlanError, id="expert-block-past-degree"),
+    # tape ops: operand shapes and finite values
+    pytest.param(add, (np.zeros((2, 3)), np.zeros((2, 4))), ShapeError, id="add-shape"),
+    pytest.param(gelu, (np.array([[0.0, np.nan]]),), NonFiniteError, id="gelu-nan"),
+    pytest.param(forward_ffn, (Tensor(np.zeros((2, 3))), FFN_4), ShapeError, id="ffn-width"),
+    pytest.param(kd_loss, (STUDENT, NAN_TEACHER, LABELS, 1.0), NonFiniteError, id="kd-loss-teacher-nan"),
     # a label outside the vocab
     pytest.param(cross_entropy, (Tensor(np.zeros((2, 3))), np.array([0, 3])), ShapeError, id="ce-label-past-vocab"),
     pytest.param(cross_entropy, (Tensor(np.zeros((2, 3))), np.array([-1, 0])), ShapeError, id="ce-label-negative"),
@@ -137,6 +187,9 @@ INT_TWINS = [
     pytest.param(lambda i: gating.GatingConfig(4, k=i(1)), id="gating-k"),
     pytest.param(lambda i: arch.LayerSpec("dense", i(4)), id="layer-spec"),
     pytest.param(lambda i: dense_config(i(4), 8, 2), id="dense-config"),
+    pytest.param(lambda i: dense_config(0, i(8), i(2), i(16), i(8)), id="model-sizes"),
+    pytest.param(lambda i: gating.build_dispatch_plan(GATE, GATE_CFG, i(2)), id="plan-tokens"),
+    pytest.param(lambda i: LayerPlacement(1, 4, 2, 1).expert_block(i(1)), id="expert-block"),
     pytest.param(lambda i: ClusterTopology(i(1), i(2)), id="topology"),
     pytest.param(lambda i: plan(MODEL, TOPOLOGY, tensor_slice=i(1)), id="plan-tensor-slice"),
     pytest.param(lambda i: synthetic_sends(i(2), 2), id="sends"),
@@ -156,6 +209,112 @@ def test_index_protocol_int_behaves_like_its_plain_int_twin(make):
     assert pickle.dumps(make(Index)) == pickle.dumps(make(int))
 
 
+RULES = ("ValidationError", "_is_int", "_as_int", "_int_in", "_is_finite", "_uint")
+
+
 def test_one_validation_error_class():
-    assert arch.ValidationError is gating.ValidationError
+    assert arch.ValidationError is gating.ValidationError is _contract.ValidationError
     assert issubclass(gating.ValidationError, ValueError)
+    # a module binds each contract rule it uses from _contract, so a re-added copy fails here
+    copies = []
+    for info in pkgutil.iter_modules(moekit.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        mod = importlib.import_module(f"moekit.{info.name}")
+        for rule in RULES:
+            if getattr(mod, rule, getattr(_contract, rule)) is not getattr(_contract, rule):
+                copies.append(f"{mod.__name__}.{rule}")
+    assert copies == []
+
+
+# Every public name is accounted for: a row in CASES above, a malformed-input
+# test in another file (ELSEWHERE), or a one-line reason it needs none (EXEMPT).
+MODULES = ("tensor", "gating", "arch", "presets", "distill", "planner", "commsim", "cli")
+
+ELSEWHERE = {
+    "tensor.GradTape": "test_tensor.py::TestBackward::test_second_backward_on_a_swept_tape_raises",
+    "tensor.Tensor": "test_tensor.py::TestTensorBasics::test_rejects_non_finite",
+    "tensor.matmul": "test_tensor.py::TestMatmul::test_shape_mismatch",
+    "gating.top_k_gate": "test_gating.py::TestTopKGate::test_non_finite_logits_rejected",
+    "gating.scatter_tokens": "test_gating.py::TestScatterCombine::test_scatter_rejects_non_finite_batch",
+    "gating.combine_tokens": "test_gating.py::TestScatterCombine::test_combine_rejects_buffer_not_3d",
+    "arch.LayerSpec": "test_arch.py::TestBuilders::test_layer_spec_needs_int_sizes",
+    "arch.load_balance_loss": "test_arch.py::TestLoadBalance::test_non_finite_probs_rejected",
+    "arch.forward_layer": "test_arch.py::TestForward::test_width_mismatch_rejected",
+    "presets.get_preset": "test_cli.py::test_params_unknown_preset_is_config_error",
+    "distill.KDConfig": "test_distill.py::test_config_rejects_non_finite_or_mistyped_fields",
+    "distill.ToyTrainConfig": "test_distill.py::test_train_config_needs_an_int_step_count",
+    "planner.LinkSpec": "test_planner.py::test_link_needs_finite_numbers",
+    "planner.ClusterTopology": "test_planner.py::test_cluster_needs_int_counts",
+    "planner.ParallelPlan": "test_planner.py::test_validate_flags_bad_degree_product",
+    "planner.validate": "test_planner.py::test_validate_flags_bad_degree_product",
+    "commsim.CostModel": "test_commsim.py::test_cost_model_needs_finite_numbers",
+    "cli.main": "test_cli.py::test_malformed_config_is_config_error",
+}
+
+ERROR_CLASS = "an error class: raised, not called with data"
+RESULT = "a result record, built by the function that checked its inputs"
+EXEMPT = {
+    **dict.fromkeys(
+        ("tensor.ShapeError", "tensor.NonFiniteError", "gating.ValidationError", "gating.NonFiniteError",
+         "arch.ValidationError", "distill.TrainingError", "planner.PlanError", "commsim.ScheduleError",
+         "commsim.ReplicaMismatchError", "cli.ConfigError"),
+        ERROR_CLASS,
+    ),
+    **dict.fromkeys(("gating.DROPPED", "arch.FFN_MULT", "arch.MAX_LAYERS", "presets.PRESETS"), "a constant"),
+    **dict.fromkeys(
+        ("gating.TopKGate", "gating.DispatchPlan", "gating.ExpertBuffers", "arch.ParamCount",
+         "presets.ModelPreset", "distill.StudentPlan", "distill.StepRecord", "planner.MemoryEstimate",
+         "commsim.CommTrace"),
+        RESULT,
+    ),
+    **dict.fromkeys(("arch.FfnParams", "arch.MoeLayerParams"), "parameter records init_layer_params builds"),
+    "tensor.reset_grads": "clears the gradient of each tensor it is given; reads no value",
+    "gating.OpCounter": "a plain counter the routing stages add their operation counts to",
+    "gating.sparse_dispatch_oracle": "a reference path, fed the gate that the checked table path routes",
+    "gating.sparse_combine_oracle": "a reference path, fed the gate that the checked table path routes",
+    "arch.init_layer_params": "reads a LayerSpec, which checks itself when built",
+    "presets.preset_names": "takes no arguments",
+    "distill.train_toy": "its model, stream and config check themselves when built",
+    "commsim.Item": "a named tuple of any values; every schedule checks each field it reads",
+    "commsim.payload_multiset": "counts whatever items it is given, for conservation checks",
+    "cli.entrypoint": "runs main on the process arguments",
+}
+
+
+def _row_target(fn):
+    """The public object a CASES row calls: a bound method stands for its class."""
+    owner = getattr(fn, "__self__", fn)
+    return owner if isinstance(owner, type) or owner is fn else type(owner)
+
+
+def _defined_tests(file: str) -> set[str]:
+    """``file::test`` and ``file::Class::test`` for every test function a test file defines."""
+    tree = ast.parse((Path(__file__).parent / file).read_text())
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found.add(f"{file}::{node.name}")
+        elif isinstance(node, ast.ClassDef):
+            found.update(f"{file}::{node.name}::{f.name}" for f in node.body if isinstance(f, ast.FunctionDef))
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_name_is_accounted_for(module):
+    mod = importlib.import_module(f"moekit.{module}")
+    targets = [_row_target(case.values[0]) for case in CASES]
+    problems = []
+    for name in mod.__all__:
+        key, obj = f"{module}.{name}", getattr(mod, name)
+        ways = [any(obj is t for t in targets), key in ELSEWHERE, key in EXEMPT]
+        if ways.count(True) != 1:
+            problems.append(f"{key}: row, elsewhere, exempt = {ways}")
+        elif key in ELSEWHERE and ELSEWHERE[key] not in _defined_tests(ELSEWHERE[key].split("::")[0]):
+            problems.append(f"{key}: no test {ELSEWHERE[key]}")
+    assert problems == []
+
+
+def test_account_tables_name_public_entries():
+    public = {f"{m}.{name}" for m in MODULES for name in importlib.import_module(f"moekit.{m}").__all__}
+    assert (ELSEWHERE.keys() | EXEMPT.keys()) - public == set()
