@@ -84,6 +84,8 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("dense", "moe"):
             raise ValidationError(f"unknown layer kind {self.kind!r}")
+        if not isinstance(self.residual, bool):
+            raise ValidationError(f"residual must be a bool, got {self.residual!r}")
         object.__setattr__(self, "hidden", _int_in("hidden width", self.hidden, 1))
         object.__setattr__(self, "experts", _int_in("expert count", self.experts, 0))
         if self.kind == "moe":
@@ -211,6 +213,9 @@ def build_pr_moe(
         raise ValidationError(f"schedule has {len(schedule)} entries, stack needs {expected}")
     if any(b < a for a, b in zip(schedule, schedule[1:])):
         raise ValidationError("expert schedule must be non-decreasing with depth")
+    # residual, k and capacity_factor pass a routed layer's own rules before any layer
+    # is built, routed or not; two experts admit every k the routing rule allows
+    _routed_layer(base, 2, residual, k, capacity_factor)
     entries = iter(schedule)
     layers = tuple(
         _routed_layer(base, next(entries), residual, k, capacity_factor)
@@ -357,6 +362,9 @@ def _init_ffn(m: int, rng: np.random.Generator, scale: float) -> FfnParams:
 
 def init_layer_params(spec: LayerSpec, rng: np.random.Generator, scale: float = 0.1):
     """Random parameters for one block's feed-forward slot."""
+    if not (isinstance(spec, LayerSpec) and isinstance(rng, np.random.Generator)):
+        got = f"{type(spec).__name__}, {type(rng).__name__}"
+        raise ValidationError(f"init_layer_params needs a LayerSpec and a numpy Generator, got {got}")
     if spec.kind == "dense":
         return _init_ffn(spec.hidden, rng, scale)
     return MoeLayerParams(

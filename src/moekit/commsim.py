@@ -23,26 +23,28 @@ int64 ``q``s, which take what ``operator.index`` takes; only values read as
 0 or 1 are looked at again, to refuse bools. The schedules differ only in
 which rank each message goes to and in which round, so every exchange phase
 runs through ``_exchange``: it maps each item to its receiving rank and
-round, groups each message's items with one stable argsort of a (round,
-source) key, sums its bytes over its segment and emits one structured-array
-event row per message, in (round, source) order. Every sort reads its rank
-keys in the smallest unsigned dtype below their bound (``_contract._uint``), as
-numpy radix-sorts keys of 16 bits or fewer. Every byte count a schedule
-reports must fit int64; a larger one raises ScheduleError.
+round, groups each message's items by a (round, source) key with ``_runs``
+(one stable argsort), sums its bytes over its segment and emits one
+structured-array event row per message, in (round, source) order. Every sort
+reads its rank keys in the smallest unsigned dtype below their bound
+(``_contract._uint``), as numpy radix-sorts keys of 16 bits or fewer. Every
+byte count a schedule reports must fit int64; a larger one raises
+ScheduleError.
 
 All schedules deliver bit-identical receive lists (sorted by source rank and
 token id, equal pairs in arrival order), which the tests rely on: one
 lexsort of the input columns, each rank's tuple gathered from its own slice
 of the sort order. Coordinated's replicas differ only in the order of items
-with equal (dst, src, token), so it sorts again only for a payload with such
-ties. Self-deliveries inside an exchange phase count toward volume, so the
-hierarchical schedule's volume is exactly twice the flat one's.
+with equal (dst, src, token), so they share one delivery unless the payload
+has such ties. Self-deliveries inside an exchange phase count toward
+volume, so the hierarchical schedule's volume is exactly twice the flat one's.
 
 The normalized cost model scores a trace as rounds * c1 + c2 * (exchange
 volume / payload volume): c1 is the fixed price of a round, c2 the price of
 pushing the whole payload through the wire once. ``estimate_latency`` gives
 an alternative physical estimate from the topology's link constants instead,
-pricing each message by the intra- or inter-node link between its endpoints.
+pricing each message by the intra- or inter-node link between its endpoints;
+it groups a trace's messages by (round, source) with ``_runs`` too.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._contract import _as_int, _int_in, _is_finite, _is_int, _uint
+from ._contract import _int_in, _is_finite, _is_int, _uint
 from .planner import ClusterTopology
 
 __all__ = [
@@ -246,9 +248,9 @@ def _check_call(sends, cost) -> CostModel:
 
 
 def _check_divisor(name: str, value, world: int) -> int:
-    value = _as_int(value)
-    if not _is_int(value) or value < 1 or world % value != 0:
-        raise ScheduleError(f"{name} {value!r} must be an int that divides world {world}")
+    value = _int_in(name, value, 1, error=ScheduleError)
+    if world % value != 0:
+        raise ScheduleError(f"{name} {value} must divide world {world}")
     return value
 
 
@@ -263,6 +265,12 @@ def _events(step, kind: str, src, dst, nbytes, cost: CostModel, reference: int) 
     # (reference 0) has only 0-byte messages, priced 0
     rows["latency_s"] = np.where(src == dst, 0.0, float(cost.c2) * rows["nbytes"] / (reference or np.inf))
     return rows
+
+
+def _runs(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """A stable sort order of ``key``, in [0, bound), and the start of each run of equal keys in it."""
+    order = np.argsort(_uint(key, bound), kind="stable")
+    return order, np.flatnonzero(np.diff(key[order], prepend=-1))
 
 
 def _rank_bytes(ranks: np.ndarray, nbytes: np.ndarray, world: int) -> np.ndarray:
@@ -287,11 +295,9 @@ def _exchange(
     """
     d = dest(at, dst)
     key = round_of(at, d).astype(np.int64) * world + at
-    order = np.argsort(_uint(key, world * world), kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
+    order, first = _runs(key, world * world)
     sizes = np.add.reduceat(nbytes[order], first)
-    rounds, srcs = np.divmod(key[first], world)
+    rounds, srcs = np.divmod(key[order[first]], world)
     dsts = d[order[first]]
     events = _events(step + rounds, "a2a-phase", srcs, dsts, sizes, cost, reference)
     return events, d, _rank_bytes(dsts, sizes, world)
@@ -303,11 +309,11 @@ def _layout_transform(held: np.ndarray, step: int, cost: CostModel, reference: i
     return _events(step, "layout-transform", ranks, ranks, held[ranks], cost, reference)
 
 
-def _deliver(items: np.ndarray, order: np.ndarray, dst: np.ndarray, ranks: int) -> list[tuple[Item, ...]]:
+def _deliver(items, order: np.ndarray, dst: np.ndarray, ranks: int) -> tuple[tuple[Item, ...], ...]:
     """The items in ``order``, which sorts them by ``dst`` first, as one
     tuple per receiving rank, each gathered from its own slice of ``order``."""
     ends = np.cumsum(np.bincount(dst, minlength=ranks)).tolist()
-    return [tuple(items[order[start:end]].tolist()) for start, end in zip([0, *ends], ends)]
+    return tuple(tuple(items[order[start:end]].tolist()) for start, end in zip([0, *ends], ends))
 
 
 def synthetic_sends(
@@ -351,7 +357,7 @@ def flat_all_to_all(sends: list[list[Item]], cost: CostModel | None = None) -> C
         reference_bytes=reference,
         cost=cost,
         events=events,
-        recv=tuple(_deliver(items, np.lexsort((token, _uint(src, world), _uint(dst, world))), dst, world)),
+        recv=_deliver(items, np.lexsort((token, _uint(src, world), _uint(dst, world))), dst, world),
     )
 
 
@@ -397,7 +403,7 @@ def hierarchical_all_to_all(
         reference_bytes=reference,
         cost=cost,
         events=events,
-        recv=tuple(_deliver(items, np.lexsort((token, _uint(src, world), _uint(dst, world))), dst, world)),
+        recv=_deliver(items, np.lexsort((token, _uint(src, world), _uint(dst, world))), dst, world),
     )
 
 
@@ -450,22 +456,14 @@ def coordinated_all_to_all(
     send = (j != t) & (held[s] > 0)
     gather = _events(groups + t[send], "allgather", s[send], d[send], held[s[send]], cost, reference)
 
-    # replica t receives its own share first, then the others in replica
-    # order. Its order differs from replica 0's only among items with equal
-    # (dst, src, token), so only a payload with such ties sorts again, and
-    # a replica whose order is replica 0's reuses replica 0's tuples.
+    # replica t receives its own share first, then the others in replica order
     keys = (token, _uint(src, groups), _uint(dst, groups))
     order = np.lexsort(keys)
-    tied = np.logical_and.reduce([np.diff(col[order]) == 0 for col in keys]).any()
-    orders = [
-        np.lexsort((_uint(np.where(share == t, 0, share + 1), slice_ + 1), *keys)) if tied else order
-        for t in range(slice_)
-    ]
-    by_replica = [_deliver(items, orders[0], dst, groups)]
-    by_replica += [
-        by_replica[0] if np.array_equal(mine, orders[0]) else _deliver(items, mine, dst, groups)
-        for mine in orders[1:]
-    ]
+    if np.logical_and.reduce([np.diff(col[order]) == 0 for col in keys]).any():
+        own_first = (_uint(np.where(share == t, 0, share + 1), slice_ + 1) for t in range(slice_))
+        by_replica = [_deliver(items, np.lexsort((mine, *keys)), dst, groups) for mine in own_first]
+    else:
+        by_replica = [_deliver(items, order, dst, groups)] * slice_
 
     return CommTrace(
         schedule="coordinated",
@@ -513,22 +511,16 @@ def estimate_latency(trace: CommTrace, topology: ClusterTopology) -> float:
     moved = trace.events[trace.events["src"] != trace.events["dst"]]
     # one segment per (round, source), in round order, counted from the first round
     key = (moved["step"] - moved["step"].min(initial=0)) * trace.world_size + moved["src"]
-    order = np.argsort(_uint(key, int(key.max(initial=-1)) + 1), kind="stable")
-    moved, key = moved[order], key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
+    order, first = _runs(key, int(key.max(initial=-1)) + 1)
+    moved = moved[order]
     # equal links price as one: a source's bytes sum before dividing
     cross = (moved["src"] // g != moved["dst"] // g) & (near != far)
     near_bytes = np.add.reduceat(np.where(cross, 0, moved["nbytes"]), first)
     far_bytes = np.add.reduceat(np.where(cross, moved["nbytes"], 0), first)
-    uses_far = np.logical_or.reduceat(cross, first)
-    uses_both = uses_far & ~np.logical_and.reduceat(cross, first)
-    near_s = near_bytes / near.bandwidth_bytes_per_s
-    far_s = far_bytes / far.bandwidth_bytes_per_s
-    costs = np.where(uses_far, far.latency_s + far_s, near.latency_s + near_s)
-    # a source using both links pays the larger latency plus both transfer
-    # times, which is never below either link's cost alone
-    costs = np.where(uses_both, max(near.latency_s, far.latency_s) + near_s + far_s, costs)
-    steps = key[first] // trace.world_size
+    # an unused link adds exactly 0.0; latencies as floats, as LinkSpec takes ints past int64
+    latency = np.maximum.reduceat(np.where(cross, float(far.latency_s), float(near.latency_s)), first)
+    costs = latency + near_bytes / near.bandwidth_bytes_per_s + far_bytes / far.bandwidth_bytes_per_s
+    steps = key[order[first]] // trace.world_size
     total = 0.0
     # one round at a time: np.sum adds pairwise, which moves the last bits
     for cost in np.maximum.reduceat(costs, np.flatnonzero(np.diff(steps, prepend=-1))).tolist():

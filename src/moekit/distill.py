@@ -291,6 +291,10 @@ def train_toy(
     earlier step checks the held-out gate logits too, so a step whose update
     breaks the held-out eval raises at that step.
     """
+    args = (student, stream, cfg)
+    if not all(map(isinstance, args, (ToyModel, SyntheticStream, ToyTrainConfig))):
+        got = ", ".join(type(arg).__name__ for arg in args)
+        raise ValidationError(f"train_toy needs a ToyModel, SyntheticStream and ToyTrainConfig, got {got}")
     records = _train_steps(student, stream, cfg, range(cfg.steps))
     return KDTrainResult(records=records, final_heldout_ce=_heldout_ce(student, stream, cfg))
 

@@ -72,13 +72,7 @@ class ClusterTopology:
 
     def __post_init__(self) -> None:
         for name in ("nodes", "gpus_per_node"):
-            object.__setattr__(self, name, _as_int(getattr(self, name)))
-        if not (_is_int(self.nodes) and _is_int(self.gpus_per_node)):
-            raise PlanError(
-                f"node and GPU counts must be ints, got {self.nodes!r} and {self.gpus_per_node!r}"
-            )
-        if self.nodes < 1 or self.gpus_per_node < 1:
-            raise PlanError("cluster needs at least one node and one GPU per node")
+            object.__setattr__(self, name, _int_in(name, getattr(self, name), 1, error=PlanError))
 
     @property
     def world_size(self) -> int:
@@ -172,6 +166,9 @@ def validate(built: ParallelPlan, cfg: MoeModelConfig | None = None) -> list[str
     A per-layer problem shared by several layers is reported once, naming
     them all: "layers 1,3,5: ...".
     """
+    if not (isinstance(built, ParallelPlan) and (cfg is None or isinstance(cfg, MoeModelConfig))):
+        got = f"{type(built).__name__}, {type(cfg).__name__}"
+        raise PlanError(f"validate needs a ParallelPlan and a MoeModelConfig or None, got {got}")
     problems: list[str] = []
     if built.world_size < 1:
         problems.append("world_size must be positive")

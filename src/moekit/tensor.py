@@ -77,8 +77,9 @@ class GradTape:
         would leave each step a reference cycle that only the cyclic garbage
         collector frees.
         """
-        if loss.value.shape != (1, 1):
-            raise ShapeError(f"backward needs a (1, 1) scalar loss, got {loss.value.shape}")
+        shape = loss.value.shape if isinstance(loss, Tensor) else type(loss).__name__
+        if shape != (1, 1):
+            raise ShapeError(f"backward needs a (1, 1) scalar loss, got {shape}")
         if self._recorded and not self._records:
             raise RuntimeError("backward already swept this tape")
         loss.grad = np.ones((1, 1))

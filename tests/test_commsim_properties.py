@@ -424,10 +424,11 @@ LINK_CHOICES = [LinkSpec(lat, bw) for lat in (0.0, 1e-6, 3e-6, 5e-6) for bw in (
 
 @st.composite
 def priced_traces(draw):
-    """(trace, topology): any schedule on up to 16 ranks, priced on a
-    topology of 1-4 GPUs per node with equal or distinct links. A
-    coordinated group is wider than the topology's nodes, so allgather
-    sources reach peers over both links in one round."""
+    """(trace, topology): any schedule on up to 16 ranks, its rounds
+    sometimes folded onto one or two, priced on a topology of 1-4 GPUs per
+    node with equal or distinct links. A coordinated group is wider than the
+    topology's nodes, so allgather sources reach peers over both links in one
+    round."""
     schedule = draw(st.sampled_from(["flat", "hierarchical", "coordinated"]))
     cost = draw(COSTS)
     if schedule == "coordinated":
@@ -443,6 +444,13 @@ def priced_traces(draw):
             trace = flat_all_to_all(sends, cost)
         else:
             trace = hierarchical_all_to_all(sends, gpus, cost)
+    fold = draw(st.sampled_from([0, 0, 1, 2]))
+    if fold:
+        # folded onto fold rounds, a source sends several messages in one round,
+        # over both links and 0-byte ones among them, as no schedule's own rounds do
+        events = trace.events.copy()
+        events["step"] %= fold
+        trace = dataclasses.replace(trace, events=events)
     intra = draw(st.sampled_from(LINK_CHOICES))
     inter = draw(st.sampled_from([intra, *(link for link in LINK_CHOICES if link != intra)]))
     return trace, ClusterTopology(-(-world // node), node, intra, inter)

@@ -30,6 +30,7 @@ from moekit.arch import (
     count_params_per_layer,
     dense_config,
     forward_ffn,
+    init_layer_params,
 )
 from moekit.commsim import (
     Item,
@@ -48,12 +49,14 @@ from moekit.distill import (
     derive_student,
     kd_objective,
     staged_vs_constant,
+    train_toy,
 )
-from moekit.planner import ClusterTopology, LayerPlacement, PlanError, memory_per_device, plan
-from moekit.tensor import NonFiniteError, ShapeError, Tensor, add, cross_entropy, gelu, kd_loss
+from moekit.planner import ClusterTopology, LayerPlacement, PlanError, memory_per_device, plan, validate
+from moekit.tensor import GradTape, NonFiniteError, ShapeError, Tensor, add, cross_entropy, gelu, kd_loss
 
 BASE = dense_config(num_layers=4, hidden=8, heads=2, vocab=16, context=8)
 MODEL = build_standard(BASE, 4)
+NO_LAYERS = dense_config(num_layers=0, hidden=8, heads=2)
 TOPOLOGY = ClusterTopology(nodes=1, gpus_per_node=2)
 STUDENT = Tensor(np.zeros((2, 3)))
 TEACHER = np.ones((2, 3))
@@ -62,6 +65,7 @@ NAN_TEACHER = np.array([[0.0, np.nan, 1.0], [0.0, 0.0, 0.0]])
 GATE_CFG = gating.GatingConfig(1)
 GATE = gating.top_k_gate(np.zeros((2, 1)), GATE_CFG)
 FFN_4 = FfnParams(*(Tensor(np.zeros(shape)) for shape in ((4, 16), (1, 16), (16, 4), (1, 4))))
+TOY, STREAM, TRAIN = ToyModel.create(4, 4), SyntheticStream(4, 4, 2), ToyTrainConfig(KDConfig(), steps=1)
 
 CASES = [
     # sizes numpy cannot address as one int64 array
@@ -80,6 +84,10 @@ CASES = [
     pytest.param(flat_all_to_all, ([[]], 5), ScheduleError, id="flat-cost-int"),
     pytest.param(hierarchical_all_to_all, ([[]], 1, 5), ScheduleError, id="hierarchical-cost-int"),
     pytest.param(coordinated_all_to_all, ([[]], 1, 5), ScheduleError, id="coordinated-cost-int"),
+    # a node size or tensor slice: an int >= 1 that divides the world
+    pytest.param(hierarchical_all_to_all, ([[], []], 1.5), ScheduleError, id="hierarchical-gpus-float"),
+    pytest.param(hierarchical_all_to_all, ([[], []], 0), ScheduleError, id="hierarchical-gpus-0"),
+    pytest.param(coordinated_all_to_all, ([[], []], True), ScheduleError, id="coordinated-slice-bool"),
     # distillation stream, toy model and the kd-demo runs
     pytest.param(SyntheticStream, (0, 4, 2), ValidationError, id="stream-hidden-0"),
     pytest.param(SyntheticStream, (4, 0, 2), ValidationError, id="stream-vocab-0"),
@@ -91,11 +99,17 @@ CASES = [
     pytest.param(ToyModel.create, (4, 4, 4, -1), ValidationError, id="toy-seed-negative"),
     pytest.param(staged_vs_constant, ([-1],), ValidationError, id="kd-seed-negative"),
     pytest.param(staged_vs_constant, (["a"],), ValidationError, id="kd-seed-str"),
+    pytest.param(train_toy, (None, STREAM, TRAIN), ValidationError, id="train-no-model"),
+    pytest.param(train_toy, (TOY, [], TRAIN), ValidationError, id="train-stream-list"),
+    pytest.param(train_toy, (TOY, STREAM, KDConfig()), ValidationError, id="train-kd-config"),
     # None where a config, topology, plan or trace belongs
     pytest.param(plan, (None, TOPOLOGY), PlanError, id="plan-no-model"),
     pytest.param(plan, (MODEL, None), PlanError, id="plan-no-cluster"),
     pytest.param(plan, (MODEL, TOPOLOGY, False, "2"), PlanError, id="plan-tensor-slice-str"),
     pytest.param(memory_per_device, (None, MODEL), PlanError, id="memory-no-plan"),
+    pytest.param(validate, (None,), PlanError, id="validate-no-plan"),
+    pytest.param(init_layer_params, (None, np.random.default_rng(0)), ValidationError, id="init-no-spec"),
+    pytest.param(GradTape().backward, (None,), ShapeError, id="backward-no-loss"),
     pytest.param(count_params, (None,), ValidationError, id="count-params-no-model"),
     pytest.param(derive_student, (None, 3), ValidationError, id="derive-student-no-teacher"),
     pytest.param(estimate_latency, (None, TOPOLOGY), ScheduleError, id="latency-no-trace"),
@@ -122,6 +136,11 @@ CASES = [
     pytest.param(build_pr_moe, (BASE, (1, None)), ValidationError, id="pr-moe-entry-none"),
     pytest.param(build_pr_moe, (BASE, (2, "4")), ValidationError, id="pr-moe-entry-str"),
     pytest.param(build_pr_moe, (BASE, 5), ValidationError, id="pr-moe-schedule-int"),
+    pytest.param(build_pr_moe, (BASE, (1, 2), "no"), ValidationError, id="pr-moe-residual-str"),
+    # residual, k and capacity_factor, checked on a stack with no routed layer too
+    pytest.param(build_pr_moe, (NO_LAYERS, (), "no"), ValidationError, id="pr-moe-residual-str-no-layers"),
+    pytest.param(build_standard, (NO_LAYERS, 4, "x"), ValidationError, id="standard-k-str-no-layers"),
+    pytest.param(build_standard, (NO_LAYERS, 4, 1, -1.0), ValidationError, id="standard-cf-negative-no-layers"),
     pytest.param(count_params_per_layer, (None,), ValidationError, id="per-layer-no-model"),
     pytest.param(count_flops_per_token, (None,), ValidationError, id="flops-no-model"),
     # a dispatch plan's token count, checked before the gate table
@@ -232,7 +251,6 @@ def test_one_validation_error_class():
 MODULES = ("tensor", "gating", "arch", "presets", "distill", "planner", "commsim", "cli")
 
 ELSEWHERE = {
-    "tensor.GradTape": "test_tensor.py::TestBackward::test_second_backward_on_a_swept_tape_raises",
     "tensor.Tensor": "test_tensor.py::TestTensorBasics::test_rejects_non_finite",
     "tensor.matmul": "test_tensor.py::TestMatmul::test_shape_mismatch",
     "gating.top_k_gate": "test_gating.py::TestTopKGate::test_non_finite_logits_rejected",
@@ -247,7 +265,6 @@ ELSEWHERE = {
     "planner.LinkSpec": "test_planner.py::test_link_needs_finite_numbers",
     "planner.ClusterTopology": "test_planner.py::test_cluster_needs_int_counts",
     "planner.ParallelPlan": "test_planner.py::test_validate_flags_bad_degree_product",
-    "planner.validate": "test_planner.py::test_validate_flags_bad_degree_product",
     "commsim.CostModel": "test_commsim.py::test_cost_model_needs_finite_numbers",
     "cli.main": "test_cli.py::test_malformed_config_is_config_error",
 }
@@ -269,13 +286,11 @@ EXEMPT = {
         RESULT,
     ),
     **dict.fromkeys(("arch.FfnParams", "arch.MoeLayerParams"), "parameter records init_layer_params builds"),
-    "tensor.reset_grads": "clears the gradient of each tensor it is given; reads no value",
+    "tensor.reset_grads": "runs on every training step over the 17 leaves the library built; reads no value",
     "gating.OpCounter": "a plain counter the routing stages add their operation counts to",
     "gating.sparse_dispatch_oracle": "a reference path, fed the gate that the checked table path routes",
     "gating.sparse_combine_oracle": "a reference path, fed the gate that the checked table path routes",
-    "arch.init_layer_params": "reads a LayerSpec, which checks itself when built",
     "presets.preset_names": "takes no arguments",
-    "distill.train_toy": "its model, stream and config check themselves when built",
     "commsim.Item": "a named tuple of any values; every schedule checks each field it reads",
     "commsim.payload_multiset": "counts whatever items it is given, for conservation checks",
     "cli.entrypoint": "runs main on the process arguments",

@@ -144,7 +144,7 @@ def test_link_needs_finite_numbers(latency, bandwidth):
 
 @pytest.mark.parametrize("nodes,gpus", [(1.5, 2), (2, 2.0), ("2", 2), (2, "2"), (True, 2), (2, None)])
 def test_cluster_needs_int_counts(nodes, gpus):
-    with pytest.raises(PlanError, match="must be ints"):
+    with pytest.raises(PlanError, match="must be an int >= 1"):
         ClusterTopology(nodes, gpus)
 
 
