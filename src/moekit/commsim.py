@@ -32,12 +32,16 @@ byte count a schedule reports must fit int64; a larger one raises
 ScheduleError.
 
 All schedules deliver bit-identical receive lists (sorted by source rank and
-token id, equal pairs in arrival order), which the tests rely on: one
-lexsort of the input columns, each rank's tuple gathered from its own slice
-of the sort order. Coordinated's replicas differ only in the order of items
-with equal (dst, src, token), so they share one delivery unless the payload
-has such ties. Self-deliveries inside an exchange phase count toward
-volume, so the hierarchical schedule's volume is exactly twice the flat one's.
+token id, equal pairs in arrival order), which the tests rely on. A trace
+builds them on the first read of ``recv`` and caches them: each schedule
+keeps only a snapshot of its entries and their narrow sort keys, bound to
+``_deliver`` with ``functools.partial`` so that a trace still pickles.
+``_deliver`` does one lexsort of those keys and gathers each rank's tuple
+from its own slice of the sort order. Coordinated's replicas differ only in
+the order of items with equal (dst, src, token), so they share one delivery
+unless the payload has such ties. Self-deliveries inside an exchange phase
+count toward volume, so the hierarchical schedule's volume is exactly twice
+the flat one's.
 
 The normalized cost model scores a trace as rounds * c1 + c2 * (exchange
 volume / payload volume): c1 is the fixed price of a round, c2 the price of
@@ -52,10 +56,11 @@ from __future__ import annotations
 import csv
 import struct
 from collections import Counter
-from dataclasses import dataclass
-from itertools import chain
-from operator import index, is_
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from itertools import chain, repeat
+from operator import getitem, index, is_
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -119,6 +124,9 @@ class CommTrace:
     ``events`` is a read-only structured array, one row per message in
     schedule order, with fields step, kind ("layout-transform", "a2a-phase"
     or "allgather"), src, dst, nbytes and latency_s; read them by name.
+    ``recv`` holds one tuple of received items per rank. It is built on
+    its first read, by the schedule's ``delivery``, and cached; it is not
+    a field, so traces compare without it.
     """
 
     schedule: str
@@ -130,10 +138,14 @@ class CommTrace:
     reference_bytes: int
     cost: CostModel
     events: np.ndarray
-    recv: tuple[tuple[Item, ...], ...]
+    delivery: Callable[[], tuple[tuple[Item, ...], ...]] = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.events.flags.writeable = False
+
+    @cached_property
+    def recv(self) -> tuple[tuple[Item, ...], ...]:
+        return self.delivery()
 
     @property
     def rounds(self) -> int:
@@ -171,9 +183,9 @@ _EVENT = np.dtype([("step", np.int64), ("kind", "U16"), ("src", np.int64), ("dst
                    ("nbytes", np.int64), ("latency_s", np.float64)])
 
 
-def _columns(lists: list[list[Item]], ranks) -> tuple[np.ndarray, np.ndarray]:
-    """The items in ``lists``, in turn, as an object array, and their src,
-    dst, token and nbytes as the rows of a (4, n) int64 array.
+def _columns(lists: list[list[Item]], ranks) -> tuple[list[Item], np.ndarray]:
+    """The items in ``lists``, in turn, as one new list, and their src, dst,
+    token and nbytes as the rows of a (4, n) int64 array.
 
     Every entry must be an ``Item`` and every field an int (``_is_int``) that
     fits int64. All fields of all items are read in one ``struct`` pack as
@@ -184,14 +196,16 @@ def _columns(lists: list[list[Item]], ranks) -> tuple[np.ndarray, np.ndarray]:
     if not all(issubclass(kind, Item) for kind in set(map(type, entries))):
         i = next(i for i, entry in enumerate(entries) if not isinstance(entry, Item))
         raise ScheduleError(f"rank {_rank_of(lists, ranks, i)}: entry {entries[i]!r} is not an Item")
-    values, n = list(chain.from_iterable(entries)), len(_FIELDS)
+    n = len(_FIELDS)
     try:
-        table = np.frombuffer(struct.pack(f"{len(values)}q", *values), np.int64)
+        table = np.frombuffer(struct.pack(f"{n * len(entries)}q", *chain.from_iterable(entries)), np.int64)
         # q reads a bool as 0 or 1, so only those values can be one
-        if not any(type(values[i]) is bool for i in np.flatnonzero(table.view(np.uint64) <= 1).tolist()):
-            return np.fromiter(entries, object, len(entries)), table.reshape(-1, n).T.copy()
+        rows, fields = np.divmod(np.flatnonzero(table.view(np.uint64) <= 1), n)
+        if bool not in set(map(type, map(getitem, map(entries.__getitem__, rows.tolist()), fields.tolist()))):
+            return entries, table.reshape(-1, n).T.copy()
     except (struct.error, TypeError):  # a bad value, found below
         pass
+    values = list(chain.from_iterable(entries))
     f, i = next(
         (f, i) for f in range(n) for i, v in enumerate(values[f::n])
         if not (_is_int(v) and _INT64_MIN <= index(v) <= _INT64_MAX)
@@ -212,15 +226,15 @@ def _read(lists: list[list[Item]], ranks, dst_limit: int, volume_factor: int):
     The entries of list i must be ``Item``s with src i and a dst in
     [0, dst_limit), and no negative nbytes. The schedule moves volume_factor
     times the payload's total bytes, which must fit int64, so every byte
-    count summed over the columns is exact. Returns (items as an object
-    array, src, dst, token, nbytes as int64 columns, total bytes as an int).
+    count summed over the columns is exact. Returns (the items as one list,
+    src, dst, token, nbytes as int64 columns, total bytes as an int).
     """
-    items, (src, dst, token, nbytes) = _columns(lists, ranks)
+    entries, (src, dst, token, nbytes) = _columns(lists, ranks)
     owner = np.repeat(np.arange(len(lists), dtype=np.int64), list(map(len, lists)))
     for bad, problem in (
         (src != owner, lambda i: f"item src {src[i]} should be {owner[i]}"),
         ((dst < 0) | (dst >= dst_limit), lambda i: f"dst {dst[i]} outside [0, {dst_limit})"),
-        (nbytes < 0, lambda i: f"negative nbytes on {items[i]}"),
+        (nbytes < 0, lambda i: f"negative nbytes on {entries[i]}"),
     ):
         if bad.any():
             i = int(bad.argmax())
@@ -231,7 +245,7 @@ def _read(lists: list[list[Item]], ranks, dst_limit: int, volume_factor: int):
         raise ScheduleError(
             f"payload of {total} bytes: the schedule would move more than {_INT64_MAX} bytes"
         )
-    return items, src, dst, token, nbytes, total
+    return entries, src, dst, token, nbytes, total
 
 
 def _check_call(sends, cost) -> CostModel:
@@ -309,11 +323,42 @@ def _layout_transform(held: np.ndarray, step: int, cost: CostModel, reference: i
     return _events(step, "layout-transform", ranks, ranks, held[ranks], cost, reference)
 
 
-def _deliver(items, order: np.ndarray, dst: np.ndarray, ranks: int) -> tuple[tuple[Item, ...], ...]:
-    """The items in ``order``, which sorts them by ``dst`` first, as one
-    tuple per receiving rank, each gathered from its own slice of ``order``."""
+def _delivery(entries: list[Item], src, dst, token, ranks: int, slice_: int = 1, share=None):
+    """A trace's ``delivery``: ``_deliver`` bound to the smallest state it
+    reads, so the payload's (4, n) table is not kept alive. src and dst are
+    rank keys in [0, ranks); share (coordinated only) is each item's
+    replica in [0, slice_)."""
+    if share is not None:
+        share = _uint(share, slice_ + 1)  # room for share + 1 in the same dtype
+    return partial(_deliver, entries, _uint(src, ranks), _uint(dst, ranks), token.copy(), ranks, slice_, share)
+
+
+def _deliver(entries, src, dst, token, ranks: int, slice_: int, share) -> tuple[tuple[Item, ...], ...]:
+    """The receive lists: items sorted by (dst, src, token), equal triples in
+    arrival order, one tuple per receiving rank, each gathered from its own
+    slice of one lexsort order.
+
+    With slice_ > 1, ``ranks`` counts groups of slice_ replicas, and replica
+    t of every group receives its group's tuple. Replica t receives its own
+    share first, then the others in replica order, which only reorders
+    items with equal (dst, src, token); without such ties the replicas share
+    one tuple.
+    """
+    items = np.fromiter(entries, object, len(entries))
     ends = np.cumsum(np.bincount(dst, minlength=ranks)).tolist()
-    return tuple(tuple(items[order[start:end]].tolist()) for start, end in zip([0, *ends], ends))
+
+    def gather(order):
+        return tuple(tuple(items[order[start:end]].tolist()) for start, end in zip([0, *ends], ends))
+
+    keys = (token, src, dst)
+    order = np.lexsort(keys)
+    if slice_ == 1:
+        return gather(order)
+    if np.logical_and.reduce([np.diff(col[order]) == 0 for col in keys]).any():
+        by_replica = [gather(np.lexsort((np.where(share == t, 0, share + 1), *keys))) for t in range(slice_)]
+    else:
+        by_replica = [gather(order)] * slice_
+    return tuple(by_replica[t][grp] for grp in range(ranks) for t in range(slice_))
 
 
 def synthetic_sends(
@@ -326,8 +371,10 @@ def synthetic_sends(
     if max(world, int(world) * int(per_rank) * 8) > _INT64_MAX:
         raise ScheduleError(f"{world} ranks x {per_rank} items is past numpy's array size")
     dsts = np.random.default_rng(seed).integers(world, size=(world, per_rank)).tolist()
+    # tuple.__new__ builds each Item from its fields in C, with no Python frame per item
+    item = partial(tuple.__new__, Item)
     return [
-        [Item(src, d, src * per_rank + n, nbytes) for n, d in enumerate(row)]
+        list(map(item, zip(repeat(src), row, range(src * per_rank, (src + 1) * per_rank), repeat(nbytes))))
         for src, row in enumerate(dsts)
     ]
 
@@ -340,7 +387,7 @@ def synthetic_sends(
 def flat_all_to_all(sends: list[list[Item]], cost: CostModel | None = None) -> CommTrace:
     """Baseline exchange: p rounds, round r pairs src with (src + r) mod p."""
     cost, world = _check_call(sends, cost), len(sends)
-    items, src, dst, token, nbytes, reference = _read(sends, range(world), world, 1)
+    entries, src, dst, token, nbytes, reference = _read(sends, range(world), world, 1)
 
     events, _, _ = _exchange(
         src, dst, nbytes, lambda s, dst: dst, lambda s, d: (d - s) % world,
@@ -357,7 +404,7 @@ def flat_all_to_all(sends: list[list[Item]], cost: CostModel | None = None) -> C
         reference_bytes=reference,
         cost=cost,
         events=events,
-        recv=_deliver(items, np.lexsort((token, _uint(src, world), _uint(dst, world))), dst, world),
+        delivery=_delivery(entries, src, dst, token, world),
     )
 
 
@@ -374,7 +421,7 @@ def hierarchical_all_to_all(
     """
     cost, world = _check_call(sends, cost), len(sends)
     g = _check_divisor("gpus_per_node", gpus_per_node, world)
-    items, src, dst, token, nbytes, reference = _read(sends, range(world), world, 2)
+    entries, src, dst, token, nbytes, reference = _read(sends, range(world), world, 2)
 
     # intra-node phase: round l delivers to the local-id-l rank of each node
     intra, held, held_bytes = _exchange(
@@ -403,7 +450,7 @@ def hierarchical_all_to_all(
         reference_bytes=reference,
         cost=cost,
         events=events,
-        recv=_deliver(items, np.lexsort((token, _uint(src, world), _uint(dst, world))), dst, world),
+        delivery=_delivery(entries, src, dst, token, world),
     )
 
 
@@ -434,12 +481,12 @@ def coordinated_all_to_all(
                 _columns([sends[r]], [r])
     # each group's base replica now stands for all of its replicas;
     # reference counts the logical payload once, not per replica
-    items, src, dst, token, nbytes, reference = _read(
+    entries, src, dst, token, nbytes, reference = _read(
         sends[::slice_], range(0, world, slice_), groups, slice_
     )
     per_group = np.bincount(src, minlength=groups)
     first_row = np.repeat(np.cumsum(per_group) - per_group, per_group)
-    share = (np.arange(len(items)) - first_row) % slice_
+    share = (np.arange(len(entries)) - first_row) % slice_
 
     # stride-L sub-exchange, all slices in parallel each round
     a2a, _, held = _exchange(
@@ -456,15 +503,6 @@ def coordinated_all_to_all(
     send = (j != t) & (held[s] > 0)
     gather = _events(groups + t[send], "allgather", s[send], d[send], held[s[send]], cost, reference)
 
-    # replica t receives its own share first, then the others in replica order
-    keys = (token, _uint(src, groups), _uint(dst, groups))
-    order = np.lexsort(keys)
-    if np.logical_and.reduce([np.diff(col[order]) == 0 for col in keys]).any():
-        own_first = (_uint(np.where(share == t, 0, share + 1), slice_ + 1) for t in range(slice_))
-        by_replica = [_deliver(items, np.lexsort((mine, *keys)), dst, groups) for mine in own_first]
-    else:
-        by_replica = [_deliver(items, order, dst, groups)] * slice_
-
     return CommTrace(
         schedule="coordinated",
         world_size=world,
@@ -475,7 +513,7 @@ def coordinated_all_to_all(
         reference_bytes=reference,
         cost=cost,
         events=np.concatenate([a2a, gather]),
-        recv=tuple(by_replica[t][grp] for grp in range(groups) for t in range(slice_)),
+        delivery=_delivery(entries, src, dst, token, groups, slice_, share),
     )
 
 

@@ -73,6 +73,9 @@ class ClusterTopology:
     def __post_init__(self) -> None:
         for name in ("nodes", "gpus_per_node"):
             object.__setattr__(self, name, _int_in(name, getattr(self, name), 1, error=PlanError))
+        for name in ("intra_link", "inter_link"):
+            if not isinstance(getattr(self, name), LinkSpec):
+                raise PlanError(f"{name} must be a LinkSpec, got {type(getattr(self, name)).__name__}")
 
     @property
     def world_size(self) -> int:

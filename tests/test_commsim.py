@@ -3,6 +3,7 @@
 import dataclasses
 import enum
 import io
+import pickle
 from fractions import Fraction
 from operator import index
 
@@ -22,6 +23,7 @@ from moekit.commsim import (
     payload_multiset,
     synthetic_sends,
 )
+from moekit import commsim
 from moekit._contract import _is_int
 from moekit.planner import ClusterTopology, LinkSpec
 
@@ -232,9 +234,12 @@ def test_coordinated_conserves_logical_payload():
 
 
 def assert_same_trace(a, b):
+    # recv is not a field: it is built on first read, so it is compared here
     for field in dataclasses.fields(CommTrace):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        assert np.array_equal(x, y) if field.name == "events" else x == y, field.name
+        if field.compare:
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert np.array_equal(x, y) if field.name == "events" else x == y, field.name
+    assert a.recv == b.recv
 
 
 def test_schedules_are_deterministic():
@@ -243,6 +248,58 @@ def test_schedules_are_deterministic():
     assert_same_trace(hierarchical_all_to_all(sends, 4, COST), hierarchical_all_to_all(sends, 4, COST))
     replicated = replicate(synthetic_sends(4, 4, seed=14), 4)
     assert_same_trace(coordinated_all_to_all(replicated, 4, COST), coordinated_all_to_all(replicated, 4, COST))
+
+
+def _lazy_cases():
+    """(schedule, payload) pairs: flat and hierarchical on a random payload,
+    coordinated on one without ties and on one whose tied items give each
+    replica its own recv order."""
+    sends = synthetic_sends(8, 5, seed=15)
+    tied = [[Item(0, 1, 5, 8), Item(0, 1, 5, 16)], [Item(1, 1, 2, 4), Item(1, 0, 7, 32)]]
+    return [
+        (lambda s: flat_all_to_all(s, COST), sends),
+        (lambda s: hierarchical_all_to_all(s, 4, COST), sends),
+        (lambda s: coordinated_all_to_all(s, 2, COST), replicate(synthetic_sends(4, 5, seed=15), 2)),
+        (lambda s: coordinated_all_to_all(s, 2, COST), replicate(tied, 2)),
+    ]
+
+
+def test_recv_is_built_on_first_read_and_cached(monkeypatch):
+    calls = []
+    deliver = commsim._deliver
+    monkeypatch.setattr(commsim, "_deliver", lambda *args: calls.append(args) or deliver(*args))
+    for run, sends in _lazy_cases():
+        trace = run(sends)
+        assert calls == []
+        first = trace.recv
+        assert len(calls) == 1
+        assert trace.recv is first and len(calls) == 1
+        calls.clear()
+
+
+def test_recv_ignores_later_changes_to_the_sends_lists():
+    for run, sends in _lazy_cases():
+        mine = [list(items) for items in sends]
+        trace = run(mine)
+        for rank, items in enumerate(mine):
+            if rank % 2:
+                items.reverse()
+                items.append(None)
+            else:
+                items.clear()
+        assert trace.recv == run(sends).recv
+
+
+def test_traces_pickle_before_and_after_the_first_recv_read():
+    for run, sends in _lazy_cases():
+        trace = run(sends)
+        unread = pickle.loads(pickle.dumps(trace))
+        assert "recv" not in vars(trace) and "recv" not in vars(unread)
+        trace.recv
+        read = pickle.loads(pickle.dumps(trace))
+        assert "recv" in vars(read)
+        assert_same_trace(unread, trace)
+        assert_same_trace(read, trace)
 
 
 def test_empty_payload_moves_nothing():
@@ -437,7 +494,9 @@ def test_synthetic_sends_equals_scalar_draws(world, per_rank, seed):
     ]
     got = synthetic_sends(world, per_rank, nbytes=64, seed=seed)
     assert got == scalar
-    assert all(type(it.dst) is int for items in got for it in items)
+    # Item equals a plain tuple, so its type is checked on its own
+    assert all(type(items) is list for items in got)
+    assert all(type(it) is Item and all(type(v) is int for v in it) for items in got for it in items)
 
 
 @pytest.mark.parametrize(

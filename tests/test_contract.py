@@ -51,7 +51,7 @@ from moekit.distill import (
     staged_vs_constant,
     train_toy,
 )
-from moekit.planner import ClusterTopology, LayerPlacement, PlanError, memory_per_device, plan, validate
+from moekit.planner import ClusterTopology, LayerPlacement, LinkSpec, PlanError, memory_per_device, plan, validate
 from moekit.tensor import GradTape, NonFiniteError, ShapeError, Tensor, add, cross_entropy, gelu, kd_loss
 
 BASE = dense_config(num_layers=4, hidden=8, heads=2, vocab=16, context=8)
@@ -105,6 +105,8 @@ CASES = [
     # None where a config, topology, plan or trace belongs
     pytest.param(plan, (None, TOPOLOGY), PlanError, id="plan-no-model"),
     pytest.param(plan, (MODEL, None), PlanError, id="plan-no-cluster"),
+    pytest.param(ClusterTopology, (1, 2, None), PlanError, id="topology-intra-link-none"),
+    pytest.param(ClusterTopology, (1, 2, LinkSpec(1e-6, 1e9), "x"), PlanError, id="topology-inter-link-str"),
     pytest.param(plan, (MODEL, TOPOLOGY, False, "2"), PlanError, id="plan-tensor-slice-str"),
     pytest.param(memory_per_device, (None, MODEL), PlanError, id="memory-no-plan"),
     pytest.param(validate, (None,), PlanError, id="validate-no-plan"),
@@ -263,7 +265,6 @@ ELSEWHERE = {
     "distill.KDConfig": "test_distill.py::test_config_rejects_non_finite_or_mistyped_fields",
     "distill.ToyTrainConfig": "test_distill.py::test_train_config_needs_an_int_step_count",
     "planner.LinkSpec": "test_planner.py::test_link_needs_finite_numbers",
-    "planner.ClusterTopology": "test_planner.py::test_cluster_needs_int_counts",
     "planner.ParallelPlan": "test_planner.py::test_validate_flags_bad_degree_product",
     "commsim.CostModel": "test_commsim.py::test_cost_model_needs_finite_numbers",
     "cli.main": "test_cli.py::test_malformed_config_is_config_error",
