@@ -1,5 +1,8 @@
 """The input rules of every moekit module: a public entry point checks its inputs once,
-with these, and raises its own module's error. ``ValidationError`` is public as
+with these, and raises its own module's error naming the argument. One rule per kind:
+``_int_in`` (an int), ``_number_in`` (a finite number), ``_instance`` (a type),
+``_real_array`` (a real-valued array), ``_divisor`` (a divisor of the world) and
+``_array_size`` (a shape numpy can allocate). ``ValidationError`` is public as
 ``gating.ValidationError`` and ``arch.ValidationError``."""
 
 from __future__ import annotations
@@ -48,6 +51,45 @@ def _is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int past the largest float
         return False
+
+
+def _number_in(name: str, value, positive: bool = False, error=ValidationError):
+    """``value``, once it is ``_is_finite`` and >= 0 (> 0 when ``positive``); else ``error``."""
+    if not _is_finite(value) or value < 0 or (positive and value == 0):
+        raise error(f"{name} must be a finite number {'> 0' if positive else '>= 0'}, got {value!r}")
+    return value
+
+
+def _instance(name: str, value, kind, error=ValidationError):
+    """``value``, once ``isinstance(value, kind)`` (a type or tuple of types); else ``error``."""
+    if not isinstance(value, kind):
+        kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise error(f"{name} must be a {kinds}, got {type(value).__name__}")
+    return value
+
+
+def _real_array(name: str, value, error) -> np.ndarray:
+    """``np.asarray(value)``, once its dtype is bool, int or float (complex would drop its
+    imaginary part); else ``error``."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{name} must be real numbers, got dtype {arr.dtype}")
+    return arr
+
+
+def _divisor(name: str, value, world: int, error) -> int:
+    """``_int_in(name, value, 1)``, once it divides ``world``; else ``error``."""
+    value = _int_in(name, value, 1, error=error)
+    if world % value != 0:
+        raise error(f"{name} {value} must divide world {world}")
+    return value
+
+
+def _array_size(name: str, shape: tuple[int, ...], error) -> None:
+    """``error`` unless every dimension of ``shape`` and its bytes at 8 per item fit intp:
+    past that, numpy raises its own ValueError, not MemoryError."""
+    if max(*shape, math.prod(shape) * 8) > np.iinfo(np.intp).max:
+        raise error(f"{name} of shape {shape} is past numpy's array size")
 
 
 def _uint(key: np.ndarray, bound: int) -> np.ndarray:

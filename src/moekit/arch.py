@@ -42,8 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tk
-from ._contract import ValidationError, _int_in
-from .gating import GatingConfig, _kept_assignments, top_k_gate
+from ._contract import ValidationError, _instance, _int_in, _real_array
+from .gating import DispatchPlan, GatingConfig, _kept_assignments, top_k_gate
 from .tensor import Tensor
 
 __all__ = [
@@ -84,16 +84,11 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("dense", "moe"):
             raise ValidationError(f"unknown layer kind {self.kind!r}")
-        if not isinstance(self.residual, bool):
-            raise ValidationError(f"residual must be a bool, got {self.residual!r}")
+        _instance("residual", self.residual, bool)
         object.__setattr__(self, "hidden", _int_in("hidden width", self.hidden, 1))
         object.__setattr__(self, "experts", _int_in("expert count", self.experts, 0))
         if self.kind == "moe":
-            if self.experts < 1:
-                raise ValidationError("moe layer needs at least one expert")
-            if self.gating is None:
-                raise ValidationError("moe layer needs a gating config")
-            if self.gating.num_experts != self.experts:
+            if _instance("gating", self.gating, GatingConfig).num_experts != self.experts:
                 raise ValidationError("gating config expert count mismatch")
         else:
             if self.experts != 0 or self.gating is not None or self.residual:
@@ -156,12 +151,6 @@ def dense_config(
     return MoeModelConfig(hidden=hidden, heads=heads, vocab=vocab, context=context, layers=layers)
 
 
-def _model(cfg) -> MoeModelConfig:
-    if not isinstance(cfg, MoeModelConfig):
-        raise ValidationError(f"expected a MoeModelConfig, got {type(cfg).__name__}")
-    return cfg
-
-
 def _routed_layer(base: MoeModelConfig, experts: int, residual: bool, k: int, cf: float) -> LayerSpec:
     return LayerSpec(
         kind="moe",
@@ -185,7 +174,7 @@ def build_standard(
     uniform schedule and no residual.
     """
     num_experts = _int_in("num_experts", num_experts, 1)
-    schedule = (num_experts,) * (_model(base).num_layers // 2)
+    schedule = (num_experts,) * (_instance("base", base, MoeModelConfig).num_layers // 2)
     return build_pr_moe(base, schedule, residual=False, k=k, capacity_factor=capacity_factor)
 
 
@@ -202,10 +191,9 @@ def build_pr_moe(
     never fewer). With a uniform schedule and residual=False this reduces to
     ``build_standard`` exactly.
     """
-    if _model(base).num_layers % 2 != 0:
+    if _instance("base", base, MoeModelConfig).num_layers % 2 != 0:
         raise ValidationError("base stack must have an even layer count")
-    if not isinstance(expert_schedule, (tuple, list)):
-        raise ValidationError(f"expert schedule must be a tuple of ints, got {expert_schedule!r}")
+    _instance("expert schedule", expert_schedule, (tuple, list))
     # every entry is an int before the non-decreasing test compares them
     schedule = tuple(_int_in("schedule entry", e, 1) for e in expert_schedule)
     expected = base.num_layers // 2
@@ -254,7 +242,7 @@ class LayerParamCount:
 def count_params_per_layer(cfg: MoeModelConfig) -> list[LayerParamCount]:
     """Per-block split used by both total accounting and placement memory."""
     out = []
-    m = _model(cfg).hidden
+    m = _instance("cfg", cfg, MoeModelConfig).hidden
     for spec in cfg.layers:
         shared = _attention_params(m) + _block_norm_params(m)
         if spec.kind == "dense":
@@ -298,14 +286,15 @@ def count_flops_per_token(cfg: MoeModelConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def load_balance_loss(plan, probs: np.ndarray) -> float:
+def load_balance_loss(plan: DispatchPlan, probs: np.ndarray) -> float:
     """E * sum_e (assignment fraction_e) * (mean gate prob_e).
 
     Equals 1.0 under perfectly uniform routing and E when a single expert
     absorbs everything with probability one. Assignment fractions are taken
     before capacity drops. NaN or inf in ``probs`` raises NonFiniteError.
     """
-    probs = np.asarray(probs, dtype=np.float64)
+    _instance("plan", plan, DispatchPlan)
+    probs = _real_array("probs", probs, tk.ShapeError).astype(np.float64, copy=False)
     e = plan.num_experts
     if probs.ndim != 2 or probs.shape != (plan.num_tokens, e):
         raise tk.ShapeError(f"probs shape {probs.shape} does not match plan")
@@ -362,9 +351,8 @@ def _init_ffn(m: int, rng: np.random.Generator, scale: float) -> FfnParams:
 
 def init_layer_params(spec: LayerSpec, rng: np.random.Generator, scale: float = 0.1):
     """Random parameters for one block's feed-forward slot."""
-    if not (isinstance(spec, LayerSpec) and isinstance(rng, np.random.Generator)):
-        got = f"{type(spec).__name__}, {type(rng).__name__}"
-        raise ValidationError(f"init_layer_params needs a LayerSpec and a numpy Generator, got {got}")
+    _instance("spec", spec, LayerSpec)
+    _instance("rng", rng, np.random.Generator)
     if spec.kind == "dense":
         return _init_ffn(spec.hidden, rng, scale)
     return MoeLayerParams(
@@ -375,6 +363,7 @@ def init_layer_params(spec: LayerSpec, rng: np.random.Generator, scale: float = 
 
 
 def forward_ffn(x: Tensor, p: FfnParams) -> Tensor:
+    _instance("p", p, FfnParams)
     return tk.add(tk.matmul(tk.gelu(tk.add(tk.matmul(x, p.w1), p.b1)), p.w2), p.b2)
 
 
@@ -385,6 +374,9 @@ def forward_layer(x: Tensor, spec: LayerSpec, params) -> Tensor:
     gate probabilities that scale each expert's contribution. Tokens whose
     assignments were all dropped ride the skip connection unchanged.
     """
+    _instance("x", x, Tensor)
+    _instance("spec", spec, LayerSpec)
+    _instance("params", params, FfnParams if spec.kind == "dense" else MoeLayerParams)
     if x.cols != spec.hidden:
         raise tk.ShapeError(f"batch width {x.cols} does not match layer hidden {spec.hidden}")
     if spec.kind == "dense":

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import commsim, gating
-from ._contract import _is_finite, _is_int
+from ._contract import _array_size, _divisor, _is_finite, _is_int
 from .arch import (
     MoeModelConfig,
     ValidationError,
@@ -294,10 +294,8 @@ def _cmd_route_bench(args, model, cluster, opts) -> int:
         raise ConfigError(f"bad routing options: {e}") from e
 
     hidden = 32
-    # numpy raises ValueError, not MemoryError, for an array past intp's byte range;
     # each (tokens, experts) and (tokens, hidden) draw, and each (experts,) table, must fit
-    if max(tokens, 1) * max(experts, hidden) * 8 > np.iinfo(np.intp).max:
-        raise ValidationError(f"{tokens} tokens x {experts} experts is past numpy's array size")
+    _array_size("route-bench draw", (max(tokens, 1), max(experts, hidden)), ValidationError)
     rows = []
     for i in range(opts["instances"]):
         rng = np.random.default_rng(args.seed + i)
@@ -366,8 +364,7 @@ def _cmd_simulate(args, model, cluster, opts) -> int:
             return commsim.flat_all_to_all(sends(world), cost)
         if name == "hierarchical":
             return commsim.hierarchical_all_to_all(sends(world), cluster.gpus_per_node, cost)
-        if world % slice_ != 0:
-            raise ScheduleError(f"tensor_slice {slice_} must divide world {world}")
+        _divisor("tensor_slice", slice_, world, ScheduleError)
         logical = sends(world // slice_)
         replicated = [list(items) for items in logical for _ in range(slice_)]
         return commsim.coordinated_all_to_all(replicated, slice_, cost)

@@ -64,7 +64,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._contract import _int_in, _is_finite, _is_int, _uint
+from ._contract import _array_size, _divisor, _instance, _int_in, _is_int, _number_in, _uint
 from .planner import ClusterTopology
 
 __all__ = [
@@ -111,10 +111,8 @@ class CostModel:
     c2: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not all(_is_finite(c) and c >= 0 for c in (self.c1, self.c2)):
-            raise ScheduleError(
-                f"cost constants must be finite and >= 0, got c1={self.c1!r}, c2={self.c2!r}"
-            )
+        for name in ("c1", "c2"):
+            _number_in(name, getattr(self, name), error=ScheduleError)
 
 
 @dataclass(frozen=True)
@@ -254,18 +252,8 @@ def _check_call(sends, cost) -> CostModel:
     if not isinstance(sends, (list, tuple)) or not sends:
         raise ScheduleError(f"sends must be a non-empty list of per-rank lists, got {sends!r:.80}")
     for rank, items in enumerate(sends):
-        if not isinstance(items, (list, tuple)):
-            raise ScheduleError(f"rank {rank}: send list {items!r} is not a list or tuple")
-    if cost is not None and not isinstance(cost, CostModel):
-        raise ScheduleError(f"cost must be a CostModel or None, got {type(cost).__name__}")
-    return cost or CostModel()
-
-
-def _check_divisor(name: str, value, world: int) -> int:
-    value = _int_in(name, value, 1, error=ScheduleError)
-    if world % value != 0:
-        raise ScheduleError(f"{name} {value} must divide world {world}")
-    return value
+        _instance(f"rank {rank}: send list", items, (list, tuple), ScheduleError)
+    return _instance("cost", cost, (CostModel, type(None)), ScheduleError) or CostModel()
 
 
 def _events(step, kind: str, src, dst, nbytes, cost: CostModel, reference: int) -> np.ndarray:
@@ -368,8 +356,7 @@ def synthetic_sends(
     sizes = (("world", world, 1), ("per_rank", per_rank, 0), ("nbytes", nbytes, 0), ("seed", seed, 0))
     world, per_rank, nbytes, seed = (_int_in(*size, error=ScheduleError) for size in sizes)
     # the (world, per_rank) int64 draw must fit numpy's array size, so every token id fits int64
-    if max(world, int(world) * int(per_rank) * 8) > _INT64_MAX:
-        raise ScheduleError(f"{world} ranks x {per_rank} items is past numpy's array size")
+    _array_size("payload draw", (world, per_rank), ScheduleError)
     dsts = np.random.default_rng(seed).integers(world, size=(world, per_rank)).tolist()
     # tuple.__new__ builds each Item from its fields in C, with no Python frame per item
     item = partial(tuple.__new__, Item)
@@ -420,7 +407,7 @@ def hierarchical_all_to_all(
     exchanged volume is exactly twice the payload.
     """
     cost, world = _check_call(sends, cost), len(sends)
-    g = _check_divisor("gpus_per_node", gpus_per_node, world)
+    g = _divisor("gpus_per_node", gpus_per_node, world, ScheduleError)
     entries, src, dst, token, nbytes, reference = _read(sends, range(world), world, 2)
 
     # intra-node phase: round l delivers to the local-id-l rank of each node
@@ -467,7 +454,7 @@ def coordinated_all_to_all(
     receive set on every member, its own share first.
     """
     cost, world = _check_call(sends, cost), len(sends)
-    slice_ = _check_divisor("tensor_slice", tensor_slice, world)
+    slice_ = _divisor("tensor_slice", tensor_slice, world, ScheduleError)
     groups = world // slice_
     for base in range(0, world, slice_):
         for r in range(base + 1, base + slice_):
@@ -536,9 +523,8 @@ def estimate_latency(trace: CommTrace, topology: ClusterTopology) -> float:
     the pessimistic worst-case-locality figure. A trace over more ranks than
     the topology has raises ScheduleError.
     """
-    if not (isinstance(trace, CommTrace) and isinstance(topology, ClusterTopology)):
-        got = f"{type(trace).__name__}, {type(topology).__name__}"
-        raise ScheduleError(f"estimate_latency needs a CommTrace and a ClusterTopology, got {got}")
+    _instance("trace", trace, CommTrace, ScheduleError)
+    _instance("topology", topology, ClusterTopology, ScheduleError)
     if trace.world_size > topology.world_size:
         raise ScheduleError(
             f"trace of {trace.world_size} ranks cannot be priced on a "

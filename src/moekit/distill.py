@@ -43,7 +43,7 @@ from .arch import (
     forward_layer,
     init_layer_params,
 )
-from ._contract import _int_in, _is_finite
+from ._contract import _array_size, _instance, _int_in, _number_in
 from .gating import GatingConfig
 from .tensor import GradTape, NonFiniteError, Tensor
 
@@ -92,10 +92,8 @@ class KDConfig:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        if not _is_finite(self.alpha) or self.alpha < 0:
-            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if not _is_finite(self.temperature) or self.temperature <= 0:
-            raise ValidationError(f"temperature must be positive and finite, got {self.temperature!r}")
+        _number_in("alpha", self.alpha)
+        _number_in("temperature", self.temperature, positive=True)
         if self.stage_boundary is not None:
             object.__setattr__(self, "stage_boundary", _int_in("stage_boundary", self.stage_boundary, 0))
 
@@ -118,7 +116,7 @@ def kd_objective(
     it the teacher term is skipped entirely (not just weighted by zero): the
     loss is CE alone, and ``teacher_logits`` is not read (it may be None).
     """
-    alpha = cfg.effective_alpha(step)
+    alpha = _instance("cfg", cfg, KDConfig).effective_alpha(step)
     if alpha == 0.0:
         ce = tk.cross_entropy(student_logits, labels)
         return ce, ce.item(), 0.0
@@ -145,9 +143,7 @@ def derive_student(teacher: MoeModelConfig, target_depth: int) -> StudentPlan:
     and their dense neighbours go first. A target depth that would need a
     skipped layer removed raises ValidationError.
     """
-    if not isinstance(teacher, MoeModelConfig):
-        raise ValidationError(f"teacher must be a MoeModelConfig, got {type(teacher).__name__}")
-    depth = teacher.num_layers
+    depth = _instance("teacher", teacher, MoeModelConfig).num_layers
     target_depth = _int_in("target depth", target_depth, 1, depth - 1)
     removal = depth - target_depth
     protected = set(teacher.moe_layer_indices[-2:])  # keep the widest (deepest) routed layers
@@ -185,8 +181,9 @@ class SyntheticStream:
     def __post_init__(self) -> None:
         for name, low in (("hidden", 1), ("vocab", 1), ("batch", 1), ("seed", 0)):
             setattr(self, name, _int_in(name, getattr(self, name), low))
-        if not _is_finite(self.teacher_noise) or self.teacher_noise < 0:
-            raise ValidationError(f"teacher_noise must be finite and >= 0, got {self.teacher_noise!r}")
+        _number_in("teacher_noise", self.teacher_noise)
+        for shape in ((self.hidden, self.vocab), (4 * self.batch, max(self.hidden, self.vocab))):
+            _array_size("stream array", shape, ValidationError)  # the maps; the held-out set, its logits
         rng = np.random.default_rng(self.seed)
         self.true_map = rng.standard_normal((self.hidden, self.vocab))
         self.teacher_map = self.true_map + self.teacher_noise * rng.standard_normal(
@@ -273,8 +270,7 @@ class ToyTrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", _int_in("steps", self.steps, 1))
-        if not _is_finite(self.lr) or self.lr <= 0:
-            raise ValidationError(f"lr must be positive and finite, got {self.lr!r}")
+        _number_in("lr", self.lr, positive=True)
 
 
 def train_toy(
@@ -291,10 +287,9 @@ def train_toy(
     earlier step checks the held-out gate logits too, so a step whose update
     breaks the held-out eval raises at that step.
     """
-    args = (student, stream, cfg)
-    if not all(map(isinstance, args, (ToyModel, SyntheticStream, ToyTrainConfig))):
-        got = ", ".join(type(arg).__name__ for arg in args)
-        raise ValidationError(f"train_toy needs a ToyModel, SyntheticStream and ToyTrainConfig, got {got}")
+    _instance("student", student, ToyModel)
+    _instance("stream", stream, SyntheticStream)
+    _instance("cfg", cfg, ToyTrainConfig)
     records = _train_steps(student, stream, cfg, range(cfg.steps))
     return KDTrainResult(records=records, final_heldout_ce=_heldout_ce(student, stream, cfg))
 

@@ -45,7 +45,8 @@ whole-array pass, so the outputs are bitwise equal to one worker's.
 
 NaN or inf logits, gate probabilities, token rows and kept expert outputs are
 rejected with ``NonFiniteError``, a ``ShapeError``, instead of being routed.
-A bad ``GatingConfig`` or ``num_tokens`` raises ``ValidationError`` (``arch`` re-exports it).
+A bad ``GatingConfig``, ``num_tokens`` or argument type raises ``ValidationError``
+(``arch`` re-exports it).
 
 ``sparse_dispatch_oracle`` / ``sparse_combine_oracle`` implement the same
 semantics as literal one-hot tensor contractions of shape (S, E, c). They are
@@ -67,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._contract import ValidationError, _int_in, _is_finite, _uint
+from ._contract import ValidationError, _instance, _int_in, _number_in, _real_array, _uint
 from .tensor import NonFiniteError, ShapeError
 
 __all__ = [
@@ -168,11 +169,10 @@ class GatingConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "num_experts", _int_in("num_experts", self.num_experts, 1))
         object.__setattr__(self, "k", _int_in("k", self.k, 1, 2))
-        e, k, cf = self.num_experts, self.k, self.capacity_factor
+        e, k = self.num_experts, self.k
         if k > e:
             raise ValidationError(f"k={k} exceeds num_experts={e}")
-        if not _is_finite(cf) or cf <= 0:
-            raise ValidationError(f"capacity_factor must be positive and finite, got {cf!r}")
+        _number_in("capacity_factor", self.capacity_factor, positive=True)
 
     def capacity(self, num_tokens: int) -> int:
         # a Python float product: a huge factor gives inf and a subnormal one 0.0
@@ -250,9 +250,8 @@ def top_k_gate(logits: np.ndarray, cfg: GatingConfig) -> TopKGate:
     E logits evaluated at the selected indices; the top-2 pair is deliberately
     not renormalized. Ties break toward the lower expert index.
     """
-    logits = np.asarray(logits)
-    if logits.dtype.kind not in "biuf":  # complex would drop its imaginary part
-        raise ShapeError(f"gate logits must be real numbers, got dtype {logits.dtype}")
+    logits = _real_array("gate logits", logits, ShapeError)
+    _instance("cfg", cfg, GatingConfig)
     if logits.ndim != 2:
         raise ShapeError(f"gate logits must be 2-D, got shape {logits.shape}")
     num_tokens, width = logits.shape
@@ -308,6 +307,8 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
     Assignments landing at slot >= capacity are DROPPED. The kept part of the
     sorted order, written by (expert, rank), is the slot table slot_tokens.
     """
+    _instance("gates", gates, TopKGate)
+    _instance("cfg", cfg, GatingConfig)
     num_tokens = _int_in("num_tokens", num_tokens, 0)
     ids, gate_probs = gates.expert_ids, gates.gate_probs
     if ids.shape != (num_tokens, cfg.k):
@@ -367,10 +368,8 @@ def scatter_tokens(
     accounting: the table resolves each of the S*k assignments against its
     expert's c slots, M lanes wide -> S*c*M per transform (no factor of E).
     """
-    batch = np.asarray(batch)
-    if batch.dtype.kind not in "biuf":  # complex would drop its imaginary part
-        raise ShapeError(f"token batch must be real numbers, got dtype {batch.dtype}")
-    batch = batch.astype(np.float64, copy=False)
+    batch = _real_array("token batch", batch, ShapeError).astype(np.float64, copy=False)
+    _instance("plan", plan, DispatchPlan)
     if batch.ndim != 2 or batch.shape[0] != plan.num_tokens:
         raise ShapeError(f"batch shape {batch.shape} does not match plan S={plan.num_tokens}")
     data = np.zeros((plan.num_experts, plan.capacity, batch.shape[1]))
@@ -408,6 +407,7 @@ def combine_tokens(
     row; tokens with every assignment dropped come back as zero rows. A NaN or
     inf in a kept slot raises NonFiniteError. Same counter convention as scatter.
     """
+    _instance("plan", plan, DispatchPlan)
     if outputs.data.ndim != 3 or outputs.data.shape[:2] != (plan.num_experts, plan.capacity):
         raise ShapeError(
             f"buffer shape {outputs.data.shape} does not match plan "

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._contract import _as_int, _int_in, _is_finite, _is_int
+from ._contract import _as_int, _instance, _int_in, _is_int, _number_in
 from .arch import MoeModelConfig, count_params, count_params_per_layer
 
 __all__ = [
@@ -49,12 +49,8 @@ class LinkSpec:
     bandwidth_bytes_per_s: float
 
     def __post_init__(self) -> None:
-        if not (_is_finite(self.latency_s) and self.latency_s >= 0):
-            raise PlanError(f"link latency must be finite and >= 0, got {self.latency_s!r}")
-        if not (_is_finite(self.bandwidth_bytes_per_s) and self.bandwidth_bytes_per_s > 0):
-            raise PlanError(
-                f"link bandwidth must be finite and positive, got {self.bandwidth_bytes_per_s!r}"
-            )
+        _number_in("latency_s", self.latency_s, error=PlanError)
+        _number_in("bandwidth_bytes_per_s", self.bandwidth_bytes_per_s, positive=True, error=PlanError)
 
 
 @dataclass(frozen=True)
@@ -74,8 +70,7 @@ class ClusterTopology:
         for name in ("nodes", "gpus_per_node"):
             object.__setattr__(self, name, _int_in(name, getattr(self, name), 1, error=PlanError))
         for name in ("intra_link", "inter_link"):
-            if not isinstance(getattr(self, name), LinkSpec):
-                raise PlanError(f"{name} must be a LinkSpec, got {type(getattr(self, name)).__name__}")
+            _instance(name, getattr(self, name), LinkSpec, PlanError)
 
     @property
     def world_size(self) -> int:
@@ -136,10 +131,8 @@ def plan(
     expert_slice = world / experts, keeping a single replica so one batch
     uses every device.
     """
-    if not (isinstance(cfg, MoeModelConfig) and isinstance(cluster, ClusterTopology)):
-        got = f"{type(cfg).__name__}, {type(cluster).__name__}"
-        raise PlanError(f"plan needs a MoeModelConfig and a ClusterTopology, got {got}")
-    world = cluster.world_size
+    _instance("cfg", cfg, MoeModelConfig, PlanError)
+    world = _instance("cluster", cluster, ClusterTopology, PlanError).world_size
     placements = []
     for idx in cfg.moe_layer_indices:
         experts = cfg.layers[idx].experts
@@ -169,9 +162,8 @@ def validate(built: ParallelPlan, cfg: MoeModelConfig | None = None) -> list[str
     A per-layer problem shared by several layers is reported once, naming
     them all: "layers 1,3,5: ...".
     """
-    if not (isinstance(built, ParallelPlan) and (cfg is None or isinstance(cfg, MoeModelConfig))):
-        got = f"{type(built).__name__}, {type(cfg).__name__}"
-        raise PlanError(f"validate needs a ParallelPlan and a MoeModelConfig or None, got {got}")
+    _instance("built", built, ParallelPlan, PlanError)
+    _instance("cfg", cfg, (MoeModelConfig, type(None)), PlanError)
     problems: list[str] = []
     if built.world_size < 1:
         problems.append("world_size must be positive")
@@ -242,11 +234,9 @@ def memory_per_device(
     else (attention, dense FFN, norms, gates, embeddings) shards only over
     the tensor-slice degree.
     """
-    if not (isinstance(built, ParallelPlan) and isinstance(cfg, MoeModelConfig)):
-        got = f"{type(built).__name__}, {type(cfg).__name__}"
-        raise PlanError(f"memory_per_device needs a ParallelPlan and a MoeModelConfig, got {got}")
-    if not _is_finite(bytes_per_param) or bytes_per_param <= 0:
-        raise PlanError(f"bytes_per_param must be positive and finite, got {bytes_per_param!r}")
+    _instance("built", built, ParallelPlan, PlanError)
+    _instance("cfg", cfg, MoeModelConfig, PlanError)
+    _number_in("bytes_per_param", bytes_per_param, positive=True, error=PlanError)
     problems = validate(built, cfg)
     if problems:
         raise PlanError("; ".join(problems))

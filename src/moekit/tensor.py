@@ -17,8 +17,8 @@ Conventions:
     record once its vjp has run; ``len(tape)`` still counts the ops recorded.
   * ``arch`` records a routed layer (gate, experts, combine and skip add) as
     one node of its own; it shares ``_gelu`` so the formula lives here once.
-  * ``Tensor(...)`` rejects NaN or inf entries with ``NonFiniteError``; op
-    results skip that check.
+  * ``Tensor(...)`` rejects a complex, string or object value with ``ShapeError`` and
+    NaN or inf entries with ``NonFiniteError``; op results skip those checks.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+
+from ._contract import _number_in, _real_array
 
 __all__ = [
     "ShapeError",
@@ -104,7 +106,7 @@ class Tensor:
     __slots__ = ("value", "grad", "tape")
 
     def __init__(self, value, tape: GradTape | None = None) -> None:
-        arr = np.array(value, dtype=np.float64, copy=True)
+        arr = _real_array("Tensor value", value, ShapeError).astype(np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"Tensor must be 2-D, got shape {arr.shape}")
         if arr.size and not np.all(np.isfinite(arr)):
@@ -149,7 +151,7 @@ def reset_grads(tensors: Sequence[Tensor]) -> None:
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _tape_of(*tensors: Tensor) -> GradTape | None:
@@ -294,11 +296,13 @@ def kd_loss(
 ) -> tuple[Tensor, float, float]:
     """(CE(student, labels) + alpha T^2 KL(softmax(teacher / T) || softmax(student / T)) as one
     tape node that feeds the student alone, CE value, KD value), bitwise the per-op chain's.
-    Checks the labels as ``cross_entropy`` does, then that the teacher logits over T are 2-D
-    and finite (else ``NonFiniteError``), then that their shape is the student's."""
+    Checks alpha >= 0 and T > 0, then the labels as ``cross_entropy`` does, then that the teacher
+    logits are real, 2-D and, over T, finite (else ``NonFiniteError``) and of the student's shape."""
+    _number_in("alpha", alpha, error=ShapeError)
+    t = _number_in("temperature", temperature, positive=True, error=ShapeError)
     student = _as_tensor(student_logits)
     labels, logq, ce = _nll(student, labels)
-    t, t_vals = temperature, np.asarray(teacher_logits)
+    t_vals = _real_array("teacher logits", teacher_logits, ShapeError)
     teacher = Tensor(t_vals if t == 1.0 else t_vals / t).value
     if teacher.shape != student.shape:
         raise ShapeError(f"teacher logits {teacher.shape} do not match student logits {student.shape}")

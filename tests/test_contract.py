@@ -2,9 +2,9 @@
 module's own error type, never an AttributeError, a TypeError or numpy's
 ValueError from deeper down.
 
-Each row is (callable, positional args, error type). ``pytest.raises`` also
-accepts a subclass, but no module's error type derives from another's, so a
-row passes only on its own module's error.
+Each row is (callable, positional args, error type), and passes only on that
+exact type: ``pytest.raises`` also accepts a subclass, and ``NonFiniteError``
+is a ``ShapeError``.
 """
 
 import ast
@@ -12,6 +12,7 @@ import importlib
 import math
 import pickle
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import moekit
 from moekit import _contract, arch, gating
 from moekit.arch import (
     FfnParams,
+    LayerSpec,
     MoeModelConfig,
     ValidationError,
     build_pr_moe,
@@ -30,9 +32,12 @@ from moekit.arch import (
     count_params_per_layer,
     dense_config,
     forward_ffn,
+    forward_layer,
     init_layer_params,
+    load_balance_loss,
 )
 from moekit.commsim import (
+    CostModel,
     Item,
     ScheduleError,
     coordinated_all_to_all,
@@ -64,7 +69,11 @@ LABELS = np.array([0, 2])
 NAN_TEACHER = np.array([[0.0, np.nan, 1.0], [0.0, 0.0, 0.0]])
 GATE_CFG = gating.GatingConfig(1)
 GATE = gating.top_k_gate(np.zeros((2, 1)), GATE_CFG)
+DISPATCH = gating.build_dispatch_plan(GATE, GATE_CFG, 2)
 FFN_4 = FfnParams(*(Tensor(np.zeros(shape)) for shape in ((4, 16), (1, 16), (16, 4), (1, 4))))
+DENSE_4, MOE_4 = LayerSpec("dense", 4), LayerSpec("moe", 4, 1, gating=GATE_CFG)
+MOE_PARAMS = init_layer_params(MOE_4, np.random.default_rng(0))
+X_4 = Tensor(np.zeros((2, 4)))
 TOY, STREAM, TRAIN = ToyModel.create(4, 4), SyntheticStream(4, 4, 2), ToyTrainConfig(KDConfig(), steps=1)
 
 CASES = [
@@ -117,6 +126,35 @@ CASES = [
     pytest.param(estimate_latency, (None, TOPOLOGY), ScheduleError, id="latency-no-trace"),
     # the routing config's own error
     pytest.param(gating.GatingConfig, (0,), ValidationError, id="gating-no-experts"),
+    # a config, gate table, plan, spec or parameter record of another type
+    pytest.param(LayerSpec, ("moe", 4, 1, False, "x"), ValidationError, id="layer-spec-gating-str"),
+    pytest.param(gating.top_k_gate, (np.zeros((2, 1)), None), ValidationError, id="gate-no-config"),
+    pytest.param(gating.build_dispatch_plan, (None, GATE_CFG, 2), ValidationError, id="plan-no-gates"),
+    pytest.param(gating.build_dispatch_plan, (GATE, None, 2), ValidationError, id="plan-no-config"),
+    pytest.param(gating.scatter_tokens, (np.zeros((2, 4)), None), ValidationError, id="scatter-no-plan"),
+    pytest.param(
+        gating.combine_tokens, (gating.ExpertBuffers(np.zeros((1, 2, 4))), None), ValidationError,
+        id="combine-no-plan",
+    ),
+    pytest.param(load_balance_loss, (None, GATE.probs), ValidationError, id="balance-no-plan"),
+    pytest.param(forward_layer, (np.zeros((2, 4)), DENSE_4, FFN_4), ValidationError, id="layer-ndarray-batch"),
+    pytest.param(forward_layer, (X_4, None, FFN_4), ValidationError, id="layer-no-spec"),
+    pytest.param(forward_layer, (X_4, DENSE_4, MOE_PARAMS), ValidationError, id="layer-dense-moe-params"),
+    pytest.param(forward_layer, (X_4, MOE_4, FFN_4), ValidationError, id="layer-moe-ffn-params"),
+    pytest.param(forward_ffn, (X_4, None), ValidationError, id="ffn-no-params"),
+    pytest.param(kd_objective, (STUDENT, TEACHER, LABELS, None, 0), ValidationError, id="kd-no-config"),
+    # arrays that are not real numbers: a complex one would lose its imaginary part
+    pytest.param(Tensor, (np.array([[1 + 2j]]),), ShapeError, id="tensor-complex"),
+    pytest.param(Tensor, ([["x"]],), ShapeError, id="tensor-str"),
+    pytest.param(gelu, ("x",), ShapeError, id="gelu-str"),
+    pytest.param(kd_loss, (STUDENT, TEACHER * 1j, LABELS, 1.0), ShapeError, id="kd-loss-teacher-complex"),
+    pytest.param(load_balance_loss, (DISPATCH, GATE.probs * 1j), ShapeError, id="balance-probs-complex"),
+    # the blend weight and temperature of kd_loss, which kd_objective passes on
+    pytest.param(kd_loss, (STUDENT, TEACHER, LABELS, math.nan), ShapeError, id="kd-loss-alpha-nan"),
+    pytest.param(kd_loss, (STUDENT, TEACHER, LABELS, 1.0, 0.0), ShapeError, id="kd-loss-temperature-0"),
+    pytest.param(kd_loss, (STUDENT, TEACHER, LABELS, 1.0, -1.0), ShapeError, id="kd-loss-temperature-negative"),
+    # a stream whose held-out set is past numpy's array size
+    pytest.param(SyntheticStream, (4, 4, 10**30), ValidationError, id="stream-batch-past-array-size"),
     # a stack deeper than dense_config builds, refused before any layer is built
     pytest.param(dense_config, (10**20, 8, 2), ValidationError, id="dense-layers-10e20"),
     pytest.param(dense_config, (arch.MAX_LAYERS + 1, 8, 2), ValidationError, id="dense-layers-past-bound"),
@@ -180,8 +218,9 @@ CASES = [
 
 @pytest.mark.parametrize("fn, args, error", CASES)
 def test_malformed_input_raises_module_error(fn, args, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as exc:
         fn(*args)
+    assert type(exc.value) is error
 
 
 @pytest.mark.parametrize("temperature", [1.0, 2.0])
@@ -230,7 +269,10 @@ def test_index_protocol_int_behaves_like_its_plain_int_twin(make):
     assert pickle.dumps(make(Index)) == pickle.dumps(make(int))
 
 
-RULES = ("ValidationError", "_is_int", "_as_int", "_int_in", "_is_finite", "_uint")
+RULES = (
+    "ValidationError", "_is_int", "_as_int", "_int_in", "_is_finite", "_number_in", "_instance",
+    "_real_array", "_divisor", "_array_size", "_uint",
+)
 
 
 def test_one_validation_error_class():
@@ -248,19 +290,76 @@ def test_one_validation_error_class():
     assert copies == []
 
 
+def test_finite_rule_is_named_only_by_the_number_rule_and_the_cli_kinds():
+    # every other site checks a number through _number_in, so its message has one form
+    named = []
+    for path in sorted(Path(moekit.__file__).parent.glob("*.py")):
+        if path.name == "_contract.py":
+            continue
+        tree = ast.parse(path.read_text())
+        kinds = [n for n in tree.body if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == "_KINDS"]
+        allowed = {id(node) for k in kinds for node in ast.walk(k)} if path.name == "cli.py" else set()
+        named += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if "_is_finite" in (getattr(node, "id", None), getattr(node, "attr", None)) and id(node) not in allowed
+        ]
+    assert named == []
+
+
+PLACEMENT = plan(MODEL, TOPOLOGY)
+
+# Every number check in moekit: (call with the value, the name it reports, > 0 or >= 0, error)
+NUMBER_SITES = [
+    pytest.param(lambda v: gating.GatingConfig(2, 1, v), "capacity_factor", True, ValidationError, id="gating-cf"),
+    pytest.param(lambda v: CostModel(c1=v), "c1", False, ScheduleError, id="cost-c1"),
+    pytest.param(lambda v: CostModel(c2=v), "c2", False, ScheduleError, id="cost-c2"),
+    pytest.param(lambda v: LinkSpec(v, 1e9), "latency_s", False, PlanError, id="link-latency"),
+    pytest.param(lambda v: LinkSpec(1e-6, v), "bandwidth_bytes_per_s", True, PlanError, id="link-bandwidth"),
+    pytest.param(lambda v: memory_per_device(PLACEMENT, MODEL, v), "bytes_per_param", True, PlanError, id="memory"),
+    pytest.param(lambda v: KDConfig(alpha=v), "alpha", False, ValidationError, id="kd-alpha"),
+    pytest.param(lambda v: KDConfig(temperature=v), "temperature", True, ValidationError, id="kd-temperature"),
+    pytest.param(lambda v: SyntheticStream(4, 4, 2, 0, v), "teacher_noise", False, ValidationError, id="stream-noise"),
+    pytest.param(lambda v: ToyTrainConfig(KDConfig(), lr=v), "lr", True, ValidationError, id="train-lr"),
+    pytest.param(lambda v: kd_loss(STUDENT, TEACHER, LABELS, v), "alpha", False, ShapeError, id="kd-loss-alpha"),
+    pytest.param(
+        lambda v: kd_loss(STUDENT, TEACHER, LABELS, 1.0, v), "temperature", True, ShapeError, id="kd-loss-temperature"
+    ),
+]
+
+# (value, passes as a number >= 0, passes as a number > 0)
+NUMBER_EDGES = [
+    pytest.param(0, True, False, id="0"),
+    pytest.param(-0.0, True, False, id="minus-0.0"),
+    pytest.param(-1e-300, False, False, id="minus-1e-300"),
+    pytest.param(math.nan, False, False, id="nan"),
+    pytest.param(math.inf, False, False, id="inf"),
+    pytest.param(True, False, False, id="bool"),
+    pytest.param("1", False, False, id="str"),
+    pytest.param(None, False, False, id="none"),
+    pytest.param(10**400, False, False, id="int-past-float"),
+    pytest.param(np.float32(1), True, True, id="float32"),
+]
+
+
+@pytest.mark.parametrize("value, passes_ge0, passes_gt0", NUMBER_EDGES)
+@pytest.mark.parametrize("make, name, positive, error", NUMBER_SITES)
+def test_every_number_check_is_the_one_number_rule(make, name, positive, error, value, passes_ge0, passes_gt0):
+    if passes_gt0 if positive else passes_ge0:
+        make(value)
+        return
+    bound = "> 0" if positive else ">= 0"
+    with pytest.raises(error, match=re.escape(f"{name} must be a finite number {bound}, got {value!r}")) as exc:
+        make(value)
+    assert type(exc.value) is error
+
+
 # Every public name is accounted for: a row in CASES above, a malformed-input
 # test in another file (ELSEWHERE), or a one-line reason it needs none (EXEMPT).
 MODULES = ("tensor", "gating", "arch", "presets", "distill", "planner", "commsim", "cli")
 
 ELSEWHERE = {
-    "tensor.Tensor": "test_tensor.py::TestTensorBasics::test_rejects_non_finite",
     "tensor.matmul": "test_tensor.py::TestMatmul::test_shape_mismatch",
-    "gating.top_k_gate": "test_gating.py::TestTopKGate::test_non_finite_logits_rejected",
-    "gating.scatter_tokens": "test_gating.py::TestScatterCombine::test_scatter_rejects_non_finite_batch",
-    "gating.combine_tokens": "test_gating.py::TestScatterCombine::test_combine_rejects_buffer_not_3d",
-    "arch.LayerSpec": "test_arch.py::TestBuilders::test_layer_spec_needs_int_sizes",
-    "arch.load_balance_loss": "test_arch.py::TestLoadBalance::test_non_finite_probs_rejected",
-    "arch.forward_layer": "test_arch.py::TestForward::test_width_mismatch_rejected",
     "presets.get_preset": "test_cli.py::test_params_unknown_preset_is_config_error",
     "distill.KDConfig": "test_distill.py::test_config_rejects_non_finite_or_mistyped_fields",
     "distill.ToyTrainConfig": "test_distill.py::test_train_config_needs_an_int_step_count",
