@@ -1,9 +1,9 @@
 """The input rules of every moekit module: a public entry point checks its inputs once,
 with these, and raises its own module's error naming the argument. One rule per kind:
 ``_int_in`` (an int), ``_number_in`` (a finite number), ``_instance`` (a type),
-``_real_array`` (a real-valued array), ``_divisor`` (a divisor of the world) and
-``_array_size`` (a shape numpy can allocate). ``ValidationError`` is public as
-``gating.ValidationError`` and ``arch.ValidationError``."""
+``_one_of`` (one of a few values), ``_real_array`` (a real-valued array), ``_divisor``
+(a divisor of the world) and ``_array_size`` (a shape numpy can allocate).
+``ValidationError`` is public as ``gating.ValidationError`` and ``arch.ValidationError``."""
 
 from __future__ import annotations
 
@@ -68,10 +68,21 @@ def _instance(name: str, value, kind, error=ValidationError):
     return value
 
 
+def _one_of(name: str, value, allowed: tuple, error=ValidationError):
+    """``value``, once it equals one of ``allowed`` and has its type; else ``error``."""
+    # type() keeps True from matching 1, and 1.0 from 1
+    if not any(type(value) is type(a) and value == a for a in allowed):
+        raise error(f"{name} must be one of {list(allowed)}, got {value!r}")
+    return value
+
+
 def _real_array(name: str, value, error) -> np.ndarray:
-    """``np.asarray(value)``, once its dtype is bool, int or float (complex would drop its
-    imaginary part); else ``error``."""
-    arr = np.asarray(value)
+    """``np.asarray(value)``, once it is rectangular and its dtype is bool, int or float
+    (complex would drop its imaginary part); else ``error``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as e:  # numpy's "inhomogeneous shape", for a ragged nested list
+        raise error(f"{name} must be a rectangular array, not a ragged list") from e
     if arr.dtype.kind not in "biuf":
         raise error(f"{name} must be real numbers, got dtype {arr.dtype}")
     return arr

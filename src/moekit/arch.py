@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tk
-from ._contract import ValidationError, _instance, _int_in, _real_array
+from ._contract import ValidationError, _array_size, _instance, _int_in, _one_of, _real_array
 from .gating import DispatchPlan, GatingConfig, _kept_assignments, top_k_gate
 from .tensor import Tensor
 
@@ -82,8 +82,7 @@ class LayerSpec:
     gating: GatingConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("dense", "moe"):
-            raise ValidationError(f"unknown layer kind {self.kind!r}")
+        _one_of("kind", self.kind, ("dense", "moe"))
         _instance("residual", self.residual, bool)
         object.__setattr__(self, "hidden", _int_in("hidden width", self.hidden, 1))
         object.__setattr__(self, "experts", _int_in("expert count", self.experts, 0))
@@ -108,8 +107,8 @@ class MoeModelConfig:
     def __post_init__(self) -> None:
         for name in ("hidden", "heads", "vocab", "context"):
             object.__setattr__(self, name, _int_in(name, getattr(self, name), 1))
-        for spec in self.layers:
-            if spec.hidden != self.hidden:
+        for spec in _instance("layers", self.layers, (tuple, list)):
+            if _instance("layer", spec, LayerSpec).hidden != self.hidden:
                 raise ValidationError("per-layer hidden width must match the model width")
 
     @property
@@ -353,6 +352,8 @@ def init_layer_params(spec: LayerSpec, rng: np.random.Generator, scale: float = 
     """Random parameters for one block's feed-forward slot."""
     _instance("spec", spec, LayerSpec)
     _instance("rng", rng, np.random.Generator)
+    for shape in ((spec.hidden, FFN_MULT * spec.hidden), (spec.hidden, spec.experts)):  # w1, gate_w
+        _array_size("layer weight", shape, ValidationError)
     if spec.kind == "dense":
         return _init_ffn(spec.hidden, rng, scale)
     return MoeLayerParams(

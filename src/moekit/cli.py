@@ -6,8 +6,9 @@ Each verb (params, route-bench, simulate, plan, distill, kd-demo) is a
 All verbs read an optional JSON config ({"seed", "model", "cluster",
 "options"}) and write CSV with a header row to --out or stdout. The option
 tables below (``CONFIG_TABLE``, ``MODEL_TABLE``, ``CLUSTER_TABLE`` and one
-``*_TABLE`` per verb) list every key with its kind, default and range, and
-``_section`` is the one place that checks config values against them.
+``*_TABLE`` per verb) list every key with its ``_contract`` rule, default
+and bound, and ``_section`` runs each row's rule on its config value, so a
+value meets the same rule as in a library call.
 Exit codes: 0 success; 2 config problems (unreadable JSON, an unknown key,
 or a value of the wrong kind or outside its row's range); 3 valid values
 that do not fit together (impossible plans, schedules or student depths) or
@@ -27,7 +28,7 @@ import sys
 import numpy as np
 
 from . import commsim, gating
-from ._contract import _array_size, _divisor, _is_finite, _is_int
+from ._contract import _array_size, _divisor, _instance, _int_in, _number_in, _one_of
 from .arch import (
     MoeModelConfig,
     ValidationError,
@@ -62,63 +63,46 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-# Option tables: key -> (kind, default, bound). A kind is one of the names
-# below or a tuple of allowed values; a bound is a _BOUNDS key or None.
+# Option tables: key -> (rule, default, *args). _section runs
+# rule(f"{where} {key}", value, *args, error=ConfigError): an int rule's arg is
+# its low (and high), a number rule's is `positive`, a type rule's the type.
 # Defaults are not checked; a callable default is computed from the rows
 # above it.
-INT = "an int"
-INT_OR_NULL = "an int or null"
-NUMBER = "a finite number"
-BOOL = "a bool"
-STR = "a string"
-INTS = "a list of ints"
-OBJECT = "an object"
 
 
-_KINDS = {
-    INT: _is_int,
-    INT_OR_NULL: lambda v: v is None or _is_int(v),
-    NUMBER: _is_finite,
-    BOOL: lambda v: isinstance(v, bool),
-    STR: lambda v: isinstance(v, str),
-    INTS: lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    OBJECT: lambda v: isinstance(v, dict),
-}
-_BOUNDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0}
+def _int_or_null(name: str, value, low: int, error) -> int | None:
+    """None, or ``_int_in(name, value, low)``."""
+    return None if value is None else _int_in(f"{name}, if not null,", value, low, error=error)
 
 
-def _fits(value, kind, bound) -> bool:
-    if isinstance(kind, tuple):  # type() keeps True from matching 1, and 1.0 from 1
-        return any(type(value) is type(allowed) and value == allowed for allowed in kind)
-    return _KINDS[kind](value) and (bound is None or value is None or _BOUNDS[bound](value))
+def _ints(name: str, value, low: int, error) -> list[int]:
+    """A list whose every entry passes ``_int_in(..., low)``."""
+    return [_int_in(f"{name} entry", v, low, error=error) for v in _instance(name, value, list, error)]
 
 
 def _section(raw: dict, table: dict, where: str) -> dict:
     """Check a config section (a dict) against its option table.
 
     Returns every key's value, with defaults for absent keys. An unknown key,
-    or a value that does not fit its row, raises ConfigError.
+    or a value that its row's rule refuses, raises ConfigError.
     """
     unknown = set(raw) - set(table)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
     values = {}
-    for key, (kind, default, bound) in table.items():
-        if key not in raw:
-            values[key] = default(values) if callable(default) else default
-        elif _fits(raw[key], kind, bound):
-            values[key] = raw[key]
+    for key, (rule, default, *args) in table.items():
+        if key in raw:
+            values[key] = rule(f"{where} {key}", raw[key], *args, error=ConfigError)
         else:
-            want = f"one of {list(kind)}" if isinstance(kind, tuple) else f"{kind} {bound or ''}"
-            raise ConfigError(f"{where} {key} must be {want.strip()}, got {raw[key]!r}")
+            values[key] = default(values) if callable(default) else default
     return values
 
 
 CONFIG_TABLE = {
-    "seed": (INT, DEFAULT_SEED, ">= 0"),
-    "model": (OBJECT, None, None),  # None: no model; verbs that need one say so
-    "cluster": (OBJECT, {}, None),
-    "options": (OBJECT, {}, None),
+    "seed": (_int_in, DEFAULT_SEED, 0),
+    "model": (_instance, None, dict),  # None: no model; verbs that need one say so
+    "cluster": (_instance, {}, dict),
+    "options": (_instance, {}, dict),
 }
 
 
@@ -138,17 +122,17 @@ def _load_config(path: str | None) -> dict:
 
 
 MODEL_TABLE = {
-    "preset": (STR, None, None),  # a preset name excludes every other model key
-    "num_layers": (INT, 24, ">= 1"),
-    "hidden": (INT, 1024, ">= 1"),
-    "heads": (INT, 16, ">= 1"),
-    "vocab": (INT, 50257, ">= 1"),
-    "context": (INT, 2048, ">= 1"),
-    "experts": (INT, None, ">= 1"),  # None with no expert_schedule: a dense model
-    "expert_schedule": (INTS, None, None),  # entries >= 1, checked by build_pr_moe
-    "residual": (BOOL, True, None),
-    "k": ((1, 2), 1, None),
-    "capacity_factor": (NUMBER, 1.0, "> 0"),
+    "preset": (_instance, None, str),  # a preset name excludes every other model key
+    "num_layers": (_int_in, 24, 1),
+    "hidden": (_int_in, 1024, 1),
+    "heads": (_int_in, 16, 1),
+    "vocab": (_int_in, 50257, 1),
+    "context": (_int_in, 2048, 1),
+    "experts": (_int_in, None, 1),  # None with no expert_schedule: a dense model
+    "expert_schedule": (_ints, None, 1),  # entries >= 1, as build_pr_moe needs
+    "residual": (_instance, True, bool),
+    "k": (_int_in, 1, 1, 2),
+    "capacity_factor": (_number_in, 1.0, True),
 }
 
 
@@ -191,12 +175,12 @@ def _build_model(raw: dict | None) -> MoeModelConfig | None:
 
 
 CLUSTER_TABLE = {
-    "nodes": (INT, 16, ">= 1"),
-    "gpus_per_node": (INT, 8, ">= 1"),
-    "intra_latency_s": (NUMBER, 1e-6, ">= 0"),
-    "intra_bandwidth_bytes_per_s": (NUMBER, 300e9, "> 0"),
-    "inter_latency_s": (NUMBER, 5e-6, ">= 0"),
-    "inter_bandwidth_bytes_per_s": (NUMBER, 50e9, "> 0"),
+    "nodes": (_int_in, 16, 1),
+    "gpus_per_node": (_int_in, 8, 1),
+    "intra_latency_s": (_number_in, 1e-6, False),
+    "intra_bandwidth_bytes_per_s": (_number_in, 300e9, True),
+    "inter_latency_s": (_number_in, 5e-6, False),
+    "inter_bandwidth_bytes_per_s": (_number_in, 50e9, True),
 }
 
 
@@ -275,11 +259,11 @@ ROUTE_HEADER = [
 
 
 ROUTE_TABLE = {
-    "tokens": (INT, 256, ">= 0"),
-    "experts": (INT, 8, ">= 1"),
-    "k": ((1, 2), 1, None),
-    "capacity_factor": (NUMBER, 1.0, "> 0"),
-    "instances": (INT, 20, ">= 0"),
+    "tokens": (_int_in, 256, 0),
+    "experts": (_int_in, 8, 1),
+    "k": (_int_in, 1, 1, 2),
+    "capacity_factor": (_number_in, 1.0, True),
+    "instances": (_int_in, 20, 0),
 }
 
 
@@ -336,13 +320,13 @@ SIM_HEADER = [
 
 
 SIM_TABLE = {
-    "schedule": (("flat", "hierarchical", "coordinated", "all"), "all", None),
-    "tensor_slice": (INT, 1, ">= 1"),
-    "tokens_per_rank": (INT, 8, ">= 0"),
-    "nbytes": (INT, 1024, ">= 0"),
-    "c1": (NUMBER, 1e-4, ">= 0"),
-    "c2": (NUMBER, 1e-3, ">= 0"),
-    "emit": (("summary", "trace"), "summary", None),
+    "schedule": (_one_of, "all", ("flat", "hierarchical", "coordinated", "all")),
+    "tensor_slice": (_int_in, 1, 1),
+    "tokens_per_rank": (_int_in, 8, 0),
+    "nbytes": (_int_in, 1024, 0),
+    "c1": (_number_in, 1e-4, False),
+    "c2": (_number_in, 1e-3, False),
+    "emit": (_one_of, "summary", ("summary", "trace")),
 }
 
 
@@ -410,9 +394,9 @@ PLAN_HEADER = [
 
 
 PLAN_TABLE = {
-    "latency_mode": (BOOL, False, None),
-    "tensor_slice": (INT, 1, ">= 1"),
-    "bytes_per_param": (NUMBER, 2, "> 0"),
+    "latency_mode": (_instance, False, bool),
+    "tensor_slice": (_int_in, 1, 1),
+    "bytes_per_param": (_number_in, 2, True),
 }
 
 
@@ -445,7 +429,7 @@ DISTILL_HEADER = [
 
 
 DISTILL_TABLE = {
-    "target_depth": (INT, None, None),  # None: three blocks below the teacher's depth
+    "target_depth": (_int_in, None, 1),  # None: three blocks below the teacher's depth
 }
 
 
@@ -469,12 +453,12 @@ KD_HEADER = ["seed", "staged_final_ce", "constant_final_ce", "staged_wins"]
 
 
 KD_TABLE = {
-    "seeds": (INT, 10, ">= 0"),
-    "steps": (INT, 200, ">= 1"),
-    "alpha": (NUMBER, 2.0, ">= 0"),
-    "boundary": (INT_OR_NULL, lambda opts: opts["steps"] // 2, None),  # null: no stage stop
-    "teacher_noise": (NUMBER, 1.2, ">= 0"),
-    "lr": (NUMBER, 0.05, "> 0"),
+    "seeds": (_int_in, 10, 0),
+    "steps": (_int_in, 200, 1),
+    "alpha": (_number_in, 2.0, False),
+    "boundary": (_int_or_null, lambda opts: opts["steps"] // 2, 0),  # null: no stage stop
+    "teacher_noise": (_number_in, 1.2, False),
+    "lr": (_number_in, 0.05, True),
 }
 
 

@@ -256,7 +256,7 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
 
 def _nll(logits: Tensor, labels) -> tuple[np.ndarray, np.ndarray, np.float64]:
     """(labels, row log-softmax, mean NLL), once labels are ints in [0, C), one per row, n > 0."""
-    labels = np.asarray(labels)
+    labels = _real_array("labels", labels, ShapeError)
     if labels.dtype.kind not in "iu":
         raise ShapeError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.ndim != 1 or labels.shape[0] != logits.rows:

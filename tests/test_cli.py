@@ -137,6 +137,9 @@ def test_missing_config_file_rejected(capsys):
         # an int past the largest float is not a finite number
         ("route-bench", {"options": {"tokens": 16, "instances": 1, "capacity_factor": 10**400}}),
         ("simulate", {"options": {"c1": 10**400}}),
+        # the library's own lower bounds: a stage boundary >= 0, a student depth >= 1
+        ("kd-demo", {"options": {"boundary": -1}}),
+        ("distill", {"model": {"preset": "1.3B+PR-MoE-64/128"}, "options": {"target_depth": 0}}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, verb, config):

@@ -20,9 +20,9 @@ from moekit.cli import main
 
 # The documented kind and lower bound of every config key, written out here
 # rather than read from cli.py so that the tables there are checked against it.
-# ("int", lo): an int >= lo, bools rejected (lo None: any int); ("num", ">0" or
-# ">=0"): a finite number; ("one of", values); "int|null", "bool", "str",
-# "ints" (a list of ints) and "object".
+# ("int", lo): an int >= lo, bools rejected; ("int|null", lo): that or null;
+# ("num", ">0" or ">=0"): a finite number; ("one of", values); "bool", "str",
+# "ints" (a list of ints >= 1) and "object".
 SPEC = {
     "config": {"seed": ("int", 0), "model": "object", "cluster": "object", "options": "object"},
     "model": {
@@ -68,12 +68,12 @@ SPEC = {
         "tensor_slice": ("int", 1),
         "bytes_per_param": ("num", ">0"),
     },
-    "distill": {"target_depth": ("int", None)},
+    "distill": {"target_depth": ("int", 1)},
     "kd-demo": {
         "seeds": ("int", 0),
         "steps": ("int", 1),
         "alpha": ("num", ">=0"),
-        "boundary": "int|null",
+        "boundary": ("int|null", 0),
         "teacher_noise": ("num", ">=0"),
         "lr": ("num", ">0"),
     },
@@ -109,13 +109,14 @@ def malformed(kind):
     if kind == "bool":
         return st.one_of(TEXT, st.integers(), st.floats(), JUNK)
     if kind == "ints":
-        bad_entry = st.one_of(TEXT, st.floats(), st.booleans(), st.none())
+        bad_entry = st.one_of(TEXT, st.floats(), st.booleans(), st.none(), st.integers(max_value=0))
         # twelve entries, as the default 24-layer stack needs, so only one entry is wrong
         bad_list = st.builds(lambda bad: [8] * 11 + [bad], bad_entry)
         return st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none(), bad_list)
-    if kind == "int|null":
-        return st.one_of(TEXT, st.floats(), st.booleans(), st.lists(st.integers(), max_size=2))
     name, arg = kind
+    if name == "int|null":
+        below = [st.just(arg - 1), st.integers(max_value=arg - 1)]
+        return st.one_of(TEXT, st.floats(), st.booleans(), st.lists(st.integers(), max_size=2), *below)
     if name == "one of":
         return st.one_of(
             TEXT.filter(lambda v: v not in arg),
@@ -125,7 +126,7 @@ def malformed(kind):
             JUNK,
         )
     if name == "int":
-        below = [] if arg is None else [st.just(arg - 1), st.integers(max_value=arg - 1)]
+        below = [st.just(arg - 1), st.integers(max_value=arg - 1)]
         return st.one_of(TEXT, st.floats(), st.booleans(), JUNK, *below)
     if arg == ">0":
         below = [st.sampled_from([0, 0.0, -0.0]), st.floats(max_value=0.0)]
@@ -150,13 +151,13 @@ def valid(key, kind):
         return st.sampled_from(["1.3B+MoE-128", "dense-350M", "nonesuch"])
     if kind == "ints":
         return st.lists(st.integers(1, 8), max_size=13)
-    if kind == "int|null":
-        return st.one_of(st.none(), st.integers(-2, 3))
     name, arg = kind
+    if name == "int|null":
+        return st.one_of(st.none(), st.integers(arg, 3))
     if name == "one of":
         return st.sampled_from(arg)
     if name == "int":
-        return st.integers(-2 if arg is None else arg, 3)
+        return st.integers(arg, 3)
     low = 5e-324 if arg == ">0" else 0.0
     return st.one_of(st.integers(1, 3), st.floats(low, 1e308))
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import moekit
-from moekit import _contract, arch, gating
+from moekit import _contract, arch, cli, gating
 from moekit.arch import (
     FfnParams,
     LayerSpec,
@@ -149,12 +149,19 @@ CASES = [
     pytest.param(gelu, ("x",), ShapeError, id="gelu-str"),
     pytest.param(kd_loss, (STUDENT, TEACHER * 1j, LABELS, 1.0), ShapeError, id="kd-loss-teacher-complex"),
     pytest.param(load_balance_loss, (DISPATCH, GATE.probs * 1j), ShapeError, id="balance-probs-complex"),
+    # ragged nested lists, which numpy refuses with a bare ValueError
+    pytest.param(Tensor, ([[0.0], [1.0, 2.0]],), ShapeError, id="tensor-ragged"),
+    pytest.param(gating.top_k_gate, ([[0.0], [1.0, 2.0]], GATE_CFG), ShapeError, id="gate-logits-ragged"),
+    pytest.param(gating.scatter_tokens, ([[0.0], [1.0, 2.0]], DISPATCH), ShapeError, id="scatter-batch-ragged"),
+    pytest.param(load_balance_loss, (DISPATCH, [[0.0], [1.0, 2.0]]), ShapeError, id="balance-probs-ragged"),
+    pytest.param(cross_entropy, (Tensor(np.zeros((2, 3))), [[0], [1, 2]]), ShapeError, id="ce-labels-ragged"),
     # the blend weight and temperature of kd_loss, which kd_objective passes on
     pytest.param(kd_loss, (STUDENT, TEACHER, LABELS, math.nan), ShapeError, id="kd-loss-alpha-nan"),
     pytest.param(kd_loss, (STUDENT, TEACHER, LABELS, 1.0, 0.0), ShapeError, id="kd-loss-temperature-0"),
     pytest.param(kd_loss, (STUDENT, TEACHER, LABELS, 1.0, -1.0), ShapeError, id="kd-loss-temperature-negative"),
     # a stream whose held-out set is past numpy's array size
     pytest.param(SyntheticStream, (4, 4, 10**30), ValidationError, id="stream-batch-past-array-size"),
+    pytest.param(ToyModel.create, (10**30, 4), ValidationError, id="toy-hidden-past-array-size"),
     # a stack deeper than dense_config builds, refused before any layer is built
     pytest.param(dense_config, (10**20, 8, 2), ValidationError, id="dense-layers-10e20"),
     pytest.param(dense_config, (arch.MAX_LAYERS + 1, 8, 2), ValidationError, id="dense-layers-past-bound"),
@@ -167,6 +174,8 @@ CASES = [
     pytest.param(dense_config, (2, 8, 2, 16, None), ValidationError, id="dense-context-none"),
     pytest.param(dense_config, (0, 0, 2), ValidationError, id="dense-hidden-0-no-layers"),
     pytest.param(MoeModelConfig, (8, 2.0, 16, 8, ()), ValidationError, id="model-heads-float"),
+    pytest.param(MoeModelConfig, (8, 2, 16, 8, (None,)), ValidationError, id="model-layer-none"),
+    pytest.param(MoeModelConfig, (8, 2, 16, 8, 5), ValidationError, id="model-layers-int"),
     # the builders: a MoeModelConfig base and int expert counts >= 1
     pytest.param(build_standard, (BASE, "4"), ValidationError, id="standard-experts-str"),
     pytest.param(build_standard, (BASE, None), ValidationError, id="standard-experts-none"),
@@ -271,7 +280,7 @@ def test_index_protocol_int_behaves_like_its_plain_int_twin(make):
 
 RULES = (
     "ValidationError", "_is_int", "_as_int", "_int_in", "_is_finite", "_number_in", "_instance",
-    "_real_array", "_divisor", "_array_size", "_uint",
+    "_one_of", "_real_array", "_divisor", "_array_size", "_uint",
 )
 
 
@@ -290,21 +299,32 @@ def test_one_validation_error_class():
     assert copies == []
 
 
-def test_finite_rule_is_named_only_by_the_number_rule_and_the_cli_kinds():
+def test_finite_rule_is_named_only_by_the_number_rule():
     # every other site checks a number through _number_in, so its message has one form
     named = []
     for path in sorted(Path(moekit.__file__).parent.glob("*.py")):
         if path.name == "_contract.py":
             continue
-        tree = ast.parse(path.read_text())
-        kinds = [n for n in tree.body if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == "_KINDS"]
-        allowed = {id(node) for k in kinds for node in ast.walk(k)} if path.name == "cli.py" else set()
         named += [
             f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if "_is_finite" in (getattr(node, "id", None), getattr(node, "attr", None)) and id(node) not in allowed
+            for node in ast.walk(ast.parse(path.read_text()))
+            if "_is_finite" in (getattr(node, "id", None), getattr(node, "attr", None))
         ]
     assert named == []
+
+
+def test_every_cli_option_row_is_a_contract_rule():
+    # a config value meets the rule a library call applies, so the CLI keeps no second copy
+    rules = {getattr(_contract, name) for name in RULES if name != "ValidationError"} | {cli._int_or_null, cli._ints}
+    tables = {name: table for name, table in vars(cli).items() if name.endswith("_TABLE")}
+    assert len(tables) == 8  # config, model, cluster and one per verb that takes options
+    bad = [
+        f"{name}.{key}"
+        for name, table in tables.items()
+        for key, row in table.items()
+        if not (isinstance(row, tuple) and len(row) >= 2 and row[0] in rules)
+    ]
+    assert bad == []
 
 
 PLACEMENT = plan(MODEL, TOPOLOGY)
