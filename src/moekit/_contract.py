@@ -1,12 +1,18 @@
 """The input rules of every moekit module: a public entry point checks its inputs once,
 with these, and raises its own module's error naming the argument. One rule per kind:
-``_int_in`` (an int), ``_number_in`` (a finite number), ``_instance`` (a type),
-``_one_of`` (one of a few values), ``_real_array`` (a real-valued array), ``_divisor``
-(a divisor of the world) and ``_array_size`` (a shape numpy can allocate).
+``_int_in`` (an int), ``_int_or_null`` (that or None), ``_ints`` (a list of ints),
+``_number_in`` (a finite number), ``_instance`` (a type), ``_one_of`` (one of a few
+values), ``_real_array`` (a real-valued array), ``_divisor`` (a divisor of the world) and
+``_array_size`` (a shape numpy can allocate).
+
+``_checked`` declares each parameter's rule once, beside its dataclass or function; the
+CLI's option tables read a key's rule from there and its default from the signature.
 ``ValidationError`` is public as ``gating.ValidationError`` and ``arch.ValidationError``."""
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import numbers
 import operator
@@ -43,6 +49,17 @@ def _int_in(name: str, value, low: int, high: int | None = None, error=Validatio
     return value
 
 
+def _int_or_null(name: str, value, low: int, error=ValidationError) -> int | None:
+    """None, or ``_int_in(name, value, low)``."""
+    return None if value is None else _int_in(f"{name}, if not null,", value, low, error=error)
+
+
+def _ints(name: str, value, low: int, error=ValidationError) -> tuple[int, ...]:
+    """The entries of a list or tuple, as a tuple, once each passes ``_int_in(..., low)``."""
+    entries = _instance(name, value, (list, tuple), error)
+    return tuple(_int_in(f"{name} entry", v, low, error=error) for v in entries)
+
+
 def _is_finite(value) -> bool:
     """A real number, not a bool, that converts to a finite float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -64,7 +81,7 @@ def _instance(name: str, value, kind, error=ValidationError):
     """``value``, once ``isinstance(value, kind)`` (a type or tuple of types); else ``error``."""
     if not isinstance(value, kind):
         kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise error(f"{name} must be a {kinds}, got {type(value).__name__}")
+        raise error(f"{name} must be a{'n' * (kinds[0] in 'AEIOU')} {kinds}, got {type(value).__name__}")
     return value
 
 
@@ -101,6 +118,45 @@ def _array_size(name: str, shape: tuple[int, ...], error) -> None:
     past that, numpy raises its own ValueError, not MemoryError."""
     if max(*shape, math.prod(shape) * 8) > np.iinfo(np.intp).max:
         raise error(f"{name} of shape {shape} is past numpy's array size")
+
+
+def _checked(error, *sources, **rules):
+    """Declare the rules of a dataclass's fields or a function's parameters, ``name=(rule,
+    *args)``, into ``owner._declared``; a parameter that a ``source`` owner also declares,
+    and is passed on to, takes its rule. In parameter order, ``rule(name, value, *args,
+    error=error)`` replaces each value: a dataclass's before its own ``__post_init__``
+    (``@dataclass`` goes above), a function's on its bound call, defaults included."""
+
+    def declare(owner):
+        signature = None if isinstance(owner, type) else inspect.signature(owner)
+        names = list(owner.__annotations__ if signature is None else signature.parameters)
+        shared = {name: rule for src in sources for name, rule in src._declared.items() if name in names}
+        declared = dict(sorted({**shared, **rules}.items(), key=lambda item: names.index(item[0])))
+        checks = [(name, rule, args) for name, (rule, *args) in declared.items()]
+        if signature is None:
+            own = getattr(owner, "__post_init__", None)
+
+            def __post_init__(self) -> None:
+                for name, rule, args in checks:  # object.__setattr__: frozen fields too
+                    object.__setattr__(self, name, rule(name, getattr(self, name), *args, error=error))
+                if own is not None:
+                    own(self)
+
+            owner.__post_init__, checked = __post_init__, owner
+        else:
+
+            @functools.wraps(owner)
+            def checked(*args, **kwargs):
+                call = signature.bind(*args, **kwargs)
+                call.apply_defaults()
+                for name, rule, rule_args in checks:
+                    call.arguments[name] = rule(name, call.arguments[name], *rule_args, error=error)
+                return owner(*call.args, **call.kwargs)
+
+        checked._declared = declared
+        return checked
+
+    return declare
 
 
 def _uint(key: np.ndarray, bound: int) -> np.ndarray:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tk
-from ._contract import ValidationError, _array_size, _instance, _int_in, _one_of, _real_array
+from ._contract import ValidationError, _array_size, _checked, _instance, _int_in, _ints, _one_of, _real_array
 from .gating import DispatchPlan, GatingConfig, _kept_assignments, top_k_gate
 from .tensor import Tensor
 
@@ -72,6 +72,10 @@ MAX_LAYERS = 10_000  # deepest stack dense_config builds
 
 
 @dataclass(frozen=True)
+@_checked(
+    ValidationError, kind=(_one_of, ("dense", "moe")), hidden=(_int_in, 1), experts=(_int_in, 0),
+    residual=(_instance, bool),
+)
 class LayerSpec:
     """One transformer block. kind is "dense" or "moe"."""
 
@@ -82,10 +86,6 @@ class LayerSpec:
     gating: GatingConfig | None = None
 
     def __post_init__(self) -> None:
-        _one_of("kind", self.kind, ("dense", "moe"))
-        _instance("residual", self.residual, bool)
-        object.__setattr__(self, "hidden", _int_in("hidden width", self.hidden, 1))
-        object.__setattr__(self, "experts", _int_in("expert count", self.experts, 0))
         if self.kind == "moe":
             if _instance("gating", self.gating, GatingConfig).num_experts != self.experts:
                 raise ValidationError("gating config expert count mismatch")
@@ -95,6 +95,10 @@ class LayerSpec:
 
 
 @dataclass(frozen=True)
+@_checked(
+    ValidationError, hidden=(_int_in, 1), heads=(_int_in, 1), vocab=(_int_in, 1), context=(_int_in, 1),
+    layers=(_instance, (tuple, list)),
+)
 class MoeModelConfig:
     """Immutable model description: one LayerSpec per block of the stack."""
 
@@ -105,9 +109,8 @@ class MoeModelConfig:
     layers: tuple[LayerSpec, ...]
 
     def __post_init__(self) -> None:
-        for name in ("hidden", "heads", "vocab", "context"):
-            object.__setattr__(self, name, _int_in(name, getattr(self, name), 1))
-        for spec in _instance("layers", self.layers, (tuple, list)):
+        object.__setattr__(self, "layers", tuple(self.layers))  # a list twin is the same config
+        for spec in self.layers:
             if _instance("layer", spec, LayerSpec).hidden != self.hidden:
                 raise ValidationError("per-layer hidden width must match the model width")
 
@@ -133,6 +136,7 @@ class ParamCount:
 # ---------------------------------------------------------------------------
 
 
+@_checked(ValidationError, MoeModelConfig, num_layers=(_int_in, 0, MAX_LAYERS))
 def dense_config(
     num_layers: int,
     hidden: int,
@@ -145,26 +149,16 @@ def dense_config(
     ``num_layers`` must be an int in [0, MAX_LAYERS]: the stack is built
     layer by layer, so a deeper one would not finish.
     """
-    num_layers = _int_in("num_layers", num_layers, 0, MAX_LAYERS)
     layers = tuple(LayerSpec(kind="dense", hidden=hidden) for _ in range(num_layers))
     return MoeModelConfig(hidden=hidden, heads=heads, vocab=vocab, context=context, layers=layers)
 
 
-def _routed_layer(base: MoeModelConfig, experts: int, residual: bool, k: int, cf: float) -> LayerSpec:
-    return LayerSpec(
-        kind="moe",
-        hidden=base.hidden,
-        experts=experts,
-        residual=residual,
-        gating=GatingConfig(num_experts=experts, k=k, capacity_factor=cf),
-    )
-
-
+@_checked(ValidationError, GatingConfig, base=(_instance, MoeModelConfig))
 def build_standard(
     base: MoeModelConfig,
     num_experts: int,
-    k: int = 1,
-    capacity_factor: float = 1.0,
+    k: int = GatingConfig.k,
+    capacity_factor: float = GatingConfig.capacity_factor,
 ) -> MoeModelConfig:
     """Uniform expert count on every other feed-forward layer.
 
@@ -172,44 +166,37 @@ def build_standard(
     num_layers L yields L/2 routed layers. This is ``build_pr_moe`` with a
     uniform schedule and no residual.
     """
-    num_experts = _int_in("num_experts", num_experts, 1)
-    schedule = (num_experts,) * (_instance("base", base, MoeModelConfig).num_layers // 2)
+    schedule = (num_experts,) * (base.num_layers // 2)
     return build_pr_moe(base, schedule, residual=False, k=k, capacity_factor=capacity_factor)
 
 
+@_checked(
+    ValidationError, LayerSpec, GatingConfig, base=(_instance, MoeModelConfig), expert_schedule=(_ints, 1)
+)
 def build_pr_moe(
     base: MoeModelConfig,
     expert_schedule: tuple[int, ...],
     residual: bool = True,
-    k: int = 1,
-    capacity_factor: float = 1.0,
+    k: int = GatingConfig.k,
+    capacity_factor: float = GatingConfig.capacity_factor,
 ) -> MoeModelConfig:
     """Pyramid layout: one schedule entry per routed layer, shallow to deep.
 
     The schedule must be non-decreasing (later layers may hold more experts,
     never fewer). With a uniform schedule and residual=False this reduces to
-    ``build_standard`` exactly.
+    ``build_standard`` exactly. Every argument passes its rule (``residual`` a routed
+    layer's, ``k`` and ``capacity_factor`` its gate's) before any layer is built.
     """
-    if _instance("base", base, MoeModelConfig).num_layers % 2 != 0:
+    if base.num_layers % 2 != 0:
         raise ValidationError("base stack must have an even layer count")
-    _instance("expert schedule", expert_schedule, (tuple, list))
-    # every entry is an int before the non-decreasing test compares them
-    schedule = tuple(_int_in("schedule entry", e, 1) for e in expert_schedule)
-    expected = base.num_layers // 2
-    if len(schedule) != expected:
-        raise ValidationError(f"schedule has {len(schedule)} entries, stack needs {expected}")
+    schedule = expert_schedule  # a tuple of ints, by its rule
+    if len(schedule) != base.num_layers // 2:
+        raise ValidationError(f"schedule has {len(schedule)} entries, stack needs {base.num_layers // 2}")
     if any(b < a for a, b in zip(schedule, schedule[1:])):
         raise ValidationError("expert schedule must be non-decreasing with depth")
-    # residual, k and capacity_factor pass a routed layer's own rules before any layer
-    # is built, routed or not; two experts admit every k the routing rule allows
-    _routed_layer(base, 2, residual, k, capacity_factor)
-    entries = iter(schedule)
-    layers = tuple(
-        _routed_layer(base, next(entries), residual, k, capacity_factor)
-        if i % 2 == 1
-        else LayerSpec(kind="dense", hidden=base.hidden)
-        for i in range(base.num_layers)
-    )
+    gates = (GatingConfig(e, k, capacity_factor) for e in schedule)
+    routed = (LayerSpec("moe", base.hidden, g.num_experts, residual, g) for g in gates)
+    layers = tuple(next(routed) if i % 2 else LayerSpec("dense", base.hidden) for i in range(base.num_layers))
     return replace(base, layers=layers)
 
 

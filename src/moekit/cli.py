@@ -7,8 +7,10 @@ All verbs read an optional JSON config ({"seed", "model", "cluster",
 "options"}) and write CSV with a header row to --out or stdout. The option
 tables below (``CONFIG_TABLE``, ``MODEL_TABLE``, ``CLUSTER_TABLE`` and one
 ``*_TABLE`` per verb) list every key with its ``_contract`` rule, default
-and bound, and ``_section`` runs each row's rule on its config value, so a
-value meets the same rule as in a library call.
+and bound, and ``_section`` runs each row's rule on its config value. A key
+that feeds a library parameter reads its row from that parameter's
+declaration (``_param``), so a value meets the rule, bound and default of
+the library call; only the CLI's own keys spell out a rule.
 Exit codes: 0 success; 2 config problems (unreadable JSON, an unknown key,
 or a value of the wrong kind or outside its row's range); 3 valid values
 that do not fit together (impossible plans, schedules or student depths) or
@@ -21,6 +23,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import inspect
 import json
 import os
 import sys
@@ -28,17 +31,9 @@ import sys
 import numpy as np
 
 from . import commsim, gating
-from ._contract import _array_size, _divisor, _instance, _int_in, _number_in, _one_of
-from .arch import (
-    MoeModelConfig,
-    ValidationError,
-    build_pr_moe,
-    build_standard,
-    count_flops_per_token,
-    count_params,
-    dense_config,
-    load_balance_loss,
-)
+from ._contract import _array_size, _divisor, _instance, _int_in, _one_of
+from .arch import MoeModelConfig, ValidationError, build_pr_moe, build_standard, dense_config
+from .arch import count_flops_per_token, count_params, load_balance_loss
 from .commsim import CostModel, ScheduleError
 from .distill import TrainingError, derive_student, staged_vs_constant
 from .planner import ClusterTopology, LinkSpec, PlanError, memory_per_device, plan
@@ -70,14 +65,16 @@ class ConfigError(ValueError):
 # above it.
 
 
-def _int_or_null(name: str, value, low: int, error) -> int | None:
-    """None, or ``_int_in(name, value, low)``."""
-    return None if value is None else _int_in(f"{name}, if not null,", value, low, error=error)
+def _default(owner, name: str):
+    """The default of parameter ``name`` of a function or dataclass ``owner``."""
+    return inspect.signature(owner).parameters[name].default
 
 
-def _ints(name: str, value, low: int, error) -> list[int]:
-    """A list whose every entry passes ``_int_in(..., low)``."""
-    return [_int_in(f"{name} entry", v, low, error=error) for v in _instance(name, value, list, error)]
+def _param(owner, name: str, *default) -> tuple:
+    """The row of a key that feeds ``owner``'s parameter ``name``: its declared rule and
+    args, and its library default (``default`` only where the library has none)."""
+    rule, *args = owner._declared[name]
+    return (rule, *(default or (_default(owner, name),)), *args)
 
 
 def _section(raw: dict, table: dict, where: str) -> dict:
@@ -123,16 +120,16 @@ def _load_config(path: str | None) -> dict:
 
 MODEL_TABLE = {
     "preset": (_instance, None, str),  # a preset name excludes every other model key
-    "num_layers": (_int_in, 24, 1),
-    "hidden": (_int_in, 1024, 1),
-    "heads": (_int_in, 16, 1),
-    "vocab": (_int_in, 50257, 1),
-    "context": (_int_in, 2048, 1),
-    "experts": (_int_in, None, 1),  # None with no expert_schedule: a dense model
-    "expert_schedule": (_ints, None, 1),  # entries >= 1, as build_pr_moe needs
-    "residual": (_instance, True, bool),
-    "k": (_int_in, 1, 1, 2),
-    "capacity_factor": (_number_in, 1.0, True),
+    "num_layers": (_int_in, 24, 1),  # unlike dense_config, no empty stack
+    "hidden": _param(dense_config, "hidden", 1024),
+    "heads": _param(dense_config, "heads", 16),
+    "vocab": _param(dense_config, "vocab"),
+    "context": _param(dense_config, "context"),
+    "experts": _param(build_standard, "num_experts", None),  # None with no expert_schedule: a dense model
+    "expert_schedule": _param(build_pr_moe, "expert_schedule", None),
+    "residual": _param(build_pr_moe, "residual"),
+    "k": _param(build_pr_moe, "k"),
+    "capacity_factor": _param(build_pr_moe, "capacity_factor"),
 }
 
 
@@ -156,17 +153,9 @@ def _build_model(raw: dict | None) -> MoeModelConfig | None:
         raise ConfigError("model takes either experts or expert_schedule, not both")
     k, cf = m["k"], m["capacity_factor"]
     try:
-        base = dense_config(
-            num_layers=m["num_layers"],
-            hidden=m["hidden"],
-            heads=m["heads"],
-            vocab=m["vocab"],
-            context=m["context"],
-        )
+        base = dense_config(*(m[key] for key in ("num_layers", "hidden", "heads", "vocab", "context")))
         if m["expert_schedule"] is not None:
-            return build_pr_moe(
-                base, tuple(m["expert_schedule"]), residual=m["residual"], k=k, capacity_factor=cf
-            )
+            return build_pr_moe(base, m["expert_schedule"], residual=m["residual"], k=k, capacity_factor=cf)
         if m["experts"] is not None:
             return build_standard(base, m["experts"], k=k, capacity_factor=cf)
         return base
@@ -174,24 +163,23 @@ def _build_model(raw: dict | None) -> MoeModelConfig | None:
         raise ConfigError(f"bad model section: {e}") from e
 
 
+_LINKS, _LINK_FIELDS = ("intra", "inter"), ("latency_s", "bandwidth_bytes_per_s")
 CLUSTER_TABLE = {
-    "nodes": (_int_in, 16, 1),
-    "gpus_per_node": (_int_in, 8, 1),
-    "intra_latency_s": (_number_in, 1e-6, False),
-    "intra_bandwidth_bytes_per_s": (_number_in, 300e9, True),
-    "inter_latency_s": (_number_in, 5e-6, False),
-    "inter_bandwidth_bytes_per_s": (_number_in, 50e9, True),
+    "nodes": _param(ClusterTopology, "nodes", 16),
+    "gpus_per_node": _param(ClusterTopology, "gpus_per_node", 8),
+    # each link key defaults to its field of the topology's default link
+    **{
+        f"{link}_{name}": _param(LinkSpec, name, getattr(_default(ClusterTopology, f"{link}_link"), name))
+        for link in _LINKS
+        for name in _LINK_FIELDS
+    },
 }
 
 
 def _build_cluster(raw: dict) -> ClusterTopology:
     c = _section(raw, CLUSTER_TABLE, "cluster")
-    return ClusterTopology(
-        nodes=c["nodes"],
-        gpus_per_node=c["gpus_per_node"],
-        intra_link=LinkSpec(c["intra_latency_s"], c["intra_bandwidth_bytes_per_s"]),
-        inter_link=LinkSpec(c["inter_latency_s"], c["inter_bandwidth_bytes_per_s"]),
-    )
+    links = {f"{link}_link": LinkSpec(*(c[f"{link}_{name}"] for name in _LINK_FIELDS)) for link in _LINKS}
+    return ClusterTopology(nodes=c["nodes"], gpus_per_node=c["gpus_per_node"], **links)
 
 
 def _open_out(path: str | None):
@@ -259,10 +247,10 @@ ROUTE_HEADER = [
 
 
 ROUTE_TABLE = {
-    "tokens": (_int_in, 256, 0),
-    "experts": (_int_in, 8, 1),
-    "k": (_int_in, 1, 1, 2),
-    "capacity_factor": (_number_in, 1.0, True),
+    "tokens": _param(gating.build_dispatch_plan, "num_tokens", 256),
+    "experts": _param(gating.GatingConfig, "num_experts", 8),
+    "k": _param(gating.GatingConfig, "k"),
+    "capacity_factor": _param(gating.GatingConfig, "capacity_factor"),
     "instances": (_int_in, 20, 0),
 }
 
@@ -271,9 +259,7 @@ def _cmd_route_bench(args, model, cluster, opts) -> int:
     """routing statistics and one-hot oracle error on random batches"""
     tokens, experts, k = opts["tokens"], opts["experts"], opts["k"]
     try:
-        gcfg = gating.GatingConfig(
-            num_experts=experts, k=k, capacity_factor=opts["capacity_factor"]
-        )
+        gcfg = gating.GatingConfig(num_experts=experts, k=k, capacity_factor=opts["capacity_factor"])
     except ValidationError as e:
         raise ConfigError(f"bad routing options: {e}") from e
 
@@ -322,10 +308,10 @@ SIM_HEADER = [
 SIM_TABLE = {
     "schedule": (_one_of, "all", ("flat", "hierarchical", "coordinated", "all")),
     "tensor_slice": (_int_in, 1, 1),
-    "tokens_per_rank": (_int_in, 8, 0),
-    "nbytes": (_int_in, 1024, 0),
-    "c1": (_number_in, 1e-4, False),
-    "c2": (_number_in, 1e-3, False),
+    "tokens_per_rank": _param(commsim.synthetic_sends, "per_rank", 8),
+    "nbytes": _param(commsim.synthetic_sends, "nbytes"),
+    "c1": _param(CostModel, "c1"),
+    "c2": _param(CostModel, "c2"),
     "emit": (_one_of, "summary", ("summary", "trace")),
 }
 
@@ -394,9 +380,9 @@ PLAN_HEADER = [
 
 
 PLAN_TABLE = {
-    "latency_mode": (_instance, False, bool),
-    "tensor_slice": (_int_in, 1, 1),
-    "bytes_per_param": (_number_in, 2, True),
+    "latency_mode": _param(plan, "latency_mode"),
+    "tensor_slice": (_int_in, _default(plan, "tensor_slice"), 1),  # plan refuses a non-divisor, exit 3
+    "bytes_per_param": _param(memory_per_device, "bytes_per_param"),
 }
 
 
@@ -404,9 +390,7 @@ def _cmd_plan(args, model, cluster, opts) -> int:
     """cluster placement for a model, with per-device memory"""
     if model is None:
         raise ConfigError("plan needs a model (preset or config)")
-    built = plan(
-        model, cluster, latency_mode=opts["latency_mode"], tensor_slice=opts["tensor_slice"]
-    )
+    built = plan(model, cluster, latency_mode=opts["latency_mode"], tensor_slice=opts["tensor_slice"])
     est = memory_per_device(built, model, bytes_per_param=opts["bytes_per_param"])
     memory = [est.expert_bytes, est.non_expert_bytes, est.total_bytes]  # the same on every row
     rows = [
@@ -454,25 +438,19 @@ KD_HEADER = ["seed", "staged_final_ce", "constant_final_ce", "staged_wins"]
 
 KD_TABLE = {
     "seeds": (_int_in, 10, 0),
-    "steps": (_int_in, 200, 1),
-    "alpha": (_number_in, 2.0, False),
-    "boundary": (_int_or_null, lambda opts: opts["steps"] // 2, 0),  # null: no stage stop
-    "teacher_noise": (_number_in, 1.2, False),
-    "lr": (_number_in, 0.05, True),
+    "steps": _param(staged_vs_constant, "steps"),
+    "alpha": _param(staged_vs_constant, "alpha"),
+    # null: no stage stop
+    "boundary": _param(staged_vs_constant, "boundary", lambda opts: opts["steps"] // 2),
+    "teacher_noise": _param(staged_vs_constant, "teacher_noise"),
+    "lr": _param(staged_vs_constant, "lr"),
 }
 
 
 def _cmd_kd_demo(args, model, cluster, opts) -> int:
     """staged vs constant teacher-blend comparison on the toy task"""
-    seeds = range(args.seed, args.seed + opts["seeds"])
-    finals = staged_vs_constant(
-        seeds,
-        steps=opts["steps"],
-        alpha=opts["alpha"],
-        boundary=opts["boundary"],
-        teacher_noise=opts["teacher_noise"],
-        lr=opts["lr"],
-    )
+    seeds = range(args.seed, args.seed + opts.pop("seeds"))
+    finals = staged_vs_constant(seeds, **opts)  # every other key is a staged_vs_constant keyword
     rows = [
         [seed, staged, constant, int(staged < constant)]
         for seed, (staged, constant) in zip(seeds, finals)

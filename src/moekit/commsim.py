@@ -64,7 +64,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._contract import _array_size, _divisor, _instance, _int_in, _is_int, _number_in, _uint
+from ._contract import _array_size, _checked, _divisor, _instance, _int_in, _is_int, _number_in, _uint
 from .planner import ClusterTopology
 
 __all__ = [
@@ -104,15 +104,12 @@ class Item(NamedTuple):
 
 
 @dataclass(frozen=True)
+@_checked(ScheduleError, c1=(_number_in,), c2=(_number_in,))
 class CostModel:
     """Normalized schedule cost: c1 per round, c2 per full payload volume."""
 
     c1: float = 1e-4
     c2: float = 1e-3
-
-    def __post_init__(self) -> None:
-        for name in ("c1", "c2"):
-            _number_in(name, getattr(self, name), error=ScheduleError)
 
 
 @dataclass(frozen=True)
@@ -349,12 +346,9 @@ def _deliver(entries, src, dst, token, ranks: int, slice_: int, share) -> tuple[
     return tuple(by_replica[t][grp] for grp in range(ranks) for t in range(slice_))
 
 
-def synthetic_sends(
-    world: int, per_rank: int, nbytes: int = 1024, seed: int = 0
-) -> list[list[Item]]:
+@_checked(ScheduleError, world=(_int_in, 1), per_rank=(_int_in, 0), nbytes=(_int_in, 0), seed=(_int_in, 0))
+def synthetic_sends(world: int, per_rank: int, nbytes: int = 1024, seed: int = 0) -> list[list[Item]]:
     """Random but seeded payload: per_rank items per rank, uniform dst."""
-    sizes = (("world", world, 1), ("per_rank", per_rank, 0), ("nbytes", nbytes, 0), ("seed", seed, 0))
-    world, per_rank, nbytes, seed = (_int_in(*size, error=ScheduleError) for size in sizes)
     # the (world, per_rank) int64 draw must fit numpy's array size, so every token id fits int64
     _array_size("payload draw", (world, per_rank), ScheduleError)
     dsts = np.random.default_rng(seed).integers(world, size=(world, per_rank)).tolist()

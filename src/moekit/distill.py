@@ -36,14 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tk
-from .arch import (
-    LayerSpec,
-    MoeModelConfig,
-    ValidationError,
-    forward_layer,
-    init_layer_params,
-)
-from ._contract import _array_size, _instance, _int_in, _number_in
+from .arch import LayerSpec, MoeModelConfig, ValidationError, forward_layer, init_layer_params
+from ._contract import _array_size, _checked, _instance, _int_in, _int_or_null, _number_in
 from .gating import GatingConfig
 from .tensor import GradTape, NonFiniteError, Tensor
 
@@ -80,6 +74,9 @@ class TrainingError(RuntimeError):
 
 
 @dataclass(frozen=True)
+@_checked(
+    ValidationError, alpha=(_number_in,), stage_boundary=(_int_or_null, 0), temperature=(_number_in, True)
+)
 class KDConfig:
     """Distillation blend: weight, hard stop boundary, softmax temperature.
 
@@ -90,12 +87,6 @@ class KDConfig:
     alpha: float = 1.0
     stage_boundary: int | None = None  # None: never stop
     temperature: float = 1.0
-
-    def __post_init__(self) -> None:
-        _number_in("alpha", self.alpha)
-        _number_in("temperature", self.temperature, positive=True)
-        if self.stage_boundary is not None:
-            object.__setattr__(self, "stage_boundary", _int_in("stage_boundary", self.stage_boundary, 0))
 
     def effective_alpha(self, step: int) -> float:
         if self.stage_boundary is not None and step >= self.stage_boundary:
@@ -163,6 +154,10 @@ def derive_student(teacher: MoeModelConfig, target_depth: int) -> StudentPlan:
 
 
 @dataclass
+@_checked(
+    ValidationError, hidden=(_int_in, 1), vocab=(_int_in, 1), batch=(_int_in, 1), seed=(_int_in, 0),
+    teacher_noise=(_number_in,),
+)
 class SyntheticStream:
     """Seeded classification stream with an imperfect teacher.
 
@@ -179,9 +174,6 @@ class SyntheticStream:
     teacher_noise: float = 0.8
 
     def __post_init__(self) -> None:
-        for name, low in (("hidden", 1), ("vocab", 1), ("batch", 1), ("seed", 0)):
-            setattr(self, name, _int_in(name, getattr(self, name), low))
-        _number_in("teacher_noise", self.teacher_noise)
         for shape in ((self.hidden, self.vocab), (4 * self.batch, max(self.hidden, self.vocab))):
             _array_size("stream array", shape, ValidationError)  # the maps; the held-out set, its logits
         rng = np.random.default_rng(self.seed)
@@ -263,14 +255,11 @@ class StepRecord:
 
 
 @dataclass(frozen=True)
+@_checked(ValidationError, steps=(_int_in, 1), lr=(_number_in, True))
 class ToyTrainConfig:
     kd: KDConfig
     steps: int = 200
     lr: float = 0.05
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", _int_in("steps", self.steps, 1))
-        _number_in("lr", self.lr, positive=True)
 
 
 def train_toy(
@@ -348,18 +337,23 @@ def _finish_run(
     return _heldout_ce(model, stream, cfg)
 
 
+# steps, lr, alpha and teacher_noise are the configs' and the stream's, checked before any step
+@_checked(
+    ValidationError, ToyTrainConfig, KDConfig, SyntheticStream, seeds=(_instance, Iterable),
+    boundary=KDConfig._declared["stage_boundary"],
+)
 def staged_vs_constant(
     seeds: Iterable[int],
-    steps: int = 200,
+    steps: int = ToyTrainConfig.steps,
     alpha: float = 2.0,
     boundary: int | None = 100,
     teacher_noise: float = 1.2,
-    lr: float = 0.05,
+    lr: float = ToyTrainConfig.lr,
 ) -> list[tuple[float, float]]:
     """(staged, constant) final held-out CE of the toy KD runs, one pair per seed.
 
-    Each seed trains two students (hidden 16, vocab 16, batch 32, four
-    experts, capacity factor 2.0) on its own ``SyntheticStream``: the staged
+    Each seed trains two students (hidden 16, vocab 16, batch 32, and
+    ``ToyModel.create``'s four experts) on its own ``SyntheticStream``: the staged
     run stops the teacher term at step ``boundary`` (None: never), the
     constant run never does. Before the boundary the two runs are the same
     computation, so the steps before ``min(boundary, steps)`` (every step when
@@ -374,10 +368,8 @@ def staged_vs_constant(
     shared = steps if boundary is None else min(boundary, steps)
     finals = []
     for seed in seeds:
-        stream = SyntheticStream(
-            hidden=16, vocab=16, batch=32, seed=seed, teacher_noise=teacher_noise
-        )
-        model = ToyModel.create(hidden=16, vocab=16, experts=4, seed=seed, capacity_factor=2.0)
+        stream = SyntheticStream(hidden=16, vocab=16, batch=32, seed=seed, teacher_noise=teacher_noise)
+        model = ToyModel.create(hidden=16, vocab=16, seed=seed)
         _train_steps(model, stream, staged, range(shared))
         # copy the leaves, not the ToyModel: deep-copying an instance caches
         # __slotnames__ on its class, which perfbench's tracer reports as a

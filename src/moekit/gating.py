@@ -64,11 +64,11 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._contract import ValidationError, _instance, _int_in, _number_in, _real_array, _uint
+from ._contract import ValidationError, _checked, _instance, _int_in, _number_in, _real_array, _uint
 from .tensor import NonFiniteError, ShapeError
 
 __all__ = [
@@ -154,6 +154,7 @@ def _run_parts(fn, parts: list, *args) -> None:
 
 
 @dataclass(frozen=True)
+@_checked(ValidationError, num_experts=(_int_in, 1), k=(_int_in, 1, 2), capacity_factor=(_number_in, True))
 class GatingConfig:
     """Routing hyperparameters.
 
@@ -167,12 +168,8 @@ class GatingConfig:
     capacity_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "num_experts", _int_in("num_experts", self.num_experts, 1))
-        object.__setattr__(self, "k", _int_in("k", self.k, 1, 2))
-        e, k = self.num_experts, self.k
-        if k > e:
-            raise ValidationError(f"k={k} exceeds num_experts={e}")
-        _number_in("capacity_factor", self.capacity_factor, positive=True)
+        if self.k > self.num_experts:
+            raise ValidationError(f"k={self.k} exceeds num_experts={self.num_experts}")
 
     def capacity(self, num_tokens: int) -> int:
         # a Python float product: a huge factor gives inf and a subnormal one 0.0
@@ -296,6 +293,9 @@ def _gate_part(logits, probs, ids, gate_probs, r: slice) -> None:
 # ---------------------------------------------------------------------------
 
 
+@_checked(
+    ValidationError, gates=(_instance, TopKGate), cfg=(_instance, GatingConfig), num_tokens=(_int_in, 0)
+)
 def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> DispatchPlan:
     """Assign capacity slots in ascending token order per expert.
 
@@ -307,9 +307,6 @@ def build_dispatch_plan(gates: TopKGate, cfg: GatingConfig, num_tokens: int) -> 
     Assignments landing at slot >= capacity are DROPPED. The kept part of the
     sorted order, written by (expert, rank), is the slot table slot_tokens.
     """
-    _instance("gates", gates, TopKGate)
-    _instance("cfg", cfg, GatingConfig)
-    num_tokens = _int_in("num_tokens", num_tokens, 0)
     ids, gate_probs = gates.expert_ids, gates.gate_probs
     if ids.shape != (num_tokens, cfg.k):
         raise ShapeError(f"gate table shape {ids.shape} does not match ({num_tokens}, {cfg.k})")

@@ -19,9 +19,9 @@ turns a plan into a per-device weight footprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ._contract import _as_int, _instance, _int_in, _is_int, _number_in
+from ._contract import _as_int, _checked, _instance, _int_in, _is_int, _number_in
 from .arch import MoeModelConfig, count_params, count_params_per_layer
 
 __all__ = [
@@ -42,18 +42,19 @@ class PlanError(ValueError):
 
 
 @dataclass(frozen=True)
+@_checked(PlanError, latency_s=(_number_in,), bandwidth_bytes_per_s=(_number_in, True))
 class LinkSpec:
     """A link class: per-message latency and sustained bandwidth."""
 
     latency_s: float
     bandwidth_bytes_per_s: float
 
-    def __post_init__(self) -> None:
-        _number_in("latency_s", self.latency_s, error=PlanError)
-        _number_in("bandwidth_bytes_per_s", self.bandwidth_bytes_per_s, positive=True, error=PlanError)
-
 
 @dataclass(frozen=True)
+@_checked(
+    PlanError, nodes=(_int_in, 1), gpus_per_node=(_int_in, 1), intra_link=(_instance, LinkSpec),
+    inter_link=(_instance, LinkSpec),
+)
 class ClusterTopology:
     """Homogeneous cluster: ``nodes`` machines with ``gpus_per_node`` each.
 
@@ -63,14 +64,8 @@ class ClusterTopology:
 
     nodes: int
     gpus_per_node: int
-    intra_link: LinkSpec = field(default_factory=lambda: LinkSpec(1e-6, 300e9))
-    inter_link: LinkSpec = field(default_factory=lambda: LinkSpec(5e-6, 50e9))
-
-    def __post_init__(self) -> None:
-        for name in ("nodes", "gpus_per_node"):
-            object.__setattr__(self, name, _int_in(name, getattr(self, name), 1, error=PlanError))
-        for name in ("intra_link", "inter_link"):
-            _instance(name, getattr(self, name), LinkSpec, PlanError)
+    intra_link: LinkSpec = LinkSpec(1e-6, 300e9)  # frozen, so every default topology shares it
+    inter_link: LinkSpec = LinkSpec(5e-6, 50e9)
 
     @property
     def world_size(self) -> int:
@@ -117,6 +112,10 @@ class ParallelPlan:
         raise PlanError(f"no placement for layer {layer_index}")
 
 
+@_checked(
+    PlanError, cfg=(_instance, MoeModelConfig), cluster=(_instance, ClusterTopology),
+    latency_mode=(_instance, bool),
+)
 def plan(
     cfg: MoeModelConfig,
     cluster: ClusterTopology,
@@ -131,8 +130,7 @@ def plan(
     expert_slice = world / experts, keeping a single replica so one batch
     uses every device.
     """
-    _instance("cfg", cfg, MoeModelConfig, PlanError)
-    world = _instance("cluster", cluster, ClusterTopology, PlanError).world_size
+    world = cluster.world_size
     placements = []
     for idx in cfg.moe_layer_indices:
         experts = cfg.layers[idx].experts
@@ -225,6 +223,10 @@ class MemoryEstimate:
         return self.expert_bytes + self.non_expert_bytes
 
 
+@_checked(
+    PlanError, built=(_instance, ParallelPlan), cfg=(_instance, MoeModelConfig),
+    bytes_per_param=(_number_in, True),
+)
 def memory_per_device(
     built: ParallelPlan, cfg: MoeModelConfig, bytes_per_param: int = 2
 ) -> MemoryEstimate:
@@ -234,9 +236,6 @@ def memory_per_device(
     else (attention, dense FFN, norms, gates, embeddings) shards only over
     the tensor-slice degree.
     """
-    _instance("built", built, ParallelPlan, PlanError)
-    _instance("cfg", cfg, MoeModelConfig, PlanError)
-    _number_in("bytes_per_param", bytes_per_param, positive=True, error=PlanError)
     problems = validate(built, cfg)
     if problems:
         raise PlanError("; ".join(problems))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -96,6 +97,12 @@ class TestBuilders:
         dense = count_params(dense_config(4, 64, 4))
         # one expert adds exactly one feed-forward per routed layer
         assert counts.expert_params == 2 * _ffn(64)
+
+    def test_layers_given_as_a_list_make_the_same_config(self):
+        cfg = dense_config(2, 8, 2)
+        twin = replace(cfg, layers=list(cfg.layers))
+        assert type(twin.layers) is tuple
+        assert twin == cfg and hash(twin) == hash(cfg)
 
     def test_layer_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -9,6 +9,7 @@ is a ``ShapeError``.
 
 import ast
 import importlib
+import inspect
 import math
 import pickle
 import pkgutil
@@ -17,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moekit
 from moekit import _contract, arch, cli, gating
@@ -108,6 +111,7 @@ CASES = [
     pytest.param(ToyModel.create, (4, 4, 4, -1), ValidationError, id="toy-seed-negative"),
     pytest.param(staged_vs_constant, ([-1],), ValidationError, id="kd-seed-negative"),
     pytest.param(staged_vs_constant, (["a"],), ValidationError, id="kd-seed-str"),
+    pytest.param(staged_vs_constant, (5,), ValidationError, id="kd-seeds-int"),
     pytest.param(train_toy, (None, STREAM, TRAIN), ValidationError, id="train-no-model"),
     pytest.param(train_toy, (TOY, [], TRAIN), ValidationError, id="train-stream-list"),
     pytest.param(train_toy, (TOY, STREAM, KDConfig()), ValidationError, id="train-kd-config"),
@@ -117,6 +121,7 @@ CASES = [
     pytest.param(ClusterTopology, (1, 2, None), PlanError, id="topology-intra-link-none"),
     pytest.param(ClusterTopology, (1, 2, LinkSpec(1e-6, 1e9), "x"), PlanError, id="topology-inter-link-str"),
     pytest.param(plan, (MODEL, TOPOLOGY, False, "2"), PlanError, id="plan-tensor-slice-str"),
+    pytest.param(plan, (MODEL, TOPOLOGY, "no"), PlanError, id="plan-latency-mode-str"),
     pytest.param(memory_per_device, (None, MODEL), PlanError, id="memory-no-plan"),
     pytest.param(validate, (None,), PlanError, id="validate-no-plan"),
     pytest.param(init_layer_params, (None, np.random.default_rng(0)), ValidationError, id="init-no-spec"),
@@ -279,8 +284,8 @@ def test_index_protocol_int_behaves_like_its_plain_int_twin(make):
 
 
 RULES = (
-    "ValidationError", "_is_int", "_as_int", "_int_in", "_is_finite", "_number_in", "_instance",
-    "_one_of", "_real_array", "_divisor", "_array_size", "_uint",
+    "ValidationError", "_is_int", "_as_int", "_int_in", "_int_or_null", "_ints", "_is_finite", "_number_in",
+    "_instance", "_one_of", "_real_array", "_divisor", "_array_size", "_checked", "_uint",
 )
 
 
@@ -315,7 +320,7 @@ def test_finite_rule_is_named_only_by_the_number_rule():
 
 def test_every_cli_option_row_is_a_contract_rule():
     # a config value meets the rule a library call applies, so the CLI keeps no second copy
-    rules = {getattr(_contract, name) for name in RULES if name != "ValidationError"} | {cli._int_or_null, cli._ints}
+    rules = {getattr(_contract, name) for name in RULES if name not in ("ValidationError", "_checked")}
     tables = {name: table for name, table in vars(cli).items() if name.endswith("_TABLE")}
     assert len(tables) == 8  # config, model, cluster and one per verb that takes options
     bad = [
@@ -453,3 +458,170 @@ def test_every_public_name_is_accounted_for(module):
 def test_account_tables_name_public_entries():
     public = {f"{m}.{name}" for m in MODULES for name in importlib.import_module(f"moekit.{m}").__all__}
     assert (ELSEWHERE.keys() | EXEMPT.keys()) - public == set()
+
+
+# Every row of the CLI's option tables is one of two kinds. A key that feeds a library
+# parameter (FEEDS, written out here) has that parameter's declared rule and args, and its
+# default: the library's, or the CLI's own (OWN_DEFAULTS) only where the library has none.
+# A link key's library default is its field of the topology's default link (the third
+# entry). A key that no declaration fits is on CLI_ONLY, with the reason.
+DEFAULT_TOPOLOGY = ClusterTopology(1, 1)
+FEEDS = {
+    "model hidden": (dense_config, "hidden"),
+    "model heads": (dense_config, "heads"),
+    "model vocab": (dense_config, "vocab"),
+    "model context": (dense_config, "context"),
+    "model experts": (build_standard, "num_experts"),
+    "model expert_schedule": (build_pr_moe, "expert_schedule"),
+    "model residual": (build_pr_moe, "residual"),
+    "model k": (build_pr_moe, "k"),
+    "model capacity_factor": (build_pr_moe, "capacity_factor"),
+    "cluster nodes": (ClusterTopology, "nodes"),
+    "cluster gpus_per_node": (ClusterTopology, "gpus_per_node"),
+    "cluster intra_latency_s": (LinkSpec, "latency_s", DEFAULT_TOPOLOGY.intra_link),
+    "cluster intra_bandwidth_bytes_per_s": (LinkSpec, "bandwidth_bytes_per_s", DEFAULT_TOPOLOGY.intra_link),
+    "cluster inter_latency_s": (LinkSpec, "latency_s", DEFAULT_TOPOLOGY.inter_link),
+    "cluster inter_bandwidth_bytes_per_s": (LinkSpec, "bandwidth_bytes_per_s", DEFAULT_TOPOLOGY.inter_link),
+    "route-bench tokens": (gating.build_dispatch_plan, "num_tokens"),
+    "route-bench experts": (gating.GatingConfig, "num_experts"),
+    "route-bench k": (gating.GatingConfig, "k"),
+    "route-bench capacity_factor": (gating.GatingConfig, "capacity_factor"),
+    "simulate tokens_per_rank": (synthetic_sends, "per_rank"),
+    "simulate nbytes": (synthetic_sends, "nbytes"),
+    "simulate c1": (CostModel, "c1"),
+    "simulate c2": (CostModel, "c2"),
+    "plan latency_mode": (plan, "latency_mode"),
+    "plan bytes_per_param": (memory_per_device, "bytes_per_param"),
+    "kd-demo steps": (staged_vs_constant, "steps"),
+    "kd-demo alpha": (staged_vs_constant, "alpha"),
+    "kd-demo teacher_noise": (staged_vs_constant, "teacher_noise"),
+    "kd-demo lr": (staged_vs_constant, "lr"),
+}
+
+OWN_DEFAULTS = {
+    "model hidden": 1024,
+    "model heads": 16,
+    "model experts": None,  # no experts and no schedule: a dense model
+    "model expert_schedule": None,
+    "cluster nodes": 16,
+    "cluster gpus_per_node": 8,
+    "route-bench tokens": 256,
+    "route-bench experts": 8,
+    "simulate tokens_per_rank": 8,
+}
+
+CLI_ONLY = {
+    **dict.fromkeys(("config model", "config cluster", "config options"), "a config section"),
+    "config seed": "the run's seed, which --seed also sets",
+    "model preset": "a preset name, which the CLI looks up",
+    "route-bench instances": "how many seeded batches route-bench draws",
+    "simulate schedule": "which schedules simulate runs",
+    "simulate emit": "summary rows or one schedule's event trace",
+    "kd-demo seeds": "how many seeds, from --seed on, kd-demo runs",
+    "model num_layers": "the CLI refuses 0, which dense_config allows, and the fuzz SPEC expects exit 2",
+    "distill target_depth": "its upper bound is the teacher's depth",
+    **dict.fromkeys(
+        ("simulate tensor_slice", "plan tensor_slice"), "the call checks it as a divisor, with exit 3"
+    ),
+    "kd-demo boundary": "its default is steps // 2",
+}
+
+
+def _library_default(owner, name):
+    return inspect.signature(owner).parameters[name].default
+
+
+def test_every_cli_row_reads_its_library_declaration():
+    tables = [("config", cli.CONFIG_TABLE), ("model", cli.MODEL_TABLE), ("cluster", cli.CLUSTER_TABLE)]
+    tables += [(verb, table) for verb, (_, table) in cli._VERBS.items()]
+    assert len(tables) == 9  # config, model, cluster and one per verb
+    rows = {f"{where} {key}": row for where, table in tables for key, row in table.items()}
+    assert not FEEDS.keys() & CLI_ONLY.keys()
+    assert rows.keys() == FEEDS.keys() | CLI_ONLY.keys()
+    for label, (owner, name, *link) in FEEDS.items():
+        rule, default, *args = rows[label]
+        assert (rule, *args) == owner._declared[name], label
+        want = getattr(link[0], name) if link else _library_default(owner, name)
+        if want is inspect.Parameter.empty:
+            want = OWN_DEFAULTS[label]
+        else:
+            assert label not in OWN_DEFAULTS, label
+        assert (type(default), default) == (type(want), want), label
+    # CLI-only rows still read what the library has: plan's tensor_slice default, boundary's rule
+    assert rows["plan tensor_slice"][1] == _library_default(plan, "tensor_slice")
+    rule, _, *args = rows["kd-demo boundary"]
+    assert (rule, *args) == staged_vs_constant._declared["boundary"]
+
+
+# A valid call of every owner of declared rules; the property below changes one argument.
+VALID_CALLS = {
+    gating.GatingConfig: dict(num_experts=2),
+    gating.build_dispatch_plan: dict(gates=GATE, cfg=GATE_CFG, num_tokens=2),
+    LayerSpec: dict(kind="dense", hidden=4),
+    MoeModelConfig: dict(hidden=8, heads=2, vocab=16, context=8, layers=()),
+    dense_config: dict(num_layers=2, hidden=8, heads=2),
+    build_standard: dict(base=BASE, num_experts=4),
+    build_pr_moe: dict(base=BASE, expert_schedule=(2, 4)),
+    KDConfig: {},
+    SyntheticStream: dict(hidden=4, vocab=4, batch=2),
+    ToyTrainConfig: dict(kd=KDConfig()),
+    staged_vs_constant: dict(seeds=[]),
+    LinkSpec: dict(latency_s=1e-6, bandwidth_bytes_per_s=1e9),
+    ClusterTopology: dict(nodes=1, gpus_per_node=2),
+    plan: dict(cfg=MODEL, cluster=TOPOLOGY),
+    memory_per_device: dict(built=PLACEMENT, cfg=MODEL),
+    CostModel: {},
+    synthetic_sends: dict(world=2, per_rank=2),
+}
+MODULE_ERROR = {
+    "moekit.gating": ValidationError,
+    "moekit.arch": ValidationError,
+    "moekit.distill": ValidationError,
+    "moekit.planner": PlanError,
+    "moekit.commsim": ScheduleError,
+}
+DECLARED = [(owner, name) for owner in VALID_CALLS for name in getattr(owner, "_declared", ())]
+
+
+def test_valid_calls_cover_every_declaration():
+    owners = set()
+    for module in MODULES:
+        mod = importlib.import_module(f"moekit.{module}")
+        owners |= {v for v in vars(mod).values() if hasattr(v, "_declared") and v.__module__ == mod.__name__}
+    assert owners == set(VALID_CALLS)  # a new declaration needs a valid call here
+    for owner, kwargs in VALID_CALLS.items():
+        owner(**kwargs)
+
+
+def outside(rule, *args):
+    """Values just outside a declared rule: the low bound minus 1, the high bound plus 1,
+    a bool, NaN, a str and None, less those the rule takes (None for an int-or-null, a
+    value of the type for a type rule)."""
+    others = [True, math.nan, "x", None]
+    if rule is _contract._int_in:
+        low, high = (*args, None)[:2]
+        near = [st.just(low - 1), st.integers(max_value=low - 1)]
+        near += [] if high is None else [st.just(high + 1), st.integers(min_value=high + 1)]
+    elif rule is _contract._int_or_null:
+        near, others = [st.integers(max_value=args[0] - 1)], others[:-1]
+    elif rule is _contract._number_in:
+        near = [st.sampled_from([-1, 0] if args and args[0] else [-1])]
+    elif rule is _contract._ints:
+        near = [st.builds(lambda v: [v], st.integers(max_value=args[0] - 1))]
+    else:
+        assert rule in (_contract._instance, _contract._one_of), rule
+        near = []
+        if rule is _contract._instance:
+            others = [v for v in others if not isinstance(v, args[0])]
+    return st.one_of(*near, st.sampled_from(others))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_every_declared_parameter_refuses_values_outside_its_rule(data):
+    owner, name = data.draw(st.sampled_from(DECLARED))
+    value = data.draw(outside(*owner._declared[name]))
+    error = MODULE_ERROR[owner.__module__]
+    with pytest.raises(error) as exc:
+        owner(**{**VALID_CALLS[owner], name: value})
+    assert type(exc.value) is error
